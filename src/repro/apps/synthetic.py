@@ -707,7 +707,6 @@ class SyntheticResult:
 
 def synthetic_flow(spec: TrafficSpec, interconnect: str = "tlm",
                    config_overrides: Optional[Dict] = None,
-                   backend: Optional[str] = None,
                    checkpoint_every: Optional[int] = None,
                    checkpoint_dir=None,
                    checkpoint_keep: Optional[int] = None,
@@ -720,8 +719,7 @@ def synthetic_flow(spec: TrafficSpec, interconnect: str = "tlm",
     The programs are pushed through the ``.bin`` assemble/disassemble
     cycle (the TG executes the binary image, mirroring the trace flow),
     then run on an all-TG platform on the requested fabric.  Latency
-    statistics come from the per-TG OCP counters.  ``backend`` picks the
-    kernel dispatch engine (results are bit-identical across backends).
+    statistics come from the per-TG OCP counters.
     ``checkpoint_every``/``checkpoint_dir``/``checkpoint_keep`` arm
     crash-durable auto-checkpointing exactly as in
     :func:`~repro.harness.experiments.tg_flow`.
@@ -739,9 +737,6 @@ def synthetic_flow(spec: TrafficSpec, interconnect: str = "tlm",
     from repro.harness.experiments import build_tg_platform
     import time
 
-    if backend is not None:
-        config_overrides = dict(config_overrides or {})
-        config_overrides["backend"] = backend
     warmup = warmup_cycles is not None or warmup_payload is not None
     if warmup and checkpoint_every is not None:
         raise ValueError("warm-up fast-forward and auto-checkpointing "

@@ -402,12 +402,6 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
                         help="kill and replace a worker that sends no "
                              "heartbeat for this long — presumed hung "
                              "(default 30; 0 disables)")
-    parser.add_argument("--backend", choices=["classic", "fast"],
-                        default=None,
-                        help="kernel event-dispatch engine for every grid "
-                             "point, overriding the spec's 'backend' key "
-                             "(bit-identical results; part of the cache "
-                             "key when not 'classic')")
     parser.add_argument("--warmup-cycles", type=int, default=None,
                         metavar="N",
                         help="fast-forward every grid point through an "
@@ -468,14 +462,11 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
                      "on --resume")
 
     def _apply_overrides(spec):
-        """Fold --backend/--warmup-* overrides into a parsed spec."""
+        """Fold --warmup-* overrides into a parsed spec."""
         if spec is None:
             return spec
         data = spec.to_dict()
         changed = False
-        if args.backend is not None and spec.backend != args.backend:
-            data["backend"] = args.backend
-            changed = True
         if args.warmup_cycles is not None \
                 and spec.warmup_cycles != args.warmup_cycles:
             data["warmup_cycles"] = args.warmup_cycles
@@ -511,21 +502,17 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
         if args.resume:
             journal = SweepJournal.resume(
                 args.resume, spec.to_dict() if spec is not None else None)
-            journal_spec = SweepSpec.from_dict(journal.state.spec)
-            if args.backend is not None \
-                    and journal_spec.backend != args.backend:
-                # folding the override in would serve journal/cache rows
-                # computed under the other backend as this run's results
+            try:
+                spec = SweepSpec.from_dict(journal.state.spec)
+            except ValueError as error:
+                # e.g. a key this version no longer has: the journal's
+                # rows cannot be trusted as this run's results
                 journal.close()
                 from repro.artifacts.errors import ParseDiagnostic
                 raise ParseDiagnostic(
-                    f"journal was recorded with backend "
-                    f"{journal_spec.backend!r}; refusing --backend "
-                    f"{args.backend} on resume",
+                    f"journal spec is not valid for this version: {error}",
                     path=journal.path,
-                    hint="resume without --backend, or start a fresh "
-                         "sweep for the other engine")
-            spec = journal_spec
+                    hint="start a fresh sweep from the spec file") from None
             done = journal.state.records
             print(f"[sweep] resuming {journal.path}: {done} of "
                   f"{journal.state.total} point(s) already journalled",
@@ -748,10 +735,6 @@ def experiment_main(argv: Optional[List[str]] = None) -> int:
                         metavar="EVENTS",
                         help="kernel livelock watchdog: abort after EVENTS "
                              "events with no simulated-time progress")
-    parser.add_argument("--backend", choices=["classic", "fast"],
-                        default=None,
-                        help="kernel event-dispatch engine for both runs "
-                             "(bit-identical results; 'fast' is quicker)")
     parser.add_argument("--checkpoint-every", type=int, default=None,
                         metavar="CYCLES",
                         help="snapshot the TG run at the first quiescent "
@@ -798,8 +781,7 @@ def experiment_main(argv: Optional[List[str]] = None) -> int:
         if args.restore:
             from repro.harness import load_snapshot, restore_platform
             snapshot = load_snapshot(args.restore)
-            platform = restore_platform(snapshot,
-                                        backend=args.backend)
+            platform = restore_platform(snapshot)
             platform.run(progress_window=args.progress_window)
             out = {
                 "restored_from": args.restore,
@@ -839,7 +821,6 @@ def experiment_main(argv: Optional[List[str]] = None) -> int:
                          retry_policy=retry_policy,
                          watchdog_cycles=args.watchdog,
                          progress_window=args.progress_window,
-                         backend=args.backend,
                          checkpoint_every=args.checkpoint_every,
                          checkpoint_dir=args.checkpoint_dir,
                          checkpoint_keep=args.checkpoint_keep,
@@ -973,10 +954,6 @@ def traffic_main(argv: Optional[List[str]] = None) -> int:
                         choices=["ahb", "xpipes", "stbus", "tlm"],
                         help="also run the workload on this fabric and "
                              "print load/latency metrics")
-    parser.add_argument("--backend", choices=["classic", "fast"],
-                        default=None,
-                        help="kernel event-dispatch engine for --simulate "
-                             "(bit-identical results; 'fast' is quicker)")
     parser.add_argument("--checkpoint-every", type=int, default=None,
                         metavar="CYCLES",
                         help="with --simulate: snapshot the run at every "
@@ -1025,7 +1002,7 @@ def traffic_main(argv: Optional[List[str]] = None) -> int:
         if args.restore:
             from repro.harness import load_snapshot, restore_platform
             snapshot = load_snapshot(args.restore)
-            platform = restore_platform(snapshot, backend=args.backend)
+            platform = restore_platform(snapshot)
             platform.run()
             out = {
                 "restored_from": args.restore,
@@ -1109,7 +1086,7 @@ def traffic_main(argv: Optional[List[str]] = None) -> int:
 
         if args.simulate:
             result = synthetic_flow(
-                spec, args.simulate, backend=args.backend,
+                spec, args.simulate,
                 checkpoint_every=args.checkpoint_every,
                 checkpoint_dir=args.checkpoint_dir,
                 checkpoint_keep=args.checkpoint_keep,

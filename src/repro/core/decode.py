@@ -1,40 +1,26 @@
-"""Batched TG program decode for the fast interpreter path.
+"""Program decode for the TG interpreter.
 
-The baseline interpreter (:meth:`TGMaster._run`) re-touches a
-:class:`~repro.core.isa.TGInstruction` NamedTuple per executed
-instruction: attribute loads, an :class:`~repro.core.isa.TGOp` enum
+Touching a :class:`~repro.core.isa.TGInstruction` NamedTuple per executed
+instruction costs attribute loads, a :class:`~repro.core.isa.TGOp` enum
 compare per dispatch arm, and a fresh ``Cond(...)`` construction per
 branch.  For millisecond-scale traces a TG executes each instruction
 once, but synthetic workloads and polling loops re-execute hot bodies
 millions of times, so the per-instruction constant work adds up.
 
 :func:`decode_program` lowers a validated program once, up front, into
-parallel plain-``int`` field lists, decoding the whole instruction
-stream in one vectorised pass over the assembled binary image (numpy
-shift/mask over the ``word0``/``word1`` columns) instead of
-instruction-at-a-time — the same straight-line decode a hardware TG's
-fetch stage performs.  Branch conditions are resolved to bound
+parallel plain-``int`` field lists — the straight-line decode a hardware
+TG's fetch stage performs.  Branch conditions are resolved to bound
 comparison callables so ``If`` costs one indexed call, not an enum
-round-trip.  When numpy is unavailable the same lowering runs as a
-pure-Python loop over the already-decoded instruction tuples; the
-resulting :class:`DecodedProgram` is identical either way.
-
-The lowered form feeds :meth:`TGMaster._run_fast`, which yields the
-exact same sequence of delays/signals/processes as ``_run`` — the fast
-path changes interpreter overhead only, never simulated behaviour.
+round-trip.  :meth:`TGMaster._run <repro.core.tg_master.TGMaster._run>`
+interprets the lowered columns.
 """
 
 from typing import Callable, List, NamedTuple, Sequence
 
 import operator
 
-from repro.core.isa import TGError, TGOp
+from repro.core.isa import TGOp
 from repro.core.program import TGProgram
-
-try:  # numpy is an optional accelerator, not a dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via _lower_python tests
-    _np = None
 
 #: Branch-condition byte -> comparison callable, indexed by Cond value.
 COND_FUNCS: Sequence[Callable[[int, int], bool]] = (
@@ -61,54 +47,20 @@ class DecodedProgram(NamedTuple):
         return len(self.ops)
 
 
-def _cond_column(ops: List[int], conds: List[int]) -> List:
-    if_op = int(TGOp.IF)
-    return [COND_FUNCS[cond] if op == if_op else None
-            for op, cond in zip(ops, conds)]
-
-
-def _lower_numpy(program: TGProgram) -> DecodedProgram:
-    """Vectorised lowering: one pass of shifts/masks over the image."""
-    from repro.core.assembler import assemble_binary
-
-    image = assemble_binary(program)
-    words = _np.frombuffer(image, dtype="<u4")
-    n = int(words[3])
-    instr = words[5:5 + 2 * n].astype(_np.int64)
-    word0 = instr[0::2]
-    word1 = instr[1::2]
-    ops = (word0 >> 24).tolist()
-    a = ((word0 >> 16) & 0xFF).tolist()
-    b = ((word0 >> 8) & 0xFF).tolist()
-    conds = (word0 & 0xFF).tolist()
-    imm = word1.tolist()
-    return DecodedProgram(ops, a, b, _cond_column(ops, conds), imm,
-                          list(program.pool))
-
-
-def _lower_python(program: TGProgram) -> DecodedProgram:
-    """Fallback lowering when numpy is missing: same output, scalar loop."""
-    ops = [int(instr.op) for instr in program.instructions]
-    a = [instr.a for instr in program.instructions]
-    b = [instr.b for instr in program.instructions]
-    conds = [instr.cond for instr in program.instructions]
-    imm = [instr.imm for instr in program.instructions]
-    return DecodedProgram(ops, a, b, _cond_column(ops, conds), imm,
-                          list(program.pool))
-
-
 def decode_program(program: TGProgram) -> DecodedProgram:
-    """Lower a validated program for the fast interpreter.
+    """Lower a validated program for the interpreter.
 
-    Sanity-checks Cond coverage are enforced by ``program.validate()``
-    (IF conditions are range-checked), so ``COND_FUNCS`` indexing is
-    safe here.
+    ``program.validate()`` range-checks IF conditions, so ``COND_FUNCS``
+    indexing is safe here.
     """
-    if _np is not None:
-        try:
-            return _lower_numpy(program)
-        except TGError:
-            # not image-encodable (e.g. an Idle beyond 32 bits) — such
-            # programs run fine in memory, they just can't be assembled
-            pass
-    return _lower_python(program)
+    instructions = program.instructions
+    ops = [int(instr.op) for instr in instructions]
+    if_op = int(TGOp.IF)
+    conds = [COND_FUNCS[instr.cond] if op == if_op else None
+             for op, instr in zip(ops, instructions)]
+    return DecodedProgram(ops,
+                          [instr.a for instr in instructions],
+                          [instr.b for instr in instructions],
+                          conds,
+                          [instr.imm for instr in instructions],
+                          list(program.pool))

@@ -28,7 +28,6 @@ from repro.kernel import Component, Simulator
 from repro.kernel.errors import WatchdogTimeout
 from repro.kernel.snapshot import state_get
 from repro.core.isa import (
-    Cond,
     RDREG,
     TGError,
     TGOp,
@@ -109,14 +108,7 @@ class TGMaster(Component):
             self._issue_fifo = self.sim.fifo(name=f"{self.name}.issueq")
             self._issuer = self.sim.spawn(self._issue_process(),
                                           name=f"{self.name}.issuer")
-            # the cloning path threads every OCP op through the issue
-            # FIFO; keep it on the reference interpreter
-            runner = self._run()
-        elif self.sim.backend == "fast":
-            runner = self._run_fast()
-        else:
-            runner = self._run()
-        self._process = self.sim.spawn(runner, name=f"{self.name}.run")
+        self._process = self.sim.spawn(self._run(), name=f"{self.name}.run")
 
     @property
     def process(self):
@@ -265,16 +257,7 @@ class TGMaster(Component):
         if self.halted:
             raise SnapshotError(
                 f"{self.name}: snapshot re-arms a halted TG")
-        # interpreter choice is structural, not captured state: the
-        # cloning path always replays on the reference interpreter, the
-        # others pick by the *restoring* kernel's backend
-        if self.program.mode is ReplayMode.CLONING:
-            runner = self._run()
-        elif sim.backend == "fast":
-            runner = self._run_fast()
-        else:
-            runner = self._run()
-        self._process = sim.spawn(runner, name=f"{self.name}.run",
+        self._process = sim.spawn(self._run(), name=f"{self.name}.run",
                                   delay=at - sim.now)
 
     def owned_idle_processes(self):
@@ -376,103 +359,14 @@ class TGMaster(Component):
     # ----------------------------------------------------------- execution
 
     def _run(self):
-        instructions = self.program.instructions
-        pool = self.program.pool
-        cloning = self.program.mode is ReplayMode.CLONING
-        regs = self.regs
-        while True:
-            instr = instructions[self.pc]
-            self.pc += 1
-            self.instructions_executed += 1
-            op = instr.op
-            if op == TGOp.IDLE:
-                if instr.imm:
-                    yield instr.imm
-            elif op == TGOp.SET_REGISTER:
-                regs[instr.a] = instr.imm
-                yield 1
-            elif op == TGOp.READ:
-                if cloning:
-                    yield from self._issue_fifo.put(
-                        (TGOp.READ, regs[instr.a], None))
-                else:
-                    regs[RDREG] = yield from self._read_word(regs[instr.a])
-            elif op == TGOp.WRITE:
-                if cloning:
-                    yield from self._issue_fifo.put(
-                        (TGOp.WRITE, regs[instr.a], regs[instr.b]))
-                else:
-                    yield from self._transact(OCPCommand.WRITE,
-                                              regs[instr.a], regs[instr.b])
-            elif op == TGOp.BURST_READ:
-                if cloning:
-                    yield from self._issue_fifo.put(
-                        (TGOp.BURST_READ, regs[instr.a], instr.b))
-                else:
-                    response = yield from self._transact(
-                        OCPCommand.BURST_READ, regs[instr.a],
-                        burst_len=instr.b)
-                    regs[RDREG] = response.words[-1]
-            elif op == TGOp.BURST_WRITE:
-                data = pool[instr.imm:instr.imm + instr.b]
-                if cloning:
-                    yield from self._issue_fifo.put(
-                        (TGOp.BURST_WRITE, regs[instr.a], data))
-                else:
-                    yield from self._transact(
-                        OCPCommand.BURST_WRITE, regs[instr.a], list(data),
-                        burst_len=len(data))
-            elif op == TGOp.READ_NB:
-                # out-of-order extension: the read retires in the
-                # background; the program continues after a 1-cycle issue
-                reader = self.sim.spawn(
-                    self._read_word(regs[instr.a]),
-                    name=f"{self.name}.nb#{self.instructions_executed}")
-                self._outstanding.append(reader)
-                self.max_outstanding_observed = max(
-                    self.max_outstanding_observed,
-                    sum(1 for p in self._outstanding if p.alive))
-                yield 1
-            elif op == TGOp.FENCE:
-                for reader in self._outstanding:
-                    if reader.alive:
-                        yield reader
-                self._outstanding = []
-            elif op == TGOp.IF:
-                if Cond(instr.cond).evaluate(regs[instr.a], regs[instr.b]):
-                    self.pc = instr.imm
-                yield 1
-            elif op == TGOp.JUMP:
-                self.pc = instr.imm
-                yield 1
-            elif op == TGOp.HALT:
-                # implicit fence: completion means all traffic retired
-                for reader in self._outstanding:
-                    if reader.alive:
-                        yield reader
-                self._outstanding = []
-                break
-            else:  # pragma: no cover - validate() rejects unknown ops
-                raise TGError(f"bad opcode {op}")
-        if cloning:
-            # completion = program done AND issue queue drained
-            yield from self._issue_fifo.put(None)
-            yield self._issuer
-        self.halted = True
-        self.halt_time = self.sim.now
-        return self.halt_time
+        """The interpreter: one instruction per iteration, resuming at
+        ``self.pc``.
 
-    def _run_fast(self):
-        """Interpreter over the vectorised decode (fast backend only).
-
-        Semantically identical to :meth:`_run` — same instruction
-        sequence, same yields, same counters — but dispatches on
-        pre-decoded plain-int opcode columns (see
-        :mod:`repro.core.decode`) instead of touching a NamedTuple and
-        an enum per executed instruction.  Only straight-line field
-        access is lowered; branches re-enter the normal dispatch on the
-        next iteration, and every OCP transaction goes through the same
-        ``_transact`` machinery as the reference interpreter.
+        Dispatches on the plain-int opcode columns of
+        :func:`~repro.core.decode.decode_program` instead of touching a
+        NamedTuple and an enum per executed instruction.  Every OCP
+        transaction goes through :meth:`_transact`; in CLONING mode the
+        OCP instructions hand their operands to the issue queue instead.
         """
         decoded = decode_program(self.program)
         ops = decoded.ops
@@ -481,6 +375,7 @@ class TGMaster(Component):
         conds = decoded.conds
         imms = decoded.imm
         pool = decoded.pool
+        cloning = self.program.mode is ReplayMode.CLONING
         regs = self.regs
         while True:
             pc = self.pc
@@ -495,22 +390,41 @@ class TGMaster(Component):
                 regs[field_a[pc]] = imms[pc]
                 yield 1
             elif op == 1:  # READ
-                regs[RDREG] = yield from self._read_word(regs[field_a[pc]])
+                if cloning:
+                    yield from self._issue_fifo.put(
+                        (TGOp.READ, regs[field_a[pc]], None))
+                else:
+                    regs[RDREG] = yield from self._read_word(
+                        regs[field_a[pc]])
             elif op == 2:  # WRITE
-                yield from self._transact(OCPCommand.WRITE,
-                                          regs[field_a[pc]],
-                                          regs[field_b[pc]])
+                if cloning:
+                    yield from self._issue_fifo.put(
+                        (TGOp.WRITE, regs[field_a[pc]], regs[field_b[pc]]))
+                else:
+                    yield from self._transact(OCPCommand.WRITE,
+                                              regs[field_a[pc]],
+                                              regs[field_b[pc]])
             elif op == 3:  # BURST_READ
-                response = yield from self._transact(
-                    OCPCommand.BURST_READ, regs[field_a[pc]],
-                    burst_len=field_b[pc])
-                regs[RDREG] = response.words[-1]
+                if cloning:
+                    yield from self._issue_fifo.put(
+                        (TGOp.BURST_READ, regs[field_a[pc]], field_b[pc]))
+                else:
+                    response = yield from self._transact(
+                        OCPCommand.BURST_READ, regs[field_a[pc]],
+                        burst_len=field_b[pc])
+                    regs[RDREG] = response.words[-1]
             elif op == 4:  # BURST_WRITE
                 data = pool[imms[pc]:imms[pc] + field_b[pc]]
-                yield from self._transact(
-                    OCPCommand.BURST_WRITE, regs[field_a[pc]], list(data),
-                    burst_len=len(data))
+                if cloning:
+                    yield from self._issue_fifo.put(
+                        (TGOp.BURST_WRITE, regs[field_a[pc]], data))
+                else:
+                    yield from self._transact(
+                        OCPCommand.BURST_WRITE, regs[field_a[pc]], list(data),
+                        burst_len=len(data))
             elif op == 10:  # READ_NB
+                # out-of-order extension: the read retires in the
+                # background; the program continues after a 1-cycle issue
                 reader = self.sim.spawn(
                     self._read_word(regs[field_a[pc]]),
                     name=f"{self.name}.nb#{self.instructions_executed}")
@@ -532,6 +446,7 @@ class TGMaster(Component):
                 self.pc = imms[pc]
                 yield 1
             elif op == 9:  # HALT
+                # implicit fence: completion means all traffic retired
                 for reader in self._outstanding:
                     if reader.alive:
                         yield reader
@@ -539,6 +454,10 @@ class TGMaster(Component):
                 break
             else:  # pragma: no cover - validate() rejects unknown ops
                 raise TGError(f"bad opcode {op}")
+        if cloning:
+            # completion = program done AND issue queue drained
+            yield from self._issue_fifo.put(None)
+            yield self._issuer
         self.halted = True
         self.halt_time = self.sim.now
         return self.halt_time

@@ -65,17 +65,13 @@ def point_cache_key(benchmark: str, n_cores: int, interconnect: str,
                     mode: str, app_params: Optional[Dict] = None,
                     fault_spec: Optional[Dict] = None, fault_seed: int = 0,
                     traffic: Optional[Dict] = None,
-                    backend: Optional[str] = None,
                     version: Optional[str] = None,
                     warmup: Optional[str] = None) -> str:
     """Content hash identifying one grid point's simulation outcome.
 
     ``traffic`` (the resolved synthetic-traffic spec dict) joins the key
     material only when present, so every pre-existing classic-benchmark
-    key is unchanged.  ``backend`` joins the same way, only when it is
-    not the default ``"classic"`` engine: simulated numbers are
-    bit-identical across backends, but the stored summary carries
-    wall-clock columns, which are backend-dependent.  ``warmup`` (the
+    key is unchanged.  ``warmup`` (the
     :func:`warmup_digest` of a fast-forwarded point's warm-up material)
     also joins only when present: a point executed via warm-up restore
     is a different simulation than the same point cold-started from
@@ -93,8 +89,6 @@ def point_cache_key(benchmark: str, n_cores: int, interconnect: str,
     }
     if traffic is not None:
         provenance["traffic"] = traffic
-    if backend is not None and backend != "classic":
-        provenance["backend"] = backend
     if warmup is not None:
         provenance["warmup"] = warmup
     blob = json.dumps(provenance, sort_keys=True, separators=(",", ":"))

@@ -16,7 +16,7 @@ simulation state; this module makes that *self-contained on disk*:
   at the first quiescent cycle at or after every cadence boundary;
 * :func:`restore_platform` rebuilds a platform from a payload's embedded
   recipe and applies the snapshot — the continuation is bit-identical to
-  the uninterrupted run, under either kernel backend;
+  the uninterrupted run;
 * :func:`branch` is the fault-campaign primitive: restore the shared
   warm-up state with a *fresh* fault injector (new spec/seed), so N
   scenarios share one warm-up simulation.
@@ -72,6 +72,20 @@ def platform_recipe(programs: Dict[int, TGProgram], n_cores: int,
     }
 
 
+def _recipe_overrides(recipe: dict) -> dict:
+    """A recipe's config overrides, minus keys :class:`PlatformConfig`
+    no longer takes.
+
+    Snapshots saved while the kernel had a selectable event engine name
+    it here; there is one engine now, so the name is dropped.
+    """
+    from repro.kernel.snapshot import state_get
+    overrides = dict(state_get(recipe, "config_overrides",
+                               "platform recipe") or {})
+    overrides.pop("backend", None)
+    return overrides
+
+
 def rebuild_platform(recipe: dict,
                      config_overrides: Optional[dict] = None,
                      interconnect: Optional[str] = None,
@@ -80,10 +94,10 @@ def rebuild_platform(recipe: dict,
     """Build a fresh, un-started platform from a snapshot recipe.
 
     ``config_overrides`` are applied *on top* of the recipe's own
-    overrides (the branch mechanism swaps fault spec/seed/backend this
-    way).  ``interconnect`` replaces the recipe's fabric — the
-    cross-fabric fast-forward path rebuilds the captured workload on a
-    *different* interconnect.  ``programs`` skips the ``.tgp`` re-parse
+    overrides (the branch mechanism swaps fault spec/seed this way).
+    ``interconnect`` replaces the recipe's fabric — the cross-fabric
+    fast-forward path rebuilds the captured workload on a *different*
+    interconnect.  ``programs`` skips the ``.tgp`` re-parse
     when the caller already holds the recipe's programs in memory; it is
     only safe after the recipe has been byte-compared against a
     :func:`platform_recipe` of those same programs (``.tgp`` text is
@@ -111,8 +125,7 @@ def rebuild_platform(recipe: dict,
             raise SnapshotError(
                 f"snapshot platform recipe has an unparsable program "
                 f"({error})") from None
-    overrides = dict(state_get(recipe, "config_overrides",
-                               "platform recipe") or {})
+    overrides = _recipe_overrides(recipe)
     overrides.update(config_overrides or {})
     retry = state_get(recipe, "retry_policy", "platform recipe")
     return build_tg_platform(
@@ -127,18 +140,16 @@ def rebuild_platform(recipe: dict,
 
 
 #: Recipe overrides that do not change the captured architectural state:
-#: the kernel backend fires the same events in the same order, and a
-#: warm-up snapshot is always captured healthy (fault state is branched
+#: a warm-up snapshot is always captured healthy (fault state is branched
 #: in fresh at the restore point).  Everything else in the overrides —
 #: fabric parameters, memory timings, platform shape — defines the
 #: workload identity and must match for a restore to be meaningful.
-_PORTABLE_OVERRIDES = ("backend", "fault_spec", "fault_seed")
+_PORTABLE_OVERRIDES = ("fault_spec", "fault_seed")
 
 
 def _comparable_recipe(recipe: dict) -> dict:
     from repro.kernel.snapshot import state_get
-    overrides = dict(state_get(recipe, "config_overrides",
-                               "platform recipe") or {})
+    overrides = _recipe_overrides(recipe)
     for key in _PORTABLE_OVERRIDES:
         overrides.pop(key, None)
     return {
@@ -160,8 +171,8 @@ def ensure_recipe_compatible(recipe: dict, expected: dict) -> None:
     core count, the TG programs (byte-compared as ``.tgp`` text), the
     retry/watchdog resilience knobs and all non-portable config
     overrides.  The ``interconnect`` and the :data:`_PORTABLE_OVERRIDES`
-    (kernel backend, fault spec/seed) are deliberately excluded — those
-    are exactly the axes mixed-fidelity fast-forward varies.  Raises
+    (fault spec/seed) are deliberately excluded — those are exactly the
+    axes mixed-fidelity fast-forward varies.  Raises
     :class:`SnapshotRecipeMismatch` naming every differing field.
     """
     ours = _comparable_recipe(recipe)
@@ -192,31 +203,26 @@ def ensure_recipe_compatible(recipe: dict, expected: dict) -> None:
         raise SnapshotRecipeMismatch(
             f"snapshot recipe does not match the target workload "
             f"({len(mismatches)} field(s) differ)",
-            hint="a snapshot can change fabric, backend and fault "
+            hint="a snapshot can change fabric and fault "
                  "configuration, but not the workload itself",
             mismatches=mismatches)
 
 
 def restore_platform(payload: dict,
-                     backend: Optional[str] = None,
                      interconnect: Optional[str] = None) -> MparmPlatform:
     """Rebuild the platform a snapshot embeds and apply the snapshot.
 
     The returned platform sits at the snapshot cycle, started, with the
     exact pending-event set of the captured run — ``platform.run()``
-    continues it to a bit-identical completion.  ``backend`` optionally
-    continues under a *different* kernel engine than the capture ran on
-    (re-armed entries are structural, so the continuation is still
-    bit-identical).  ``interconnect`` continues on a *different fabric*:
-    the snapshot must have been taken at a quiescent cycle (all are),
-    so the fabric's internal state is re-derived from quiescence while
-    TG/OCP/memory/semaphore state restores by component identity.
+    continues it to a bit-identical completion.  ``interconnect``
+    continues on a *different fabric*: the snapshot must have been taken
+    at a quiescent cycle (all are), so the fabric's internal state is
+    re-derived from quiescence while TG/OCP/memory/semaphore state
+    restores by component identity.
     """
     from repro.kernel.snapshot import _require, state_get
-    overrides = {"backend": backend} if backend is not None else None
     recipe = _require(payload, "platform", "payload")
-    platform = rebuild_platform(recipe, overrides,
-                                interconnect=interconnect)
+    platform = rebuild_platform(recipe, interconnect=interconnect)
     rederive = None
     if interconnect is not None and interconnect != state_get(
             recipe, "interconnect", "platform recipe"):
@@ -228,12 +234,11 @@ def restore_platform(payload: dict,
 def branch(payload: dict,
            fault_spec: Union[None, dict, FaultSpec] = None,
            fault_seed: Optional[int] = None,
-           backend: Optional[str] = None,
            interconnect: Optional[str] = None) -> MparmPlatform:
     """Branch a fault scenario off a shared warm-up snapshot.
 
     Rebuilds the platform with the given fault spec/seed (and optionally
-    a different kernel backend and/or fabric), then applies the snapshot
+    a different fabric), then applies the snapshot
     with a **fresh** injector: all architectural state — TG registers,
     memory contents, traffic counters — continues from the warm-up,
     while the fault sequence is the new scenario's own.  Simulate the
@@ -250,8 +255,6 @@ def branch(payload: dict,
             raise SnapshotError(
                 "branch got fault_seed without fault_spec",
                 hint="pass the scenario's fault spec as well")
-    if backend is not None:
-        overrides["backend"] = backend
     from repro.kernel.snapshot import _require, state_get
     recipe = _require(payload, "platform", "payload")
     platform = rebuild_platform(recipe, overrides,
@@ -313,7 +316,7 @@ def fast_forward(payload: dict,
 
     The mixed-fidelity primitive: rebuild the snapshot's workload on
     ``interconnect`` (possibly a different fabric than the warm-up ran
-    on), layer ``config_overrides`` (backend, fault spec/seed) on top of
+    on), layer ``config_overrides`` (fault spec/seed) on top of
     the recipe's own, and apply the snapshot with
 
     * the fault **injector fresh** — the warm-up is healthy, so fault
@@ -448,20 +451,23 @@ def load_snapshot(path) -> dict:
     return load_snap(path).value
 
 
-#: Kernel diagnostics whose values depend on the *dispatch mode* (batched
-#: drain vs bounded stepping) on the fast backend, not on the simulated
-#: behaviour — the same set test_backend_parity already treats as
-#: backend-structural.  Everything else in a summary is bit-stable.
+#: Kernel diagnostics that describe how the event queue was *driven*
+#: (batched drain vs bounded stepping, calendar buckets vs the heap
+#: oracle), not the simulated behaviour.  Everything else in a summary is
+#: bit-stable.
 STRUCTURAL_KERNEL_KEYS = ("heap_compactions", "peak_heap_size",
                           "queued_tombstones")
 
 
 def comparable_summary(summary: dict) -> dict:
-    """A stats summary with dispatch-mode-dependent diagnostics removed.
+    """A stats summary without the :data:`STRUCTURAL_KERNEL_KEYS`.
 
-    Use this to compare a checkpointed/restored run against an
-    uninterrupted one on the ``fast`` backend; on ``classic`` the full
-    summaries already match bit-for-bit.
+    The contract for "same simulation": a checkpointed or restored run
+    matches the uninterrupted one, and the engine matches the
+    :class:`~repro.kernel.event.EventQueue` oracle, on every other key.
+    The dropped counters depend on the dispatch mode — the engine samples
+    ``peak_heap_size`` per batch on an unbounded run but per event on a
+    bounded one, and a checkpointed run is bounded.
     """
     trimmed = dict(summary)
     kernel = trimmed.get("kernel")

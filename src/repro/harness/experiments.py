@@ -206,7 +206,6 @@ def tg_flow(app, n_cores: int, interconnect: str = "ahb",
             retry_policy: Optional[RetryPolicy] = None,
             watchdog_cycles: Optional[int] = None,
             progress_window: Optional[int] = None,
-            backend: Optional[str] = None,
             checkpoint_every: Optional[int] = None,
             checkpoint_dir=None,
             checkpoint_keep: Optional[int] = None,
@@ -217,11 +216,6 @@ def tg_flow(app, n_cores: int, interconnect: str = "ahb",
     ``tg_interconnect`` lets the TG simulation run on a *different* fabric
     than the reference (the design-space-exploration use case); accuracy
     is only meaningful when both are the same.
-
-    ``backend`` selects the kernel dispatch engine for *both* runs (see
-    :mod:`repro.kernel.backend`); results are bit-identical either way,
-    only wall-clock changes.  ``None`` keeps whatever
-    ``config_overrides`` says (default ``"classic"``).
 
     The resilience knobs (``fault_spec``/``fault_seed``/``retry_policy``/
     ``watchdog_cycles``/``progress_window``) apply to the **TG** run only:
@@ -250,10 +244,6 @@ def tg_flow(app, n_cores: int, interconnect: str = "ahb",
     result.n_cores = n_cores
     result.interconnect = interconnect
     result.mode = mode
-
-    if backend is not None:
-        config_overrides = dict(config_overrides or {})
-        config_overrides["backend"] = backend
 
     platform, collectors, ref_wall = reference_run(
         app, n_cores, interconnect, app_params, config_overrides)

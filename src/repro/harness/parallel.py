@@ -100,7 +100,6 @@ class SweepPoint:
     fault_spec: Optional[Dict] = None
     fault_seed: int = 0
     traffic: Optional[Dict] = None  # synthetic sweeps: resolved spec dict
-    backend: str = "classic"        # kernel dispatch engine
     warmup_cycles: Optional[int] = None   # mixed-fidelity fast-forward
     warmup_fabric: str = "tlm"
 
@@ -109,10 +108,9 @@ class SweepPoint:
 
         Everything that determines the warm-up snapshot's bytes.  A
         synthetic point's material deliberately *excludes* the target
-        interconnect, the kernel backend and the fault axes — the
-        warm-up always runs on ``warmup_fabric``, healthy, and backends
-        are bit-identical — so grid points differing only along those
-        axes share one warm-up simulation.  Classic-benchmark points
+        interconnect and the fault axes — the warm-up always runs on
+        ``warmup_fabric``, healthy — so grid points differing only along
+        those axes share one warm-up simulation.  Classic-benchmark points
         include the interconnect (their programs are translated from
         traces collected on it), so each is its own singleton class and
         warms up in-worker.
@@ -152,8 +150,6 @@ class SweepPoint:
         }
         if self.traffic is not None:
             provenance["traffic"] = self.traffic
-        if self.backend != "classic":
-            provenance["backend"] = self.backend
         warmup = self.warmup_key()
         if warmup is not None:
             provenance["warmup"] = warmup
@@ -163,7 +159,7 @@ class SweepPoint:
         return point_cache_key(
             self.benchmark, self.n_cores, self.interconnect, self.mode,
             self.app_params, self.fault_spec, self.fault_seed,
-            traffic=self.traffic, backend=self.backend, version=version,
+            traffic=self.traffic, version=version,
             warmup=self.warmup_key())
 
     def payload(self) -> Dict:
@@ -177,7 +173,6 @@ class SweepPoint:
             "fault_spec": copy.deepcopy(self.fault_spec),
             "fault_seed": self.fault_seed,
             "traffic": copy.deepcopy(self.traffic),
-            "backend": self.backend,
         }
         if self.warmup_cycles is not None:
             payload["warmup"] = {"cycles": self.warmup_cycles,
@@ -211,7 +206,6 @@ def expand_grid(spec: SweepSpec) -> List[SweepPoint]:
                                 traffic=resolve_traffic(
                                     spec.traffic, n_cores, mode.value,
                                     pattern=pattern, load=load),
-                                backend=spec.backend,
                                 warmup_cycles=spec.warmup_cycles,
                                 warmup_fabric=spec.warmup_fabric))
                     continue
@@ -222,7 +216,6 @@ def expand_grid(spec: SweepSpec) -> List[SweepPoint]:
                     app_params=copy.deepcopy(spec.app_params),
                     fault_spec=copy.deepcopy(spec.fault_spec),
                     fault_seed=spec.fault_seed,
-                    backend=spec.backend,
                     warmup_cycles=spec.warmup_cycles,
                     warmup_fabric=spec.warmup_fabric))
     return points
@@ -380,7 +373,6 @@ def _execute_point(payload: Dict) -> Dict:
                     warmup_payload = None
             result = synthetic_flow(spec, payload["interconnect"],
                                     config_overrides=overrides,
-                                    backend=payload.get("backend"),
                                     warmup_cycles=warmup_cycles,
                                     warmup_fabric=warmup_fabric,
                                     warmup_payload=warmup_payload)
@@ -396,7 +388,6 @@ def _execute_point(payload: Dict) -> Dict:
             app_params=payload["app_params"] or None,
             fault_spec=payload.get("fault_spec"),
             fault_seed=payload.get("fault_seed", 0),
-            backend=payload.get("backend"),
             warmup_cycles=warmup_cycles,
             warmup_fabric=warmup_fabric)
         summary = result.summary()
@@ -415,7 +406,7 @@ def _shared_warmup_payload(point: SweepPoint) -> Dict:
     the restoring workers use — so the snapshot's embedded recipe
     byte-matches the recipe each worker derives independently (and
     :func:`~repro.harness.checkpoint.ensure_recipe_compatible` accepts
-    the restore).  The warm-up is healthy and fabric/backend-agnostic
+    the restore).  The warm-up is healthy and fabric-agnostic
     by construction (see :meth:`SweepPoint.warmup_material`).
     """
     from repro.apps.synthetic import TrafficSpec, synthetic_programs

@@ -152,6 +152,15 @@ def _heartbeat_loop(result_queue, worker_id: int,
             return                  # queue closed: parent is gone
 
 
+def _test_crash(result_queue) -> None:
+    """Die like an OOM kill, minus one hazard a test must not flake on:
+    the queue's feeder thread may still hold the pipe lock every worker
+    shares, so let it finish writing before the process vanishes."""
+    result_queue.close()
+    result_queue.join_thread()
+    os._exit(42)
+
+
 def _worker_main(worker_id: int, task_queue, result_queue) -> None:
     """Body of one pool worker: loop over tasks until the sentinel.
 
@@ -182,14 +191,15 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
         index, payload = task
         result_queue.put(("started", worker_id, index, None))
         if crash_index is not None and int(crash_index) == index:
-            os._exit(42)
+            _test_crash(result_queue)
         if crash_once:
             try:
                 os.close(os.open(crash_once,
                                  os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-                os._exit(42)
             except FileExistsError:
                 pass                # another worker already crashed
+            else:
+                _test_crash(result_queue)
         summary = _execute_point(payload)
         result_queue.put(("done", worker_id, index, summary))
 

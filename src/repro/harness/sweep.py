@@ -108,15 +108,9 @@ class SweepSpec:
                  traffic: Optional[Dict] = None,
                  loads: Optional[List[float]] = None,
                  patterns: Optional[List[str]] = None,
-                 backend: str = "classic",
                  warmup_cycles: Optional[int] = None,
                  warmup_fabric: str = "tlm",
                  jobs: Union[None, int, str] = None):
-        from repro.kernel.backend import KERNEL_BACKENDS
-        if backend not in KERNEL_BACKENDS:
-            raise ValueError(f"unknown kernel backend {backend!r}; choose "
-                             f"from {sorted(KERNEL_BACKENDS)}")
-        self.backend = backend
         if warmup_cycles is not None:
             if isinstance(warmup_cycles, bool) \
                     or not isinstance(warmup_cycles, int) \
@@ -227,7 +221,7 @@ class SweepSpec:
     def from_dict(data: Dict) -> "SweepSpec":
         known = {"benchmark", "cores", "interconnects", "modes",
                  "app_params", "fault_spec", "fault_seed",
-                 "traffic", "loads", "patterns", "backend",
+                 "traffic", "loads", "patterns",
                  "warmup_cycles", "warmup_fabric", "jobs"}
         unknown = set(data) - known
         if unknown:
@@ -243,7 +237,6 @@ class SweepSpec:
             traffic=data.get("traffic"),
             loads=data.get("loads"),
             patterns=data.get("patterns"),
-            backend=data.get("backend", "classic"),
             warmup_cycles=data.get("warmup_cycles"),
             warmup_fabric=data.get("warmup_fabric", "tlm"),
             jobs=data.get("jobs"))
@@ -263,8 +256,6 @@ class SweepSpec:
             "fault_spec": copy.deepcopy(self.fault_spec),
             "fault_seed": self.fault_seed,
         }
-        if self.backend != "classic":
-            data["backend"] = self.backend
         if self.warmup_cycles is not None:
             data["warmup_cycles"] = self.warmup_cycles
             data["warmup_fabric"] = self.warmup_fabric
@@ -326,7 +317,6 @@ def run_sweep(spec: SweepSpec) -> List[TGFlowResult]:
                             results.append(synthetic_flow(
                                 traffic, interconnect,
                                 config_overrides=_fault_overrides(spec),
-                                backend=spec.backend,
                                 warmup_cycles=spec.warmup_cycles,
                                 warmup_fabric=spec.warmup_fabric))
         return results
@@ -340,7 +330,6 @@ def run_sweep(spec: SweepSpec) -> List[TGFlowResult]:
                     mode=mode, app_params=params or None,
                     fault_spec=copy.deepcopy(spec.fault_spec),
                     fault_seed=spec.fault_seed,
-                    backend=spec.backend,
                     warmup_cycles=spec.warmup_cycles,
                     warmup_fabric=spec.warmup_fabric))
     return results

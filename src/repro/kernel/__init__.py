@@ -10,8 +10,9 @@ Public API
 ----------
 
 ``Simulator``
-    The event loop.  Owns the current time, the event queue and all
-    processes.
+    The event loop.  Owns the current time, the event queue (a
+    ``CalendarQueue``; ``EventQueue`` is the reference oracle tests drive
+    through ``Simulator(queue=...)``) and all processes.
 
 ``Process``
     A running simulation process wrapping a Python generator.  Created via
@@ -36,7 +37,6 @@ Processes communicate time via the yield protocol::
         result = yield child      # join a child process, receive its return
 """
 
-from repro.kernel.backend import KERNEL_BACKENDS, make_backend
 from repro.kernel.calendar import CalendarQueue
 from repro.kernel.errors import (
     DeadlockError,
@@ -58,9 +58,7 @@ __all__ = [
     "DeadlockError",
     "Event",
     "EventQueue",
-    "KERNEL_BACKENDS",
     "PendingEntry",
-    "make_backend",
     "Fifo",
     "KernelError",
     "LivelockError",

@@ -1,8 +1,8 @@
-"""Calendar-queue kernel backend: batched same-cycle event dispatch.
+"""The kernel's event engine: a calendar queue with batched dispatch.
 
-The classic backend (:class:`repro.kernel.event.EventQueue`) pays a binary
-heap ``heappush``/``heappop`` — with Python-level ``Event.__lt__`` calls —
-for *every* event.  This backend exploits two properties of our workloads:
+A binary heap (the :class:`repro.kernel.event.EventQueue` oracle) pays a
+``heappush``/``heappop`` — with Python-level ``Event.__lt__`` calls — for
+*every* event.  This queue exploits two properties of our workloads:
 
 * almost all events land a handful of distinct cycles ahead (sleeps of a
   few cycles, zero-delay notifies), so a ``dict`` keyed by absolute cycle
@@ -21,22 +21,16 @@ Dispatch drains a whole timestamp bucket per outer-loop iteration
 as the bare entry (no list allocation, no walk); multi-entry buckets are
 lists walked by index, so zero-delay pushes made *during* the walk land in
 a fresh bucket for the same cycle and are drained immediately after —
-exactly insertion order, i.e. the classic ``seq`` order.  Cancelled events
-are swept lazily as drains pass over them.
+exactly insertion order, i.e. the oracle's ``(time, seq)`` order.
+Cancelled events are swept lazily as drains pass over them.
 
-Determinism: for the priority-0 events every production model uses, bucket
-order is insertion order — identical to the classic ``(time, priority,
-seq)`` total order.  The first ``push()`` with a non-zero priority flips
-the queue into *mixed* mode, where buckets hold ``[priority, seq, entry]``
-keys and each bucket is drained through a per-bucket heap — slower, but
-exactly ordered.  Mixed mode is sticky and never entered by the platform
-models (nothing in ``repro`` schedules at non-zero priority).
-
-Counter semantics mirror the classic backend's ``kernel_counters()`` keys:
+Counter semantics match the oracle's ``kernel_counters()`` keys:
 ``events_cancelled`` counts cancels of queued events, ``tombstones`` the
 cancelled entries still resident, ``compactions`` the bucket sweeps that
-dropped tombstones, and ``peak_size`` the resident high-water mark sampled
-at dispatch-batch boundaries (the classic backend samples per push).
+dropped tombstones, and ``peak_size`` the resident high-water mark,
+sampled at multi-entry bucket boundaries by :meth:`CalendarQueue.drain`
+and before every :meth:`CalendarQueue.pop_entry` (the oracle samples per
+push).
 """
 
 import heapq
@@ -48,20 +42,15 @@ from repro.kernel.process import Process
 
 
 class CalendarQueue:
-    """Slot-indexed calendar queue (the ``"fast"`` kernel backend)."""
-
-    name = "fast"
+    """Slot-indexed calendar queue — the simulator's event engine."""
 
     def __init__(self) -> None:
         self._buckets = {}          # absolute cycle -> entry or entry list
         self._times = []            # int heap of distinct bucket cycles
         self._heads = {}            # cycle -> consumed prefix (pop_entry)
-        self._seq = 0               # Event seqs + mixed-mode sort keys
+        self._seq = 0               # Event seqs
         self._size = 0              # resident entries (live + tombstones)
         self._tombstones = 0        # resident cancelled entries
-        self._mixed = False         # sticky: non-zero priority seen
-        self._active_time = None    # mixed mode: bucket being drained
-        self._active_heap = None
         self.events_cancelled = 0
         self.compactions = 0
         self.peak_size = 0
@@ -78,15 +67,10 @@ class CalendarQueue:
 
     # -------------------------------------------------------------- inserting
 
-    def push(self, time: int, priority: int, fn: Callable[[], None]) -> Event:
+    def push(self, time: int, fn: Callable[[], None]) -> Event:
         """Insert a callback at an absolute time; returns a cancellable handle."""
-        event = Event(time, priority, self._seq, fn, self)
+        event = Event(time, self._seq, fn, self)
         self._seq += 1
-        if priority != 0 and not self._mixed:
-            self._go_mixed()
-        if self._mixed:
-            self._push_mixed(time, priority, event)
-            return event
         buckets = self._buckets
         prev = buckets.get(time)
         if prev is None:
@@ -100,10 +84,7 @@ class CalendarQueue:
         return event
 
     def push_fn(self, time: int, fn: Callable[[], None]) -> None:
-        """Schedule an uncancellable priority-0 callback (no Event handle)."""
-        if self._mixed:
-            self._push_mixed(time, 0, fn)
-            return
+        """Schedule an uncancellable callback (no Event handle)."""
         buckets = self._buckets
         prev = buckets.get(time)
         if prev is None:
@@ -118,9 +99,6 @@ class CalendarQueue:
     def push_resume(self, time: int, process, payload) -> None:
         """Schedule a process resume — the hottest scheduling operation."""
         entry = process if payload is None else (process, payload)
-        if self._mixed:
-            self._push_mixed(time, 0, entry)
-            return
         buckets = self._buckets
         prev = buckets.get(time)
         if prev is None:
@@ -139,97 +117,6 @@ class CalendarQueue:
         self._tombstones += 1
         self.events_cancelled += 1
 
-    # ------------------------------------------------------------- mixed mode
-
-    def _go_mixed(self) -> None:
-        """First non-zero priority seen: re-key every bucket for exact
-        ``(priority, seq)`` ordering.  Sticky — the platform models never
-        trigger this; it exists so the backend honours the full Event
-        ordering contract."""
-        self._mixed = True
-        buckets = self._buckets
-        heads = self._heads
-        maxlen = 0
-        for time, bucket in buckets.items():
-            if bucket.__class__ is not list:
-                bucket = [bucket]
-            start = heads.get(time, 0) if heads else 0
-            raw = bucket[start:] if start else bucket
-            if len(raw) > maxlen:
-                maxlen = len(raw)
-            buckets[time] = [[0, index, entry]
-                             for index, entry in enumerate(raw)]
-        heads.clear()
-        # future sort keys must order after every positional key above
-        if self._seq <= maxlen:
-            self._seq = maxlen + 1
-
-    def _push_mixed(self, time: int, priority: int, entry) -> None:
-        self._seq += 1
-        keyed = [priority, self._seq, entry]
-        if time == self._active_time:
-            heapq.heappush(self._active_heap, keyed)
-        else:
-            buckets = self._buckets
-            bucket = buckets.get(time)
-            if bucket is None:
-                buckets[time] = [keyed]
-                heapq.heappush(self._times, time)
-            else:
-                bucket.append(keyed)
-        self._size += 1
-
-    def _drain_mixed_bucket(self, sim, time: int, keyed: list) -> int:
-        """Drain one bucket in exact (priority, seq) order via a heap.
-
-        Zero-delay pushes for this same cycle land directly in the active
-        heap so a lower-priority late arrival still fires in order."""
-        heapq.heapify(keyed)
-        self._active_time = time
-        self._active_heap = keyed
-        fired = 0
-        swept = 0
-        try:
-            while keyed:
-                entry = heapq.heappop(keyed)[2]
-                self._size -= 1
-                cls = entry.__class__
-                if cls is Event:
-                    if entry.cancelled:
-                        swept += 1
-                        continue
-                    sim._now = time
-                    entry._queue = None
-                    fired += 1
-                    entry.fn()
-                elif cls is Process:
-                    sim._now = time
-                    fired += 1
-                    entry._resume()
-                elif cls is tuple:
-                    sim._now = time
-                    fired += 1
-                    entry[0]._resume(entry[1])
-                else:
-                    sim._now = time
-                    fired += 1
-                    entry()
-        finally:
-            self._active_time = None
-            self._active_heap = None
-            if swept:
-                self._tombstones -= swept
-                self.compactions += 1
-            if keyed:  # an entry raised: keep the unfired remainder queued
-                buckets = self._buckets
-                existing = buckets.get(time)
-                if existing is not None:
-                    keyed.extend(existing)
-                else:
-                    heapq.heappush(self._times, time)
-                buckets[time] = keyed
-        return fired
-
     # --------------------------------------------------------------- draining
 
     def drain(self, sim) -> None:
@@ -240,7 +127,7 @@ class CalendarQueue:
         ``Event.fn`` -> ``_resume`` -> ``_dispatch`` -> ``schedule_after``
         call chain per event.  The clock only advances when an entry
         actually fires, so all-tombstone buckets leave ``now`` untouched,
-        exactly like the classic heap skipping cancelled pops.
+        exactly like the oracle heap skipping cancelled pops.
         """
         buckets = self._buckets
         times = self._times
@@ -308,9 +195,6 @@ class CalendarQueue:
                         fired += 1
                         entry()
                     continue
-                if self._mixed:
-                    fired += self._drain_mixed_bucket(sim, time, bucket)
-                    continue
                 index = heads.pop(time, 0) if heads else 0
                 base = index
                 swept = 0
@@ -320,18 +204,6 @@ class CalendarQueue:
                 completed = False
                 try:
                     while True:
-                        if self._mixed:
-                            # a callback just introduced priorities:
-                            # finish the remainder in exact order
-                            rest = bucket[index:]
-                            if self._seq <= len(rest):
-                                self._seq = len(rest) + 1
-                            index = len(bucket)
-                            completed = True
-                            fired += self._drain_mixed_bucket(
-                                sim, time,
-                                [[0, j, e] for j, e in enumerate(rest)])
-                            break
                         if index >= len(bucket):
                             completed = True
                             break
@@ -447,6 +319,9 @@ class CalendarQueue:
 
     def pop_entry(self) -> Optional[Tuple[int, Callable[[], None]]]:
         """Remove the earliest live entry as ``(time, fire)``, or None."""
+        size = self._size
+        if size > self.peak_size:
+            self.peak_size = size
         buckets = self._buckets
         times = self._times
         heads = self._heads
@@ -466,46 +341,28 @@ class CalendarQueue:
                     return time, entry.fn
                 return time, self._fire_for(entry)
             if bucket:
-                if self._mixed:
-                    heapq.heapify(bucket)
-                    while bucket:
-                        entry = heapq.heappop(bucket)[2]
-                        self._size -= 1
-                        if entry.__class__ is Event:
-                            if entry.cancelled:
-                                self._tombstones -= 1
-                                continue
-                            entry._queue = None
-                            fire = entry.fn
-                        else:
-                            fire = self._fire_for(entry)
-                        if not bucket:
-                            heapq.heappop(times)
-                            del buckets[time]
-                        return time, fire
-                else:
-                    index = heads.get(time, 0)
-                    length = len(bucket)
-                    while index < length:
-                        entry = bucket[index]
-                        index += 1
-                        if entry.__class__ is Event:
-                            if entry.cancelled:
-                                self._size -= 1
-                                self._tombstones -= 1
-                                continue
-                            entry._queue = None
-                            fire = entry.fn
-                        else:
-                            fire = self._fire_for(entry)
-                        self._size -= 1
-                        if index < length:
-                            heads[time] = index
-                        else:
-                            heapq.heappop(times)
-                            del buckets[time]
-                            heads.pop(time, None)
-                        return time, fire
+                index = heads.get(time, 0)
+                length = len(bucket)
+                while index < length:
+                    entry = bucket[index]
+                    index += 1
+                    if entry.__class__ is Event:
+                        if entry.cancelled:
+                            self._size -= 1
+                            self._tombstones -= 1
+                            continue
+                        entry._queue = None
+                        fire = entry.fn
+                    else:
+                        fire = self._fire_for(entry)
+                    self._size -= 1
+                    if index < length:
+                        heads[time] = index
+                    else:
+                        heapq.heappop(times)
+                        del buckets[time]
+                        heads.pop(time, None)
+                    return time, fire
             # bucket missing or fully consumed/tombstoned
             heapq.heappop(times)
             buckets.pop(time, None)
@@ -513,16 +370,15 @@ class CalendarQueue:
         return None
 
     def pending_entries(self):
-        """Backend hook: every live entry in firing order (snapshots).
+        """Every live entry in firing order (snapshots).
 
         Walks the distinct bucket cycles in ascending order (the
         ``_times`` heap may carry cycles whose bucket was already
         consumed — those are skipped, read-only), honouring the
-        consumed-prefix offsets pop_entry leaves in ``_heads``.  Within a
-        bucket, plain buckets are insertion-ordered (identical to classic
-        seq order) and mixed buckets are sorted by their ``(priority,
-        seq)`` keys.  Tombstoned events are dropped; classification
-        matches the classic backend exactly.
+        consumed-prefix offsets pop_entry leaves in ``_heads``.  Buckets
+        are insertion-ordered, i.e. in the oracle's seq order.
+        Tombstoned events are dropped; classification matches the oracle
+        exactly.
         """
         entries = []
         for time in sorted(set(self._times)):
@@ -534,12 +390,6 @@ class CalendarQueue:
             else:
                 start = self._heads.get(time, 0)
                 items = bucket[start:] if start else list(bucket)
-            if self._mixed:
-                keyed = [(item[0], item[1], item[2])
-                         if item.__class__ is list else (0, -1, item)
-                         for item in items]
-                items = [item for _, _, item in sorted(
-                    keyed, key=lambda key: (key[0], key[1]))]
             for entry in items:
                 cls = entry.__class__
                 if cls is Event:
@@ -573,8 +423,6 @@ class CalendarQueue:
             elif bucket:
                 start = heads.get(time, 0)
                 for entry in bucket[start:] if start else bucket:
-                    if self._mixed and entry.__class__ is list:
-                        entry = entry[2]
                     if entry.__class__ is Event and entry.cancelled:
                         continue
                     return time

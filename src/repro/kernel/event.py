@@ -1,11 +1,16 @@
-"""Event queue with fully deterministic ordering.
+"""The reference event queue: a binary heap with fully deterministic order.
 
-Events are ordered by ``(time, priority, sequence)``.  The sequence number is
-a monotonically increasing insertion counter, so two events scheduled for the
-same cycle at the same priority fire in the order they were scheduled.  This
-total order is what makes every simulation in this package reproducible
-byte-for-byte — a requirement of the cross-interconnect validation experiment
-(DESIGN.md, E7).
+Events are ordered by ``(time, sequence)``.  The sequence number is a
+monotonically increasing insertion counter, so two events scheduled for the
+same cycle fire in the order they were scheduled.  This total order is what
+makes every simulation in this package reproducible byte-for-byte — a
+requirement of the cross-interconnect validation experiment (DESIGN.md, E7).
+
+:class:`EventQueue` is the *oracle* the simulator's engine
+(:class:`~repro.kernel.calendar.CalendarQueue`) is checked against: it is
+simple enough to be obviously right, and ``Simulator(queue=EventQueue())``
+drives any model through it.  Only tests and the kernel microbenchmark
+construct it.
 
 Cancellation is lazy: :meth:`Event.cancel` marks the entry and the queue
 discards it when it surfaces.  Because the sort key is a *total* order
@@ -49,7 +54,7 @@ def _classify_entry(time: int, fn: Callable) -> PendingEntry:
 
     A bound ``Process._resume`` method is the signature of ``yield n`` /
     ``spawn(delay=...)`` — a payload-free sleep.  Payload resumes are
-    closures (classic) or tuples (calendar) and stay opaque.
+    closures (oracle) or tuples (calendar queue) and stay opaque.
     """
     from repro.kernel.process import Process
     owner = getattr(fn, "__self__", None)
@@ -58,7 +63,7 @@ def _classify_entry(time: int, fn: Callable) -> PendingEntry:
         return PendingEntry(time, owner)
     if getattr(fn, "_payload_resume", False):
         # payload-carrying resume: opaque, never claimable (parity with
-        # the calendar backend's tuple entries)
+        # the calendar queue's tuple entries)
         return PendingEntry(time, None)
     return PendingEntry(time, None, fn)
 
@@ -68,18 +73,17 @@ class Event:
 
     Attributes:
         time: Absolute cycle at which the event fires.
-        priority: Tie-break within a cycle; lower fires first.
-        seq: Insertion sequence number (unique, assigned by the queue).
+        seq: Insertion sequence number (unique, assigned by the queue);
+            breaks ties within a cycle.
         fn: Zero-argument callable run when the event fires.
         cancelled: Cancelled events are skipped by the queue.
     """
 
-    __slots__ = ("time", "priority", "seq", "fn", "cancelled", "_queue")
+    __slots__ = ("time", "seq", "fn", "cancelled", "_queue")
 
-    def __init__(self, time: int, priority: int, seq: int,
-                 fn: Callable[[], None], queue: "EventQueue" = None):
+    def __init__(self, time: int, seq: int, fn: Callable[[], None],
+                 queue: "EventQueue" = None):
         self.time = time
-        self.priority = priority
         self.seq = seq
         self.fn = fn
         self.cancelled = False
@@ -99,15 +103,11 @@ class Event:
             queue._note_cancelled()
 
     def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
+        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time} prio={self.priority} seq={self.seq}{state}>"
+        return f"<Event t={self.time} seq={self.seq}{state}>"
 
 
 class EventQueue:
@@ -118,13 +118,11 @@ class EventQueue:
     :attr:`peak_size`) are cumulative over the queue's lifetime and feed
     the simulator's ``kernel_counters()``.
 
-    This is the ``"classic"`` kernel backend (see
-    :mod:`repro.kernel.backend`): :meth:`push`, :meth:`push_fn`,
-    :meth:`push_resume`, :meth:`pop_entry`, :meth:`peek_time` and
-    :meth:`drain` form the narrow interface the simulator drives.
+    :meth:`push`, :meth:`push_fn`, :meth:`push_resume`, :meth:`pop_entry`,
+    :meth:`peek_time`, :meth:`pending_entries` and :meth:`drain` form the
+    narrow interface the simulator drives (see
+    :class:`~repro.kernel.simulator.Simulator`).
     """
-
-    name = "classic"
 
     def __init__(self) -> None:
         self._heap: List[Event] = []
@@ -142,9 +140,9 @@ class EventQueue:
         """Cancelled events still occupying heap slots."""
         return len(self._heap) - self._live
 
-    def push(self, time: int, priority: int, fn: Callable[[], None]) -> Event:
+    def push(self, time: int, fn: Callable[[], None]) -> Event:
         """Insert a callback at an absolute time; returns a cancellable handle."""
-        event = Event(time, priority, self._seq, fn, self)
+        event = Event(time, self._seq, fn, self)
         self._seq += 1
         heap = self._heap
         heapq.heappush(heap, event)
@@ -165,7 +163,7 @@ class EventQueue:
         """Drop every tombstone and re-heapify.
 
         Pop order is untouched: events are totally ordered by
-        ``(time, priority, seq)``, so any valid heap over the same live
+        ``(time, seq)``, so any valid heap over the same live
         set pops the identical sequence.  The rebuild is in place (slice
         assignment) so callers holding a reference to the heap list —
         the simulator's fast run loop — stay valid.
@@ -176,23 +174,23 @@ class EventQueue:
         self.compactions += 1
 
     def push_fn(self, time: int, fn: Callable[[], None]) -> None:
-        """Backend hook: schedule an uncancellable priority-0 callback.
+        """Schedule an uncancellable callback.
 
-        The classic engine has no cheaper representation than an
-        :class:`Event`, so this is :meth:`push` with the handle dropped.
+        The heap has no cheaper representation than an :class:`Event`,
+        so this is :meth:`push` with the handle dropped.
         """
-        self.push(time, 0, fn)
+        self.push(time, fn)
 
     def push_resume(self, time: int, process, payload) -> None:
-        """Backend hook: schedule a process resume at an absolute time."""
+        """Schedule a process resume at an absolute time."""
         if payload is None:
-            self.push(time, 0, process._resume)
+            self.push(time, process._resume)
         else:
             resume = lambda: process._resume(payload)  # noqa: E731
             # mark so pending_entries() reports it opaque (fn=None),
-            # matching the calendar backend's tuple entries
+            # matching the calendar queue's tuple entries
             resume._payload_resume = True
-            self.push(time, 0, resume)
+            self.push(time, resume)
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest live event, or None if drained."""
@@ -206,7 +204,7 @@ class EventQueue:
         return None
 
     def pop_entry(self) -> Optional[tuple]:
-        """Backend hook: earliest live entry as ``(time, fire)`` or None."""
+        """Earliest live entry as ``(time, fire)``, or None."""
         event = self.pop()
         if event is None:
             return None
@@ -222,9 +220,9 @@ class EventQueue:
         return None
 
     def pending_entries(self) -> List[PendingEntry]:
-        """Backend hook: every live entry in firing order (snapshots).
+        """Every live entry in firing order (snapshots).
 
-        The heap is sorted (``(time, priority, seq)`` is a total order),
+        The heap is sorted (``(time, seq)`` is a total order),
         tombstones dropped, and each entry classified as a re-armable
         process resume or an opaque callback.  Read-only: the queue is
         untouched.
@@ -233,7 +231,7 @@ class EventQueue:
                 for event in sorted(self._heap) if not event.cancelled]
 
     def drain(self, sim) -> None:
-        """Backend hook: run-to-empty dispatch (the unbounded run() path).
+        """Run-to-empty dispatch (the unbounded run() path).
 
         The heap pop is inlined (the list identity is stable — compaction
         rebuilds it in place), with the queue's live accounting kept exact

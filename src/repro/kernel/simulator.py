@@ -1,8 +1,8 @@
 """The simulator: event loop, time base, and process management."""
 
-from typing import Callable, Dict, Generator, List, Optional, Union
+from typing import Callable, Dict, Generator, List, Optional
 
-from repro.kernel.backend import make_backend
+from repro.kernel.calendar import CalendarQueue
 from repro.kernel.errors import DeadlockError, LivelockError, SimulationError
 from repro.kernel.event import Event
 from repro.kernel.process import Process
@@ -25,10 +25,15 @@ class Simulator:
     The event order is fully deterministic (see :mod:`repro.kernel.event`),
     so any two runs of the same model are identical.
 
-    ``backend`` selects the event-dispatch engine (see
-    :mod:`repro.kernel.backend`): ``"classic"`` (default, binary heap) or
-    ``"fast"`` (batched calendar queue).  Both produce bit-identical
-    simulations; the fast engine is several times quicker.
+    Events live in a :class:`~repro.kernel.calendar.CalendarQueue`.
+    ``queue`` is a test seam: pass a queue *instance* (the
+    :class:`~repro.kernel.event.EventQueue` oracle, or an instrumented
+    queue) to drive the same model through it.  A queue implements
+    ``push(time, fn)`` (returns a cancellable ``Event``), ``push_fn``,
+    ``push_resume(time, process, payload)``, ``pop_entry()``,
+    ``peek_time()``, ``pending_entries()`` and ``drain(sim)``, plus
+    ``__len__`` and the ``tombstones``/``events_cancelled``/
+    ``compactions``/``peak_size`` counters.
     """
 
     #: Prune dead processes from the bookkeeping list once it reaches this
@@ -36,8 +41,8 @@ class Simulator:
     #: spawn a short-lived process per transaction.
     _PRUNE_START = 256
 
-    def __init__(self, backend: Union[str, object] = "classic") -> None:
-        self._queue = make_backend(backend)
+    def __init__(self, queue=None) -> None:
+        self._queue = CalendarQueue() if queue is None else queue
         self._now = 0
         self._events_fired = 0
         self._processes: List[Process] = []
@@ -47,11 +52,6 @@ class Simulator:
     # ------------------------------------------------------------------ time
 
     @property
-    def backend(self) -> str:
-        """Name of the kernel backend driving this simulator."""
-        return self._queue.name
-
-    @property
     def now(self) -> int:
         """Current simulation time in cycles."""
         return self._now
@@ -59,13 +59,13 @@ class Simulator:
     def _advance_clock(self, time: int) -> None:
         """Advance the clock to ``time`` — monotonically, never backwards.
 
-        Every clock movement outside the backend drain loops goes through
+        Every clock movement outside the queue's drain loop goes through
         this single helper (event fire, early-drain catch-up to ``until``,
         and the ``next_time > until`` stop), so no path can reintroduce
         the PR 2 clock-rewind bug: a ``run(until=earlier)`` after a later
         stop is a no-op, and queue invariants (events never scheduled in
         the past) make the event-fire case equivalent to plain assignment.
-        The backends' run-to-drain loops assign ``_now`` directly but pop
+        The queue's run-to-drain loop assigns ``_now`` directly but pops
         times in non-decreasing order, preserving the same invariant.
         """
         if time > self._now:
@@ -88,16 +88,17 @@ class Simulator:
 
     @property
     def heap_compactions(self) -> int:
-        """Tombstone-shedding passes: heap rebuilds on the classic
-        backend, tombstone-dropping bucket sweeps on the fast one."""
+        """Tombstone-shedding passes (bucket sweeps that dropped
+        cancelled events)."""
         return self._queue.compactions
 
     @property
     def peak_heap_size(self) -> int:
         """High-water mark of resident entries (live + tombstones).
 
-        The classic backend samples per push; the fast backend samples at
-        dispatch-batch boundaries, so its value can lag by one batch.
+        Sampled at dispatch-batch boundaries on the unbounded ``run()``
+        and before every event of a bounded ``run()``/``step()``, so the
+        value can lag the true peak by one batch.
         """
         return self._queue.peak_size
 
@@ -115,21 +116,19 @@ class Simulator:
 
     # ------------------------------------------------------------- scheduling
 
-    def schedule_after(self, delay: int, fn: Callable[[], None],
-                       priority: int = 0) -> Event:
+    def schedule_after(self, delay: int, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
-        return self._queue.push(self._now + delay, priority, fn)
+        return self._queue.push(self._now + delay, fn)
 
-    def schedule_at(self, time: int, fn: Callable[[], None],
-                    priority: int = 0) -> Event:
+    def schedule_at(self, time: int, fn: Callable[[], None]) -> Event:
         """Schedule ``fn`` at an absolute cycle ``time >= now``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time}, current time is {self._now}"
             )
-        return self._queue.push(time, priority, fn)
+        return self._queue.push(time, fn)
 
     # -------------------------------------------------------------- processes
 
@@ -198,7 +197,7 @@ class Simulator:
         try:
             if until is None and max_events is None and progress_window is None:
                 # Fast path: run-to-drain with no per-event bound checks,
-                # delegated to the backend's batched dispatch loop.
+                # delegated to the queue's batched dispatch loop.
                 self._queue.drain(self)
                 drained = True
             else:
@@ -293,7 +292,7 @@ class Simulator:
     def __repr__(self) -> str:
         live = sum(1 for p in self._processes if p.alive)
         return (f"<Simulator t={self._now} queued={len(self._queue)} "
-                f"processes={live} backend={self._queue.name}>")
+                f"processes={live}>")
 
 
 def timeout(sim: Simulator, cycles: int) -> TimeoutSignal:

@@ -51,9 +51,8 @@ and optionally:
 Restores are **bit-identical continuations**: the kernel counters are
 overwritten with the captured values after settling, and re-armed
 entries are pushed in the captured global firing order, so the
-``(time, priority, seq)`` total order of the continuation matches the
-uninterrupted run exactly — under either kernel backend, since both
-fire the same events in the same order.
+``(time, seq)`` total order of the continuation matches the
+uninterrupted run exactly.
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -191,7 +190,6 @@ def capture(sim, components: Dict[str, object], platform: dict,
     return {
         "snap_format": SNAP_FORMAT,
         "cycle": sim.now,
-        "backend": sim.backend,
         "kernel": {
             "now": sim.now,
             "events_fired": sim.events_fired,

@@ -4,7 +4,6 @@ from typing import Dict, Optional, Union
 
 from repro.cpu.cache import CacheConfig
 from repro.faults.spec import FaultSpec
-from repro.kernel.backend import KERNEL_BACKENDS
 from repro.memory.slave import SlaveTimings
 
 #: Per-core private memory stride: core *i*'s RAM starts at ``i * stride``.
@@ -41,9 +40,6 @@ class PlatformConfig:
             entirely absent.
         fault_seed: Seed of the injector's private RNG; a ``(spec, seed)``
             pair replays the identical fault sequence on every run.
-        backend: Kernel event-dispatch engine — ``"classic"`` (binary
-            heap) or ``"fast"`` (batched calendar queue).  Both produce
-            bit-identical simulations (see :mod:`repro.kernel.backend`).
     """
 
     def __init__(self, n_masters: int = 1, interconnect: str = "ahb",
@@ -58,8 +54,7 @@ class PlatformConfig:
                  icache: Optional[CacheConfig] = None,
                  dcache: Optional[CacheConfig] = None,
                  fault_spec: Union[None, Dict, FaultSpec] = None,
-                 fault_seed: int = 0,
-                 backend: str = "classic"):
+                 fault_seed: int = 0):
         if n_masters < 1:
             raise ValueError("need at least one master")
         if n_masters * PRIVATE_STRIDE > SHARED_BASE:
@@ -88,10 +83,6 @@ class PlatformConfig:
             fault_spec = FaultSpec.from_dict(fault_spec)
         self.fault_spec = fault_spec
         self.fault_seed = fault_seed
-        if backend not in KERNEL_BACKENDS:
-            raise ValueError(f"unknown kernel backend {backend!r}; choose "
-                             f"from {sorted(KERNEL_BACKENDS)}")
-        self.backend = backend
 
     def private_base(self, core_id: int) -> int:
         """Base address of core ``core_id``'s private memory."""
@@ -120,7 +111,6 @@ class PlatformConfig:
             dcache=self.dcache,
             fault_spec=self.fault_spec,
             fault_seed=self.fault_seed,
-            backend=self.backend,
         )
         fields.update(overrides)
         return PlatformConfig(**fields)

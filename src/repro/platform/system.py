@@ -51,7 +51,7 @@ class MparmPlatform:
 
     def __init__(self, config: PlatformConfig):
         self.config = config
-        self.sim = Simulator(backend=config.backend)
+        self.sim = Simulator()
         self.address_map = AddressMap()
         self.slave_ports: Dict[str, OCPSlavePort] = {}
         self.private_mems: List[MemorySlave] = []

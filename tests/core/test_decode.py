@@ -1,29 +1,23 @@
-"""The batched program decode feeding TGMaster._run_fast.
+"""The program decode feeding the TG interpreter (TGMaster._run).
 
 ``decode_program`` lowers a TG program once into parallel plain-int
-columns — via a vectorised numpy pass over the assembled binary when
-available, via a scalar Python loop otherwise.  The two lowerings must
-be *identical* (same columns, same bound condition callables) because
-the fast interpreter's behaviour may never depend on which one ran.
+columns; every column must carry exactly the source instruction's field
+and every IF row the comparison its condition names, because the
+interpreter reads nothing else.
 """
 
-import pytest
 from hypothesis import given, strategies as st
 
-import repro.core.decode
-from repro.core.decode import (
-    COND_FUNCS,
-    decode_program,
-    _lower_numpy,
-    _lower_python,
-)
+from repro.core.decode import COND_FUNCS, decode_program
 from repro.core.isa import Cond, TGInstruction, TGOp
 from repro.core.program import TGProgram
 
-needs_numpy = pytest.mark.skipif(
-    repro.core.decode._np is None,
-    reason="parity needs the numpy lowering (no-numpy CI leg runs "
-           "the scalar path everywhere else)")
+
+def source_columns(program: TGProgram):
+    """The decoded columns, read off the instruction tuples one by one."""
+    instructions = program.instructions
+    return ([int(i.op) for i in instructions], [i.a for i in instructions],
+            [i.b for i in instructions], [i.imm for i in instructions])
 
 
 def full_coverage_program() -> TGProgram:
@@ -45,11 +39,6 @@ def full_coverage_program() -> TGProgram:
 
 
 class TestLoweringParity:
-    @needs_numpy
-    def test_numpy_and_python_lowerings_agree(self):
-        program = full_coverage_program()
-        assert _lower_numpy(program) == _lower_python(program)
-
     def test_columns_match_source_fields(self):
         program = full_coverage_program()
         decoded = decode_program(program)
@@ -81,23 +70,27 @@ class TestLoweringParity:
                       imm=st.just(0)),
         ),
         max_size=40))
-    @needs_numpy
     def test_lowerings_agree_on_random_programs(self, body):
+        """The lowering agrees with the source fields on any program."""
         program = TGProgram(instructions=body
                             + [TGInstruction(TGOp.HALT)])
-        assert _lower_numpy(program) == _lower_python(program)
+        decoded = decode_program(program)
+        assert (decoded.ops, decoded.a, decoded.b, decoded.imm) \
+            == source_columns(program)
 
 
 class TestFallbacks:
     def test_non_encodable_program_falls_back_to_python(self):
         """An Idle beyond 32 bits cannot be assembled into a binary
-        image, but runs fine in memory — decode_program must not raise."""
+        image, but runs fine in memory — the decode is a plain Python
+        pass over the instructions and must not raise."""
         program = TGProgram()
         program.append(TGInstruction(TGOp.IDLE, imm=2 ** 40))
         program.append(TGInstruction(TGOp.HALT))
         decoded = decode_program(program)
         assert decoded.imm[0] == 2 ** 40
-        assert decoded == _lower_python(program)
+        assert (decoded.ops, decoded.a, decoded.b, decoded.imm) \
+            == source_columns(program)
 
     def test_cond_funcs_mirror_cond_evaluate(self):
         for cond in Cond:
@@ -108,28 +101,33 @@ class TestFallbacks:
 
 class TestFastInterpreterGating:
     def test_fast_backend_uses_fast_interpreter(self):
+        """Every replay mode runs the one column interpreter, ``_run``."""
+        from repro.core import ReplayMode
         from repro.core.tg_master import TGMaster
         from repro.kernel import Simulator
 
-        program = TGProgram(instructions=[TGInstruction(TGOp.HALT)])
-        for backend, runner in (("classic", "_run"), ("fast", "_run_fast")):
-            sim = Simulator(backend=backend)
+        for mode in ReplayMode:
+            program = TGProgram(instructions=[TGInstruction(TGOp.HALT)],
+                                mode=mode)
+            sim = Simulator()
             master = TGMaster(sim, "tg0", program)
             master.start()
             spawned = [p.generator.gi_code.co_name
                        for p in sim.live_processes]
-            assert runner in spawned, (backend, spawned)
+            assert "_run" in spawned, (mode, spawned)
 
     def test_cloning_mode_matches_across_backends(self):
-        """CLONING replays recorded waits verbatim through the reference
-        interpreter even on the fast backend — results must agree."""
+        """CLONING replays through the column interpreter too: the heap
+        oracle and the calendar engine must agree on it."""
         from repro.apps import cacheloop
         from repro.core import ReplayMode
         from repro.harness import tg_flow
+        from tests.helpers import oracle_kernel
 
-        classic = tg_flow(cacheloop, 2, mode=ReplayMode.CLONING,
-                          app_params={"iters": 60}, backend="classic")
-        fast = tg_flow(cacheloop, 2, mode=ReplayMode.CLONING,
-                       app_params={"iters": 60}, backend="fast")
-        assert classic.tg_cycles == fast.tg_cycles
-        assert classic.tg_events == fast.tg_events
+        with oracle_kernel():
+            oracle = tg_flow(cacheloop, 2, mode=ReplayMode.CLONING,
+                             app_params={"iters": 60})
+        engine = tg_flow(cacheloop, 2, mode=ReplayMode.CLONING,
+                         app_params={"iters": 60})
+        assert oracle.tg_cycles == engine.tg_cycles
+        assert oracle.tg_events == engine.tg_events

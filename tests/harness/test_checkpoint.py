@@ -21,6 +21,9 @@ from repro.harness import (
     rebuild_platform,
     restore_platform,
 )
+from repro.kernel import CalendarQueue
+
+from tests.helpers import QUEUE_NAMES, kernel, oracle_kernel
 
 SPEC = TrafficSpec.from_dict({"n_cores": 2, "transactions": 30,
                               "pattern": "uniform", "load": 0.4,
@@ -43,6 +46,14 @@ def _recipe(overrides=None, retry_policy=None):
 def _platform(overrides=None, retry_policy=None):
     return build_tg_platform(_programs(), 2, "ahb", overrides,
                              retry_policy=retry_policy)
+
+
+def _legacy_snapshot(platform, name):
+    """``platform.snapshot`` as saved while the kernel engine was
+    selectable: the payload and its recipe name the engine."""
+    payload = platform.snapshot(_recipe({"backend": name}))
+    payload["backend"] = name
+    return json.loads(json.dumps(payload))
 
 
 class TestCheckpointManager:
@@ -88,18 +99,19 @@ class TestCheckpointManager:
 
 class TestCheckpointedRun:
 
-    @pytest.mark.parametrize("backend", ["classic", "fast"])
-    def test_matches_uninterrupted_run(self, tmp_path, backend):
-        overrides = {"backend": backend}
-        base = _platform(overrides)
-        base.run()
-        manager = CheckpointManager(tmp_path, keep=2)
-        platform = _platform(overrides)
-        checkpointed_run(platform, _recipe(overrides), manager,
-                         every=100)
+    @pytest.mark.parametrize("queue", QUEUE_NAMES)
+    def test_matches_uninterrupted_run(self, tmp_path, queue):
+        with kernel(queue):
+            base = _platform()
+            base.run()
+            manager = CheckpointManager(tmp_path, keep=2)
+            platform = _platform()
+            checkpointed_run(platform, _recipe(), manager, every=100)
         assert comparable_summary(platform.stats_summary()) \
             == comparable_summary(base.stats_summary())
-        if backend == "classic":
+        if queue == "classic":
+            # the oracle samples per push, so even the structural
+            # counters cannot tell a checkpointed run apart
             assert platform.stats_summary() == base.stats_summary()
         assert manager.latest() is not None
 
@@ -111,35 +123,39 @@ class TestCheckpointedRun:
 
 class TestRestorePlatform:
 
-    @pytest.mark.parametrize("backend", ["classic", "fast"])
-    def test_bit_identical_continuation(self, tmp_path, backend):
-        overrides = {"backend": backend}
-        base = _platform(overrides)
-        base.run()
+    @pytest.mark.parametrize("queue", QUEUE_NAMES)
+    def test_bit_identical_continuation(self, tmp_path, queue):
+        with kernel(queue):
+            base = _platform()
+            base.run()
 
-        platform = _platform(overrides)
-        platform.run(until=150)
-        payload = platform.snapshot(_recipe(overrides))
+            platform = _platform()
+            platform.run(until=150)
+            payload = platform.snapshot(_recipe())
 
-        restored = restore_platform(payload)
-        assert restored.sim.now == payload["cycle"]
-        assert restored.sim.events_fired \
-            == payload["kernel"]["events_fired"]
-        restored.run()
+            restored = restore_platform(payload)
+            assert restored.sim.now == payload["cycle"]
+            assert restored.sim.events_fired \
+                == payload["kernel"]["events_fired"]
+            restored.run()
         assert comparable_summary(restored.stats_summary()) \
             == comparable_summary(base.stats_summary())
 
     def test_cross_backend_continuation(self):
-        platform = _platform({"backend": "classic"})
-        platform.run(until=150)
-        payload = platform.snapshot(_recipe({"backend": "classic"}))
-        restored = restore_platform(payload, backend="fast")
-        assert restored.sim.backend == "fast"
-        restored.run()
-        base = _platform({"backend": "classic"})
+        """Snapshots saved under either engine name — ``"classic"``
+        captured on the heap oracle, ``"fast"`` on the calendar queue —
+        continue bit-identically on the one engine."""
+        base = _platform()
         base.run()
-        assert comparable_summary(restored.stats_summary()) \
-            == comparable_summary(base.stats_summary())
+        for name in QUEUE_NAMES:
+            with kernel(name):
+                platform = _platform()
+                platform.run(until=150)
+            restored = restore_platform(_legacy_snapshot(platform, name))
+            assert type(restored.sim._queue) is CalendarQueue
+            restored.run()
+            assert comparable_summary(restored.stats_summary()) \
+                == comparable_summary(base.stats_summary())
 
     def test_roundtrip_through_disk(self, tmp_path):
         platform = _platform()
@@ -245,12 +261,22 @@ class TestBranch:
             branch(payload, fault_seed=3)
 
     def test_branch_onto_other_backend(self):
-        payload, _ = self._warmup_payload()
-        scenario = branch(payload, fault_spec=FAULTS, fault_seed=2,
-                          backend="fast")
-        assert scenario.sim.backend == "fast"
+        """A warm-up captured on the heap oracle and saved with an
+        engine name branches onto the calendar-queue engine."""
+        with oracle_kernel():
+            platform = _platform(retry_policy=RETRY)
+            platform.run(until=150)
+        payload = platform.snapshot(
+            _recipe({"backend": "classic"}, retry_policy=RETRY))
+        scenario = branch(payload, fault_spec=FAULTS, fault_seed=2)
+        assert type(scenario.sim._queue) is CalendarQueue
         scenario.run()
         assert scenario.all_finished
+        reference = branch(self._warmup_payload()[0], fault_spec=FAULTS,
+                           fault_seed=2)
+        reference.run()
+        assert comparable_summary(scenario.stats_summary()) \
+            == comparable_summary(reference.stats_summary())
 
 
 class TestSnapPayloadCanonical:

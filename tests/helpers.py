@@ -1,6 +1,9 @@
 """Shared builders for protocol/fabric tests: tiny systems wired by hand."""
 
-from repro.kernel import Simulator
+import contextlib
+
+import repro.platform.system
+from repro.kernel import EventQueue, Simulator
 from repro.interconnect import (
     AddressMap,
     AmbaAhbBus,
@@ -10,6 +13,36 @@ from repro.interconnect import (
 )
 from repro.memory import BarrierDevice, MemorySlave, SemaphoreBank, SlaveTimings
 from repro.ocp import OCPMasterPort, OCPSlavePort
+
+@contextlib.contextmanager
+def oracle_kernel():
+    """Build every platform inside the block on the EventQueue oracle.
+
+    Platforms construct ``Simulator()``, which runs the calendar-queue
+    engine; this swaps in ``Simulator(queue=EventQueue())`` so a whole
+    flow can be compared against the oracle.
+    """
+    module = repro.platform.system
+    engine = module.Simulator
+    module.Simulator = lambda: engine(queue=EventQueue())
+    try:
+        yield
+    finally:
+        module.Simulator = engine
+
+
+#: Names the suites give the two event queues — the names they had when
+#: the engine was selectable: "classic" is the heap oracle, "fast" the
+#: calendar-queue engine every platform runs on.
+QUEUE_NAMES = ("classic", "fast")
+
+
+def kernel(name):
+    """The context in which platforms run on the named queue."""
+    if name == "classic":
+        return oracle_kernel()
+    return contextlib.nullcontext()
+
 
 MEM_BASE = 0x0000_0000
 MEM_SIZE = 0x1_0000

@@ -1,28 +1,30 @@
-"""Classic-vs-fast kernel backend parity.
+"""Engine-vs-oracle parity for whole platforms.
 
-The calendar-queue ``fast`` backend is a pure dispatch optimisation: it
-must produce *bit-identical* simulations to the ``classic`` binary-heap
-engine — same cycle counts, same event counts, same fabric statistics.
-These tests run the Table-2 regression configurations, a
-cross-interconnect flow and a synthetic-traffic flow under both backends
-and require byte-identical platform summaries.
+The calendar-queue engine is a pure dispatch optimisation: it must
+produce *bit-identical* simulations to the binary-heap
+:class:`~repro.kernel.event.EventQueue` oracle — same cycle counts, same
+event counts, same fabric statistics.  These tests run the Table-2
+regression configurations, a cross-interconnect flow and a
+synthetic-traffic flow on both queues (the oracle through the
+``Simulator(queue=...)`` seam) and compare their platform summaries.
 
-The only permitted divergence is structural bookkeeping that describes
-the queue itself rather than the simulation: ``heap_compactions`` (the
-heap compacts on a size heuristic, the calendar queue counts tombstone
-sweeps) and ``peak_heap_size`` (resident entries are organised
-differently).  Everything else in ``stats_summary()`` — including
-``events_fired`` and ``events_cancelled`` — must match exactly.
+The only permitted divergence is the structural bookkeeping that
+describes the queue itself rather than the simulation,
+:data:`~repro.harness.checkpoint.STRUCTURAL_KERNEL_KEYS`: the heap
+compacts on a size heuristic while the calendar queue counts tombstone
+sweeps, and resident entries are organised differently.  Everything else
+in ``stats_summary()`` — including ``events_fired`` and
+``events_cancelled`` — must match exactly.
 """
 
 import pytest
 
 from repro.apps import cacheloop, des, mp_matrix, sp_matrix
 from repro.apps.synthetic import TrafficSpec, synthetic_flow
-from repro.harness import tg_flow
+from repro.harness import comparable_summary, tg_flow
+from repro.kernel import CalendarQueue, EventQueue
 
-#: stats_summary()["kernel"] keys that legitimately differ per backend.
-BACKEND_STRUCTURAL = ("heap_compactions", "peak_heap_size")
+from tests.helpers import oracle_kernel
 
 CONFIGS = [
     (sp_matrix, 1, "ahb", {"n": 4}),
@@ -37,13 +39,8 @@ CONFIGS = [
 
 
 def masked_summary(platform):
-    """``stats_summary()`` with backend-structural counters removed."""
-    summary = dict(platform.stats_summary())
-    kernel = dict(summary["kernel"])
-    for key in BACKEND_STRUCTURAL:
-        kernel.pop(key, None)
-    summary["kernel"] = kernel
-    return summary
+    """``stats_summary()`` without the queue-structural counters."""
+    return comparable_summary(platform.stats_summary())
 
 
 @pytest.mark.parametrize(
@@ -51,10 +48,11 @@ def masked_summary(platform):
     ids=[f"{a.__name__.split('.')[-1]}-{n}P-{ic}"
          for a, n, ic, _ in CONFIGS])
 def test_tg_flow_parity(app, n_cores, interconnect, params):
-    classic = tg_flow(app, n_cores, interconnect=interconnect,
-                      app_params=params, backend="classic")
+    with oracle_kernel():
+        classic = tg_flow(app, n_cores, interconnect=interconnect,
+                          app_params=params)
     fast = tg_flow(app, n_cores, interconnect=interconnect,
-                   app_params=params, backend="fast")
+                   app_params=params)
 
     assert classic.ref_cycles == fast.ref_cycles
     assert classic.tg_cycles == fast.tg_cycles
@@ -67,22 +65,25 @@ def test_tg_flow_parity(app, n_cores, interconnect, params):
 
 
 def test_tg_flow_backends_report_their_engine():
-    classic = tg_flow(cacheloop, 2, app_params={"iters": 50},
-                      backend="classic")
-    fast = tg_flow(cacheloop, 2, app_params={"iters": 50}, backend="fast")
-    assert classic.tg_platform.sim.backend == "classic"
-    assert fast.tg_platform.sim.backend == "fast"
+    """The seam really swaps the queue — otherwise parity is vacuous."""
+    with oracle_kernel():
+        classic = tg_flow(cacheloop, 2, app_params={"iters": 50})
+    fast = tg_flow(cacheloop, 2, app_params={"iters": 50})
+    for result, queue in ((classic, EventQueue), (fast, CalendarQueue)):
+        assert type(result.ref_platform.sim._queue) is queue
+        assert type(result.tg_platform.sim._queue) is queue
 
 
 def test_synthetic_flow_parity():
     """A 4-core synthetic workload: generator + TG interpreter + fabric
-    must agree across backends down to per-transaction latencies."""
+    must agree with the oracle down to per-transaction latencies."""
     spec = TrafficSpec(n_cores=4, pattern="hotspot", transactions=40,
                        load=0.6, seed=11,
                        size={"kind": "uniform", "min_words": 1,
                              "max_words": 8})
-    classic = synthetic_flow(spec, backend="classic")
-    fast = synthetic_flow(spec, backend="fast")
+    with oracle_kernel():
+        classic = synthetic_flow(spec)
+    fast = synthetic_flow(spec)
 
     for field in ("tg_cycles", "tg_events", "issued", "words",
                   "latency_avg", "latency_max", "throughput_wpkc",
@@ -93,10 +94,12 @@ def test_synthetic_flow_parity():
 
 
 def test_counters_present_under_both_backends():
-    """kernel_counters() exposes the same schema for either engine."""
-    for backend in ("classic", "fast"):
-        result = tg_flow(cacheloop, 2, app_params={"iters": 50},
-                         backend=backend)
+    """kernel_counters() exposes the same schema on the engine and the
+    oracle."""
+    with oracle_kernel():
+        classic = tg_flow(cacheloop, 2, app_params={"iters": 50})
+    fast = tg_flow(cacheloop, 2, app_params={"iters": 50})
+    for result in (classic, fast):
         counters = result.tg_platform.sim.kernel_counters()
         assert set(counters) == {
             "events_fired", "events_cancelled", "heap_compactions",

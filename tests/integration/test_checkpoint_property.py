@@ -1,8 +1,8 @@
 """Property: a snapshot taken at *any* cycle restores to a run whose
-end state is bit-identical to the uninterrupted run — across kernel
-backends and with fault injection active.  This is the checkpointing
-contract stated in docs/CHECKPOINT.md, driven by hypothesis over the
-snapshot cycle."""
+end state is bit-identical to the uninterrupted run — on the engine and
+the heap oracle, across the two, and with fault injection active.  This
+is the checkpointing contract stated in docs/CHECKPOINT.md, driven by
+hypothesis over the snapshot cycle."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +15,8 @@ from repro.harness import (
     platform_recipe,
     restore_platform,
 )
-from repro.kernel.backend import KERNEL_BACKENDS
+
+from tests.helpers import QUEUE_NAMES, kernel
 
 SPEC = TrafficSpec.from_dict({"n_cores": 2, "transactions": 25,
                               "pattern": "hotspot", "load": 0.5,
@@ -28,23 +29,25 @@ RETRY = RetryPolicy(max_attempts=4, backoff=2, backoff_factor=2,
 _BASELINES = {}
 
 
-def _build(backend, faulted):
-    overrides = {"backend": backend}
+def _build(queue, faulted):
+    overrides = {}
     if faulted:
         overrides.update(fault_spec=FAULTS, fault_seed=13)
     programs, _ = generate(SPEC)
-    platform = build_tg_platform(programs, 2, "ahb", overrides,
-                                 retry_policy=RETRY if faulted else None)
+    with kernel(queue):
+        platform = build_tg_platform(
+            programs, 2, "ahb", overrides,
+            retry_policy=RETRY if faulted else None)
     recipe = platform_recipe(programs, 2, "ahb", overrides,
                              retry_policy=RETRY if faulted else None)
     return platform, recipe
 
 
-def _baseline(backend, faulted):
+def _baseline(queue, faulted):
     """End state of the uninterrupted run (memoised per config)."""
-    key = (backend, faulted)
+    key = (queue, faulted)
     if key not in _BASELINES:
-        platform, _ = _build(backend, faulted)
+        platform, _ = _build(queue, faulted)
         platform.run()
         _BASELINES[key] = (
             comparable_summary(platform.stats_summary()),
@@ -55,25 +58,25 @@ def _baseline(backend, faulted):
     return _BASELINES[key]
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("queue", QUEUE_NAMES)
 @pytest.mark.parametrize("faulted", [False, True],
                          ids=["healthy", "faulted"])
 @settings(max_examples=8, deadline=None)
 @given(cycle=st.integers(min_value=1, max_value=400))
-def test_snapshot_any_cycle_restores_bit_identical(backend, faulted,
-                                                   cycle):
+def test_snapshot_any_cycle_restores_bit_identical(queue, faulted, cycle):
     base_summary, base_res, base_now, base_fired = _baseline(
-        backend, faulted)
+        queue, faulted)
 
-    platform, recipe = _build(backend, faulted)
+    platform, recipe = _build(queue, faulted)
     # run(until=X) pins the clock at X even past the last event, so a
     # snapshot beyond the natural end would (correctly) restore to a
     # later clock; the property is about interrupting a live run
     platform.run(until=min(cycle, base_now - 1))
     payload = platform.snapshot(recipe)
 
-    restored = restore_platform(payload)
-    restored.run()
+    with kernel(queue):
+        restored = restore_platform(payload)
+        restored.run()
 
     assert restored.sim.now == base_now
     assert restored.sim.events_fired == base_fired
@@ -85,17 +88,20 @@ def test_snapshot_any_cycle_restores_bit_identical(backend, faulted,
 @settings(max_examples=6, deadline=None)
 @given(cycle=st.integers(min_value=1, max_value=400))
 def test_snapshot_restores_across_backends(cycle):
-    """A classic-engine snapshot continued on the fast engine (and vice
-    versa) still reaches the uninterrupted end state."""
+    """A snapshot taken on the heap oracle continued on the engine (and
+    vice versa) still reaches the uninterrupted end state — also when
+    its recipe names the engine it ran on, as snapshots saved while the
+    engine was selectable do."""
     base_summary, _, base_now, base_fired = _baseline("classic", False)
 
     for source, target in (("classic", "fast"), ("fast", "classic")):
         platform, recipe = _build(source, False)
         platform.run(until=min(cycle, base_now - 1))
+        recipe["config_overrides"]["backend"] = source
         payload = platform.snapshot(recipe)
-        restored = restore_platform(payload, backend=target)
-        assert restored.sim.backend == target
-        restored.run()
+        with kernel(target):
+            restored = restore_platform(payload)
+            restored.run()
         assert restored.sim.now == base_now
         assert restored.sim.events_fired == base_fired
         assert comparable_summary(restored.stats_summary()) \

@@ -1,13 +1,14 @@
 """Property: mixed-fidelity fast-forward never changes results.
 
 Three contracts from docs/CHECKPOINT.md, driven by hypothesis over the
-warm-up boundary, target fabric, kernel backend and fault arming:
+warm-up boundary, target fabric, event queue and fault arming:
 
 * a warm-up captured and restored on the *same* fabric is invisible —
   the continued run's end state is bit-identical to the fully cold run;
 * a cross-fabric fast-forward is deterministic: restoring the same
-  snapshot twice (in memory and through the ``.snap`` codec), on either
-  backend, with or without fault injection arming at the restore point,
+  snapshot twice (in memory and through the ``.snap`` codec), on the
+  engine or the heap oracle, with or without fault injection arming at
+  the restore point,
   always reaches the same end state;
 * the in-memory ``programs`` rebuild shortcut (the warm-up-shared sweep
   hot path) is execution-invisible, and a foreign snapshot is a typed
@@ -27,7 +28,8 @@ from repro.harness import (
     platform_recipe,
     warmup_snapshot,
 )
-from repro.kernel.backend import KERNEL_BACKENDS
+
+from tests.helpers import QUEUE_NAMES, kernel
 
 FABRICS = ("ahb", "stbus", "tlm", "xpipes")
 SPEC = TrafficSpec.from_dict({"n_cores": 2, "transactions": 25,
@@ -52,33 +54,32 @@ def _end_state(platform):
             comparable_summary(platform.stats_summary()))
 
 
-def _cold_end(backend, fabric):
+def _cold_end(queue, fabric):
     """End state of the never-snapshotted run (memoised per config)."""
-    key = (backend, fabric)
+    key = (queue, fabric)
     if key not in _COLD:
-        platform = build_tg_platform(_programs(), 2, fabric,
-                                     {"backend": backend})
-        platform.run()
+        with kernel(queue):
+            platform = build_tg_platform(_programs(), 2, fabric)
+            platform.run()
         _COLD[key] = _end_state(platform)
     return _COLD[key]
 
 
-@pytest.mark.parametrize("backend", sorted(KERNEL_BACKENDS))
+@pytest.mark.parametrize("queue", QUEUE_NAMES)
 @settings(max_examples=8, deadline=None)
 @given(cycle=st.integers(min_value=1, max_value=800),
        fabric=st.sampled_from(FABRICS))
-def test_same_fabric_warmup_is_invisible(backend, cycle, fabric):
-    overrides = {"backend": backend}
+def test_same_fabric_warmup_is_invisible(queue, cycle, fabric):
     # clamp inside the run: warming up past the natural end would park
     # sim.now at the warm-up boundary instead of the final event time
-    cycle = min(cycle, _cold_end(backend, fabric)[0] - 1)
-    payload = warmup_snapshot(_programs(), 2, cycle, fabric, overrides)
-    expected = platform_recipe(_programs(), 2, fabric, overrides)
-    warm = fast_forward(payload, interconnect=fabric,
-                        config_overrides=overrides,
-                        expected_recipe=expected)
-    warm.run()
-    assert _end_state(warm) == _cold_end(backend, fabric)
+    cycle = min(cycle, _cold_end(queue, fabric)[0] - 1)
+    with kernel(queue):
+        payload = warmup_snapshot(_programs(), 2, cycle, fabric)
+        expected = platform_recipe(_programs(), 2, fabric)
+        warm = fast_forward(payload, interconnect=fabric,
+                            expected_recipe=expected)
+        warm.run()
+    assert _end_state(warm) == _cold_end(queue, fabric)
 
 
 @settings(max_examples=8, deadline=None)
@@ -90,26 +91,27 @@ def test_cross_fabric_fast_forward_is_deterministic(cycle, target,
     """One TLM warm-up, four restore flavours, one end state.
 
     The snapshot is restored in memory and through the ``.snap`` codec,
-    under both kernel backends; with ``faulted`` the injector arms at
-    the restore point.  All four continuations must agree byte-for-byte
+    on the engine and on the heap oracle; with ``faulted`` the injector
+    arms at the restore point.  All four continuations must agree byte-for-byte
     (including the resilience counters when faults are armed).
     """
     payload = warmup_snapshot(_programs(), 2, cycle, "tlm")
     ends = []
-    for backend in sorted(KERNEL_BACKENDS):
-        overrides = {"backend": backend}
-        if faulted:
-            overrides.update(fault_spec=FAULTS, fault_seed=13)
-        expected = platform_recipe(_programs(), 2, target, overrides)
+    overrides = {}
+    if faulted:
+        overrides.update(fault_spec=FAULTS, fault_seed=13)
+    expected = platform_recipe(_programs(), 2, target, overrides)
+    for queue in QUEUE_NAMES:
         for via_codec in (False, True):
             restored = payload
             if via_codec:
                 restored = load_snap_bytes(
                     dump_snap(payload).encode("utf-8")).value
-            platform = fast_forward(restored, interconnect=target,
-                                    config_overrides=overrides,
-                                    expected_recipe=expected)
-            platform.run()
+            with kernel(queue):
+                platform = fast_forward(restored, interconnect=target,
+                                        config_overrides=overrides,
+                                        expected_recipe=expected)
+                platform.run()
             end = _end_state(platform)
             if faulted:
                 end += (platform.resilience_counters().as_dict(),)

@@ -1,52 +1,50 @@
-"""Backend conformance: every registered kernel backend, one contract.
+"""Queue conformance: the engine and the heap oracle, one contract.
 
-The simulator drives a backend through six methods plus counters
-(``src/repro/kernel/backend.py``'s table).  This suite runs the same
-operation sequences against every name in ``KERNEL_BACKENDS`` and
-asserts identical observable behaviour — firing order, peek/len/pop
-semantics, counter meanings, and the ``pending_entries`` snapshot hook
-(kind classification and global firing order), so a future backend
-cannot silently diverge from the contract checkpointing now also
-depends on.
+The simulator drives its event queue through a narrow interface (see
+:class:`~repro.kernel.simulator.Simulator`).  This suite runs the same
+operation sequences against the :class:`CalendarQueue` engine and the
+:class:`EventQueue` oracle and asserts identical observable behaviour —
+firing order, peek/len/pop semantics, counter meanings, and the
+``pending_entries`` snapshot hook (kind classification and global firing
+order), so the engine cannot silently diverge from the contract
+checkpointing depends on.  The parameter ids are the names the two had
+when the engine was selectable.
 """
 
 import pytest
 
-from repro.kernel import Simulator
-from repro.kernel.backend import KERNEL_BACKENDS, make_backend
+from repro.kernel import CalendarQueue, Simulator
 from repro.kernel.event import EventQueue, PendingEntry
 
 
-pytestmark = pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-
-
-def _fresh_queue(backend):
-    return make_backend(backend)
+pytestmark = pytest.mark.parametrize("make_queue",
+                                     [EventQueue, CalendarQueue],
+                                     ids=["classic", "fast"])
 
 
 class TestQueuePrimitives:
 
-    def test_make_backend_resolves_names(self, backend):
-        queue = _fresh_queue(backend)
-        assert hasattr(queue, "push")
-        if backend == "classic":
-            assert isinstance(queue, EventQueue)
+    def test_simulator_drives_the_given_queue(self, make_queue):
+        queue = make_queue()
+        assert Simulator(queue=queue)._queue is queue
+        assert isinstance(Simulator()._queue, CalendarQueue)
 
-    def test_push_fires_in_time_priority_seq_order(self, backend):
-        sim = Simulator(backend=backend)
+    def test_push_fires_in_time_priority_seq_order(self, make_queue):
+        """Events fire in ``(time, seq)`` order (the total order was
+        ``(time, priority, seq)`` until event priorities were removed)."""
+        sim = Simulator(queue=make_queue())
         fired = []
         sim.schedule_at(5, lambda: fired.append("t5a"))
         sim.schedule_at(3, lambda: fired.append("t3"))
         sim.schedule_at(5, lambda: fired.append("t5b"))
-        sim.schedule_at(5, lambda: fired.append("t5pri"), priority=-1)
         sim.run()
-        assert fired == ["t3", "t5pri", "t5a", "t5b"]
+        assert fired == ["t3", "t5a", "t5b"]
 
-    def test_push_fn_and_push_resume_interleave_with_push(self, backend):
-        sim = Simulator(backend=backend)
+    def test_push_fn_and_push_resume_interleave_with_push(self, make_queue):
+        sim = Simulator(queue=make_queue())
         queue = sim._queue
         fired = []
-        queue.push(4, 0, lambda: fired.append("push"))
+        queue.push(4, lambda: fired.append("push"))
         queue.push_fn(4, lambda: fired.append("push_fn"))
 
         def proc():
@@ -56,34 +54,34 @@ class TestQueuePrimitives:
         process = sim.spawn(proc(), name="p", delay=4)
         assert process is not None
         sim.run()
-        # same cycle, all priority 0: seq (insertion) order decides
+        # same cycle: seq (insertion) order decides
         assert fired == ["push", "push_fn", "resume"]
 
-    def test_len_counts_live_entries_only(self, backend):
-        queue = _fresh_queue(backend)
-        events = [queue.push(time, 0, lambda: None)
+    def test_len_counts_live_entries_only(self, make_queue):
+        queue = make_queue()
+        events = [queue.push(time, lambda: None)
                   for time in (1, 2, 3)]
         assert len(queue) == 3
         events[1].cancel()
         assert len(queue) == 2
         assert queue.events_cancelled == 1
 
-    def test_peek_time_skips_cancelled(self, backend):
-        queue = _fresh_queue(backend)
-        first = queue.push(1, 0, lambda: None)
-        queue.push(7, 0, lambda: None)
+    def test_peek_time_skips_cancelled(self, make_queue):
+        queue = make_queue()
+        first = queue.push(1, lambda: None)
+        queue.push(7, lambda: None)
         assert queue.peek_time() == 1
         first.cancel()
         assert queue.peek_time() == 7
 
-    def test_peek_time_empty_is_none(self, backend):
-        assert _fresh_queue(backend).peek_time() is None
+    def test_peek_time_empty_is_none(self, make_queue):
+        assert make_queue().peek_time() is None
 
-    def test_pop_entry_returns_time_and_fires(self, backend):
-        queue = _fresh_queue(backend)
+    def test_pop_entry_returns_time_and_fires(self, make_queue):
+        queue = make_queue()
         fired = []
-        queue.push(9, 0, lambda: fired.append("a"))
-        queue.push(2, 0, lambda: fired.append("b"))
+        queue.push(9, lambda: fired.append("a"))
+        queue.push(2, lambda: fired.append("b"))
         entries = []
         while True:
             popped = queue.pop_entry()
@@ -96,8 +94,8 @@ class TestQueuePrimitives:
         assert fired == ["b", "a"]
         assert len(queue) == 0
 
-    def test_drain_dispatches_everything(self, backend):
-        sim = Simulator(backend=backend)
+    def test_drain_dispatches_everything(self, make_queue):
+        sim = Simulator(queue=make_queue())
         fired = []
         for time in (6, 1, 3):
             sim.schedule_at(time, lambda t=time: fired.append(t))
@@ -105,8 +103,8 @@ class TestQueuePrimitives:
         assert fired == [1, 3, 6]
         assert len(sim._queue) == 0
 
-    def test_counter_surface(self, backend):
-        queue = _fresh_queue(backend)
+    def test_counter_surface(self, make_queue):
+        queue = make_queue()
         for name in ("tombstones", "events_cancelled", "compactions",
                      "peak_size"):
             assert isinstance(getattr(queue, name), int), name
@@ -115,17 +113,17 @@ class TestQueuePrimitives:
 class TestPendingEntries:
     """The snapshot hook: classification and firing order."""
 
-    def test_firing_order_and_times(self, backend):
-        sim = Simulator(backend=backend)
+    def test_firing_order_and_times(self, make_queue):
+        sim = Simulator(queue=make_queue())
         queue = sim._queue
-        queue.push(8, 0, lambda: None)
-        queue.push(2, 0, lambda: None)
-        queue.push(5, 0, lambda: None)
+        queue.push(8, lambda: None)
+        queue.push(2, lambda: None)
+        queue.push(5, lambda: None)
         assert [entry.time for entry in queue.pending_entries()] \
             == [2, 5, 8]
 
-    def test_process_resume_is_claimable(self, backend):
-        sim = Simulator(backend=backend)
+    def test_process_resume_is_claimable(self, make_queue):
+        sim = Simulator(queue=make_queue())
 
         def proc():
             yield 10
@@ -140,8 +138,8 @@ class TestPendingEntries:
         assert entry.process is process
         assert entry.fn is None
 
-    def test_payload_resume_is_opaque(self, backend):
-        sim = Simulator(backend=backend)
+    def test_payload_resume_is_opaque(self, make_queue):
+        sim = Simulator(queue=make_queue())
 
         def proc():
             yield 1
@@ -156,8 +154,8 @@ class TestPendingEntries:
         assert entries[0].process is None
         assert entries[0].fn is None
 
-    def test_bare_callback_exposes_fn_identity(self, backend):
-        queue = _fresh_queue(backend)
+    def test_bare_callback_exposes_fn_identity(self, make_queue):
+        queue = make_queue()
 
         def callback():
             pass
@@ -168,8 +166,8 @@ class TestPendingEntries:
         assert entries[0].process is None
         assert entries[0].fn is callback
 
-    def test_event_callback_exposes_fn_identity(self, backend):
-        sim = Simulator(backend=backend)
+    def test_event_callback_exposes_fn_identity(self, make_queue):
+        sim = Simulator(queue=make_queue())
 
         def callback():
             pass
@@ -179,16 +177,16 @@ class TestPendingEntries:
         assert len(entries) == 1
         assert entries[0].fn is callback
 
-    def test_cancelled_events_not_listed(self, backend):
-        queue = _fresh_queue(backend)
-        keep = queue.push(1, 0, lambda: None)
-        drop = queue.push(2, 0, lambda: None)
+    def test_cancelled_events_not_listed(self, make_queue):
+        queue = make_queue()
+        keep = queue.push(1, lambda: None)
+        drop = queue.push(2, lambda: None)
         drop.cancel()
         assert [e.time for e in queue.pending_entries()] == [1]
         assert keep is not None
 
-    def test_read_only(self, backend):
-        sim = Simulator(backend=backend)
+    def test_read_only(self, make_queue):
+        sim = Simulator(queue=make_queue())
         fired = []
         sim.schedule_at(1, lambda: fired.append(1))
         sim.schedule_at(2, lambda: fired.append(2))
@@ -198,22 +196,13 @@ class TestPendingEntries:
         sim.run()
         assert fired == [1, 2]
 
-    def test_mixed_priority_order_preserved(self, backend):
-        sim = Simulator(backend=backend)
-        queue = sim._queue
-        queue.push(5, 0, lambda: None)
-        queue.push(5, -2, lambda: None)     # forces calendar mixed mode
-        queue.push(3, 1, lambda: None)
-        times = [e.time for e in queue.pending_entries()]
-        assert times == [3, 5, 5]
-
 
 class TestCrossBackendParity:
-    """The same schedule produces the same pending view on any backend."""
+    """The same schedule produces the same pending view on either queue."""
 
-    def test_pending_parity_after_identical_schedule(self, backend):
-        def build(name):
-            sim = Simulator(backend=name)
+    def test_pending_parity_after_identical_schedule(self, make_queue):
+        def build(make):
+            sim = Simulator(queue=make())
 
             def proc():
                 yield 10
@@ -224,8 +213,8 @@ class TestCrossBackendParity:
             sim.run(until=0)
             return sim
 
-        reference = build("classic")
-        candidate = build(backend)
+        reference = build(EventQueue)
+        candidate = build(make_queue)
         ref_view = [(e.time, e.process is not None,
                      e.fn is not None)
                     for e in reference._queue.pending_entries()]
@@ -234,9 +223,9 @@ class TestCrossBackendParity:
                      for e in candidate._queue.pending_entries()]
         assert cand_view == ref_view
 
-    def test_event_counters_after_identical_run(self, backend):
-        def run(name):
-            sim = Simulator(backend=name)
+    def test_event_counters_after_identical_run(self, make_queue):
+        def run(make):
+            sim = Simulator(queue=make())
             fired = []
 
             def proc():
@@ -250,7 +239,7 @@ class TestCrossBackendParity:
             sim.run()
             return sim.events_fired, sim.now, fired
 
-        assert run(backend) == run("classic")
+        assert run(make_queue) == run(EventQueue)
 
 
 def _marker():

@@ -1,11 +1,11 @@
-"""Unit tests for the calendar-queue (``"fast"``) kernel backend.
+"""Unit tests for the calendar queue, the simulator's event engine.
 
-The backend's contract is *bit-identical simulation* with the classic
-binary-heap EventQueue: the same total order of firings for any mix of
+The queue's contract is *bit-identical simulation* with the binary-heap
+EventQueue oracle: the same total order of firings for any mix of
 pushes, cancels and incremental pops, the same counter semantics, the
 same exception behaviour.  These tests exercise the queue both directly
 (with a minimal stand-in sim for ``drain``) and through two full
-Simulators running the same program under each backend.
+Simulators running the same program, one on each queue.
 """
 
 import pytest
@@ -38,35 +38,35 @@ class TestCalendarBasics:
     def test_len_tracks_pushes(self):
         queue = CalendarQueue()
         for i in range(5):
-            queue.push(i, 0, lambda: None)
+            queue.push(i, lambda: None)
         assert len(queue) == 5
 
     def test_drain_orders_by_time(self):
         queue, order = CalendarQueue(), []
         for time in (30, 10, 20):
-            queue.push(time, 0, record(order, time))
+            queue.push(time, record(order, time))
         queue.drain(FakeSim())
         assert order == [10, 20, 30]
 
     def test_same_time_is_fifo(self):
         queue, order = CalendarQueue(), []
         for i in range(10):
-            queue.push(7, 0, record(order, i))
+            queue.push(7, record(order, i))
         queue.drain(FakeSim())
         assert order == list(range(10))
 
     def test_drain_sets_clock_and_counts_events(self):
         queue, sim = CalendarQueue(), FakeSim()
-        queue.push(4, 0, lambda: None)
-        queue.push(9, 0, lambda: None)
+        queue.push(4, lambda: None)
+        queue.push(9, lambda: None)
         queue.drain(sim)
         assert sim._now == 9
         assert sim._events_fired == 2
 
     def test_cancelled_event_is_skipped(self):
         queue, order = CalendarQueue(), []
-        victim = queue.push(1, 0, record(order, "victim"))
-        queue.push(2, 0, record(order, "keeper"))
+        victim = queue.push(1, record(order, "victim"))
+        queue.push(2, record(order, "keeper"))
         victim.cancel()
         assert len(queue) == 1
         assert queue.tombstones == 1
@@ -76,18 +76,18 @@ class TestCalendarBasics:
 
     def test_cancelled_singleton_does_not_advance_clock(self):
         """An all-tombstone bucket must leave ``now`` untouched, exactly
-        like the classic heap skipping a cancelled pop."""
+        like the oracle heap skipping a cancelled pop."""
         queue, sim = CalendarQueue(), FakeSim()
-        queue.push(3, 0, lambda: None).cancel()
-        queue.push(100, 0, lambda: None).cancel()
-        queue.push(5, 0, lambda: None)
+        queue.push(3, lambda: None).cancel()
+        queue.push(100, lambda: None).cancel()
+        queue.push(5, lambda: None)
         queue.drain(sim)
         assert sim._now == 5
         assert sim._events_fired == 1
 
     def test_double_cancel_counts_once(self):
         queue = CalendarQueue()
-        victim = queue.push(10, 0, lambda: None)
+        victim = queue.push(10, lambda: None)
         victim.cancel()
         victim.cancel()
         assert len(queue) == 0
@@ -96,31 +96,31 @@ class TestCalendarBasics:
     def test_tombstone_sweep_counts_as_compaction(self):
         queue = CalendarQueue()
         for _ in range(3):
-            queue.push(7, 0, lambda: None).cancel()
-        queue.push(7, 0, lambda: None)
+            queue.push(7, lambda: None).cancel()
+        queue.push(7, lambda: None)
         queue.drain(FakeSim())
         assert queue.compactions == 1
         assert queue.tombstones == 0
 
     def test_peek_skips_cancelled_head(self):
         queue = CalendarQueue()
-        queue.push(1, 0, lambda: None).cancel()
-        queue.push(2, 0, lambda: None)
+        queue.push(1, lambda: None).cancel()
+        queue.push(2, lambda: None)
         assert queue.peek_time() == 2
 
     def test_peek_skips_all_tombstone_multi_bucket(self):
         queue = CalendarQueue()
-        queue.push(1, 0, lambda: None).cancel()
-        queue.push(1, 0, lambda: None).cancel()
-        queue.push(4, 0, lambda: None)
+        queue.push(1, lambda: None).cancel()
+        queue.push(1, lambda: None).cancel()
+        queue.push(4, lambda: None)
         assert queue.peek_time() == 4
         assert queue.tombstones == 0  # the peek swept them
 
     def test_pop_entry_consumes_in_order(self):
         queue, order = CalendarQueue(), []
-        queue.push(5, 0, record(order, "a"))
-        queue.push(5, 0, record(order, "b"))
-        queue.push(9, 0, record(order, "c"))
+        queue.push(5, record(order, "a"))
+        queue.push(5, record(order, "b"))
+        queue.push(9, record(order, "c"))
         for _ in range(3):
             time, fire = queue.pop_entry()
             fire()
@@ -131,7 +131,7 @@ class TestCalendarBasics:
         """Incremental pops (step()) interleave with a later run()."""
         queue, order = CalendarQueue(), []
         for label in ("a", "b", "c"):
-            queue.push(5, 0, record(order, label))
+            queue.push(5, record(order, label))
         _, fire = queue.pop_entry()
         fire()
         queue.drain(FakeSim())
@@ -139,7 +139,7 @@ class TestCalendarBasics:
         assert len(queue) == 0
 
     def test_process_negative_yield_raises(self):
-        sim = Simulator(backend="fast")
+        sim = Simulator()
 
         def bad():
             yield -1
@@ -149,67 +149,33 @@ class TestCalendarBasics:
             sim.run()
 
 
-class TestMixedPriorityMode:
-    def test_priority_orders_within_a_cycle(self):
-        queue, order = CalendarQueue(), []
-        queue.push(5, 2, record(order, 2))
-        queue.push(5, 0, record(order, 0))
-        queue.push(5, 1, record(order, 1))
-        queue.drain(FakeSim())
-        assert order == [0, 1, 2]
+class TestPeakSize:
+    @staticmethod
+    def _sleepers(sim):
+        def sleeper():
+            for _ in range(50):
+                yield 3
 
-    def test_flip_preserves_already_queued_fifo(self):
-        """Entries queued before the flip keep their insertion order."""
-        queue, order = CalendarQueue(), []
-        for i in range(4):
-            queue.push(3, 0, record(order, i))
-        queue.push(3, 1, record(order, "late-low"))
-        queue.push(3, 0, record(order, "late-zero"))
-        queue.drain(FakeSim())
-        assert order == [0, 1, 2, 3, "late-zero", "late-low"]
+        for pid in range(8):
+            sim.spawn(sleeper(), name=f"p{pid}")
 
-    def test_mid_drain_flip_is_exact(self):
-        """A callback that introduces priorities mid-bucket must not
-        reorder the remainder of that bucket."""
-        queue, order = CalendarQueue(), []
+    def test_drain_and_bounded_run_report_the_same_peak(self):
+        """A bounded run pops through pop_entry, which used to leave the
+        high-water mark at 0."""
+        drained = Simulator()
+        self._sleepers(drained)
+        drained.run()
+        bounded = Simulator()
+        self._sleepers(bounded)
+        bounded.run(until=10 ** 9)
+        assert bounded.events_fired == drained.events_fired == 408
+        assert bounded.peak_heap_size == drained.peak_heap_size == 8
 
-        def flipper():
-            order.append("flipper")
-            queue.push(9, 1, record(order, "prio"))
-
-        queue.push(5, 0, flipper)
-        queue.push(5, 0, record(order, "tail1"))
-        queue.push(5, 0, record(order, "tail2"))
-        queue.push(9, 0, record(order, "next-bucket"))
-        queue.drain(FakeSim())
-        assert order == ["flipper", "tail1", "tail2",
-                         "next-bucket", "prio"]
-
-    def test_same_cycle_push_during_mixed_drain(self):
-        """A zero-delay push made while its own cycle is draining still
-        fires this cycle, in priority order."""
-        queue, order = CalendarQueue(), []
-        queue.push(4, 1, record(order, "first"))  # flips to mixed
-
-        def pusher():
-            order.append("pusher")
-            queue.push(4, 0, record(order, "same-cycle"))
-
-        queue.push(4, 1, pusher)
-        queue.push(4, 2, record(order, "low"))
-        queue.drain(FakeSim())
-        assert order == ["first", "pusher", "same-cycle", "low"]
-
-    def test_pop_entry_in_mixed_mode(self):
-        queue, order = CalendarQueue(), []
-        queue.push(5, 1, record(order, "low"))
-        queue.push(5, 0, record(order, "high"))
-        while True:
-            popped = queue.pop_entry()
-            if popped is None:
-                break
-            popped[1]()
-        assert order == ["high", "low"]
+    def test_step_samples_the_peak(self):
+        sim = Simulator()
+        self._sleepers(sim)
+        sim.step()
+        assert sim.peak_heap_size == 8
 
 
 class TestExceptionSafety:
@@ -219,9 +185,9 @@ class TestExceptionSafety:
         def boom():
             raise RuntimeError("boom")
 
-        queue.push(5, 0, record(order, "before"))
-        queue.push(5, 0, boom)
-        queue.push(5, 0, record(order, "after"))
+        queue.push(5, record(order, "before"))
+        queue.push(5, boom)
+        queue.push(5, record(order, "after"))
         sim = FakeSim()
         with pytest.raises(RuntimeError):
             queue.drain(sim)
@@ -237,8 +203,8 @@ class TestExceptionSafety:
         def boom():
             raise RuntimeError("boom")
 
-        queue.push(5, 0, boom)
-        queue.push(9, 0, lambda: None)
+        queue.push(5, boom)
+        queue.push(9, lambda: None)
         sim = FakeSim()
         with pytest.raises(RuntimeError):
             queue.drain(sim)
@@ -253,26 +219,24 @@ class TestExceptionSafety:
         def boom():
             raise RuntimeError("boom")
 
-        queue.push(5, 0, boom)
+        queue.push(5, boom)
         sim = FakeSim()
         with pytest.raises(RuntimeError):
             queue.drain(sim)
         assert sim._events_fired == 1
 
 
-# ---------------------------------------------------- classic equivalence
+# ----------------------------------------------------- oracle equivalence
 
 def _apply_ops(queue, ops):
-    """Drive a backend through pushes/cancels, then drain; returns the
+    """Drive a queue through pushes/cancels, then drain; returns the
     firing order as (label) list."""
     order = []
     handles = []
     for op in ops:
         if op[0] == "push":
-            _, time, priority = op
             label = len(handles)
-            handles.append(queue.push(time, priority,
-                                      record(order, label)))
+            handles.append(queue.push(op[1], record(order, label)))
         else:  # cancel
             if handles:
                 handles[op[1] % len(handles)].cancel()
@@ -282,7 +246,7 @@ def _apply_ops(queue, ops):
 
 _OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("push"), st.integers(0, 40), st.integers(0, 3)),
+        st.tuples(st.just("push"), st.integers(0, 40)),
         st.tuples(st.just("cancel"), st.integers(0, 10_000)),
     ),
     max_size=200,
@@ -290,6 +254,8 @@ _OPS = st.lists(
 
 
 class TestClassicEquivalence:
+    """The engine against the heap oracle (once the "classic" engine)."""
+
     @given(_OPS)
     def test_same_firing_order_as_event_queue(self, ops):
         assert _apply_ops(CalendarQueue(), ops) \
@@ -298,8 +264,8 @@ class TestClassicEquivalence:
     @given(st.lists(st.integers(0, 8), max_size=60))
     def test_same_simulation_as_classic_backend(self, delays):
         """Two full Simulators running the same generator program."""
-        def run(backend):
-            sim = Simulator(backend=backend)
+        def run(queue):
+            sim = Simulator(queue=queue)
             trace = []
 
             def proc(pid):
@@ -312,11 +278,11 @@ class TestClassicEquivalence:
             sim.run()
             return trace, sim.now, sim.events_fired
 
-        assert run("classic") == run("fast")
+        assert run(EventQueue()) == run(CalendarQueue())
 
     def test_signal_wakeups_match_classic(self):
-        def run(backend):
-            sim = Simulator(backend=backend)
+        def run(queue):
+            sim = Simulator(queue=queue)
             sig = sim.signal("s")
             wakes = []
 
@@ -336,11 +302,11 @@ class TestClassicEquivalence:
             sim.run()
             return wakes, sim.now, sim.events_fired
 
-        assert run("classic") == run("fast")
+        assert run(EventQueue()) == run(CalendarQueue())
 
     def test_run_until_and_step_match_classic(self):
-        def run(backend):
-            sim = Simulator(backend=backend)
+        def run(queue):
+            sim = Simulator(queue=queue)
 
             def ticker():
                 while True:
@@ -353,4 +319,4 @@ class TestClassicEquivalence:
             checkpoints.append(sim.run(until=20))
             return checkpoints, sim.events_fired
 
-        assert run("classic") == run("fast")
+        assert run(EventQueue()) == run(CalendarQueue())

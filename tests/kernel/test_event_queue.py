@@ -1,4 +1,4 @@
-"""Unit tests for the event queue ordering guarantees."""
+"""Unit tests for the EventQueue oracle's ordering guarantees."""
 
 from hypothesis import given, strategies as st
 
@@ -24,55 +24,48 @@ class TestEventQueueBasics:
     def test_len_tracks_pushes(self):
         queue = EventQueue()
         for i in range(5):
-            queue.push(i, 0, lambda: None)
+            queue.push(i, lambda: None)
         assert len(queue) == 5
 
     def test_pop_orders_by_time(self):
         queue = EventQueue()
-        queue.push(30, 0, lambda: None)
-        queue.push(10, 0, lambda: None)
-        queue.push(20, 0, lambda: None)
+        queue.push(30, lambda: None)
+        queue.push(10, lambda: None)
+        queue.push(20, lambda: None)
         assert [e.time for e in drain(queue)] == [10, 20, 30]
-
-    def test_same_time_orders_by_priority(self):
-        queue = EventQueue()
-        queue.push(5, 2, lambda: None)
-        queue.push(5, 0, lambda: None)
-        queue.push(5, 1, lambda: None)
-        assert [e.priority for e in drain(queue)] == [0, 1, 2]
 
     def test_same_time_same_priority_is_fifo(self):
         queue = EventQueue()
         order = []
         for i in range(10):
-            queue.push(7, 0, lambda i=i: order.append(i))
+            queue.push(7, lambda i=i: order.append(i))
         for event in drain(queue):
             event.fn()
         assert order == list(range(10))
 
     def test_peek_time_returns_earliest(self):
         queue = EventQueue()
-        queue.push(9, 0, lambda: None)
-        queue.push(4, 0, lambda: None)
+        queue.push(9, lambda: None)
+        queue.push(4, lambda: None)
         assert queue.peek_time() == 4
 
     def test_cancelled_event_is_skipped(self):
         queue = EventQueue()
-        victim = queue.push(1, 0, lambda: None)
-        queue.push(2, 0, lambda: None)
+        victim = queue.push(1, lambda: None)
+        queue.push(2, lambda: None)
         victim.cancel()
         assert [e.time for e in drain(queue)] == [2]
 
     def test_peek_skips_cancelled_head(self):
         queue = EventQueue()
-        victim = queue.push(1, 0, lambda: None)
-        queue.push(2, 0, lambda: None)
+        victim = queue.push(1, lambda: None)
+        queue.push(2, lambda: None)
         victim.cancel()
         assert queue.peek_time() == 2
 
     def test_event_repr_mentions_state(self):
         queue = EventQueue()
-        event = queue.push(3, 1, lambda: None)
+        event = queue.push(3, lambda: None)
         assert "t=3" in repr(event)
         event.cancel()
         assert "cancelled" in repr(event)
@@ -80,8 +73,8 @@ class TestEventQueueBasics:
     def test_len_counts_live_events_only(self):
         """Regression: cancelled tombstones used to inflate len(queue)."""
         queue = EventQueue()
-        victim = queue.push(10, 0, lambda: None)
-        queue.push(20, 0, lambda: None)
+        victim = queue.push(10, lambda: None)
+        queue.push(20, lambda: None)
         assert len(queue) == 2
         victim.cancel()
         assert len(queue) == 1
@@ -89,7 +82,7 @@ class TestEventQueueBasics:
 
     def test_double_cancel_counts_once(self):
         queue = EventQueue()
-        victim = queue.push(10, 0, lambda: None)
+        victim = queue.push(10, lambda: None)
         victim.cancel()
         victim.cancel()
         assert len(queue) == 0
@@ -98,8 +91,8 @@ class TestEventQueueBasics:
     def test_cancel_after_pop_does_not_corrupt_len(self):
         """A watchdog guard may be cancelled after it already fired."""
         queue = EventQueue()
-        guard = queue.push(5, 0, lambda: None)
-        queue.push(9, 0, lambda: None)
+        guard = queue.push(5, lambda: None)
+        queue.push(9, lambda: None)
         assert queue.pop() is guard
         guard.cancel()  # late cancel: event already left the heap
         assert len(queue) == 1
@@ -110,11 +103,11 @@ class TestEventQueueBasics:
 class TestTombstoneCompaction:
     def test_compaction_triggers_and_shrinks_heap(self):
         queue = EventQueue()
-        victims = [queue.push(1000 + i, 0, lambda: None)
+        victims = [queue.push(1000 + i, lambda: None)
                    for i in range(_COMPACT_MIN_SIZE)]
         survivors_times = [5, 7]
         for time in survivors_times:
-            queue.push(time, 0, lambda: None)
+            queue.push(time, lambda: None)
         for victim in victims:
             victim.cancel()
         assert queue.compactions >= 1
@@ -123,24 +116,24 @@ class TestTombstoneCompaction:
 
     def test_small_heaps_are_not_compacted(self):
         queue = EventQueue()
-        victim = queue.push(1, 0, lambda: None)
-        queue.push(2, 0, lambda: None)
+        victim = queue.push(1, lambda: None)
+        queue.push(2, lambda: None)
         victim.cancel()
         assert queue.compactions == 0
 
     def test_peak_size_counts_tombstones(self):
         queue = EventQueue()
-        events = [queue.push(i, 0, lambda: None) for i in range(10)]
+        events = [queue.push(i, lambda: None) for i in range(10)]
         for event in events[:5]:
             event.cancel()
-        queue.push(99, 0, lambda: None)
+        queue.push(99, lambda: None)
         assert queue.peak_size == 11  # high-water mark of the raw heap
 
 
 class _ReferenceQueue:
     """The pre-compaction implementation: plain lazy deletion at pop.
 
-    The compacting queue must pop the exact same (time, priority, seq)
+    The compacting queue must pop the exact same (time, seq)
     sequence as this one for any interleaving of pushes and cancels —
     that equivalence is what keeps every simulation byte-identical
     (DESIGN.md, E7) no matter when compactions happen to trigger.
@@ -153,10 +146,10 @@ class _ReferenceQueue:
         self._seq = 0
         self._cancelled = set()
 
-    def push(self, time, priority):
+    def push(self, time):
         seq = self._seq
         self._seq += 1
-        self._heapq.heappush(self._heap, (time, priority, seq))
+        self._heapq.heappush(self._heap, (time, seq))
         return seq
 
     def cancel(self, seq):
@@ -165,7 +158,7 @@ class _ReferenceQueue:
     def pop(self):
         while self._heap:
             entry = self._heapq.heappop(self._heap)
-            if entry[2] not in self._cancelled:
+            if entry[1] not in self._cancelled:
                 return entry
         return None
 
@@ -178,9 +171,8 @@ def _run_op_sequence(ops):
     popped, ref_popped = [], []
     for op in ops:
         if op[0] == "push":
-            _, time, priority = op
-            handles.append(queue.push(time, priority, lambda: None))
-            reference.push(time, priority)
+            handles.append(queue.push(op[1], lambda: None))
+            reference.push(op[1])
         elif op[0] == "cancel":
             if handles:
                 index = op[1] % len(handles)
@@ -189,7 +181,7 @@ def _run_op_sequence(ops):
         else:  # pop
             event = queue.pop()
             popped.append(None if event is None
-                          else (event.time, event.priority, event.seq))
+                          else (event.time, event.seq))
             ref_popped.append(reference.pop())
     while True:
         event = queue.pop()
@@ -197,14 +189,14 @@ def _run_op_sequence(ops):
         if event is None and entry is None:
             break
         popped.append(None if event is None
-                      else (event.time, event.priority, event.seq))
+                      else (event.time, event.seq))
         ref_popped.append(entry)
     return queue, popped, ref_popped
 
 
 _OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("push"), st.integers(0, 100), st.integers(0, 3)),
+        st.tuples(st.just("push"), st.integers(0, 100)),
         st.tuples(st.just("cancel"), st.integers(0, 10_000)),
         st.tuples(st.just("pop")),
     ),
@@ -224,7 +216,7 @@ class TestCompactionDeterminism:
         ops = []
         for round_no in range(8):
             for i in range(40):
-                ops.append(("push", (i * 7 + round_no) % 50, i % 3))
+                ops.append(("push", (i * 7 + round_no) % 50))
             for i in range(36):
                 ops.append(("cancel", round_no * 31 + i * 5))
             for _ in range(4):
@@ -235,24 +227,25 @@ class TestCompactionDeterminism:
 
 
 class TestEventQueueProperties:
-    @given(st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 3)),
-                    max_size=200))
-    def test_pop_order_is_sorted_by_time_priority(self, entries):
+    @given(st.lists(st.integers(0, 1000), max_size=200))
+    def test_pop_order_is_sorted_by_time_priority(self, times):
+        """Pops come out sorted by time (events had a priority key too
+        until it was removed)."""
         queue = EventQueue()
-        for time, priority in entries:
-            queue.push(time, priority, lambda: None)
-        popped = [(e.time, e.priority) for e in drain(queue)]
+        for time in times:
+            queue.push(time, lambda: None)
+        popped = [e.time for e in drain(queue)]
         assert popped == sorted(popped)
 
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=100))
     def test_fifo_within_identical_keys(self, times):
         queue = EventQueue()
         for index, time in enumerate(times):
-            queue.push(time, 0, lambda: None)
+            queue.push(time, lambda: None)
         popped = drain(queue)
-        # sequence numbers must be increasing within each (time, priority) key
+        # sequence numbers must be increasing within each time
         by_key = {}
         for event in popped:
-            by_key.setdefault((event.time, event.priority), []).append(event.seq)
+            by_key.setdefault(event.time, []).append(event.seq)
         for seqs in by_key.values():
             assert seqs == sorted(seqs)

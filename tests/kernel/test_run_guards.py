@@ -3,7 +3,14 @@ cancellable timeout (no leaked events when a waiter dies early)."""
 
 import pytest
 
-from repro.kernel import DeadlockError, SimulationError, Simulator, TimeoutSignal
+from repro.kernel import (
+    CalendarQueue,
+    DeadlockError,
+    EventQueue,
+    SimulationError,
+    Simulator,
+    TimeoutSignal,
+)
 from repro.kernel.simulator import timeout
 
 
@@ -281,9 +288,9 @@ class TestClockMonotonicityProperty:
     )
 
     @_given(_CALLS, _st.lists(_st.integers(1, 9), min_size=1, max_size=12),
-            _st.sampled_from(["classic", "fast"]))
-    def test_interleaved_runs_never_rewind(self, calls, delays, backend):
-        sim = Simulator(backend=backend)
+            _st.sampled_from([CalendarQueue, EventQueue]))
+    def test_interleaved_runs_never_rewind(self, calls, delays, make_queue):
+        sim = Simulator(queue=make_queue())
 
         def proc():
             for delay in delays:
@@ -320,8 +327,8 @@ class TestClockMonotonicityProperty:
                                            min_size=1, max_size=10))
     def test_drained_until_lands_on_max(self, until, delays):
         """With everything drained, run(until=T) == max(T, last event)."""
-        for backend in ("classic", "fast"):
-            sim = Simulator(backend=backend)
+        for queue in (CalendarQueue(), EventQueue()):
+            sim = Simulator(queue=queue)
 
             def proc():
                 for delay in delays:

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.artifacts.errors import EXIT_SNAPSHOT, SnapshotError
-from repro.kernel import Simulator
-from repro.kernel.backend import KERNEL_BACKENDS
+from repro.kernel import CalendarQueue, EventQueue, Simulator
 from repro.kernel.snapshot import (
     advance_to_quiescence,
     capture,
@@ -12,6 +11,12 @@ from repro.kernel.snapshot import (
     restore,
     state_get,
 )
+
+
+#: Every test runs on the heap oracle and on the calendar-queue engine
+#: (ids: the names the two had when the engine was selectable).
+QUEUES = pytest.mark.parametrize("make_queue", [EventQueue, CalendarQueue],
+                                 ids=["classic", "fast"])
 
 
 class Ticker:
@@ -65,11 +70,11 @@ class Blocked:
         return [self.reason]
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@QUEUES
 class TestQuiescence:
 
-    def test_claimed_wakeup_is_quiescent(self, backend):
-        sim = Simulator(backend=backend)
+    def test_claimed_wakeup_is_quiescent(self, make_queue):
+        sim = Simulator(queue=make_queue())
         ticker = Ticker(sim)
         sim.run(until=0)
         blockers, claims = quiescence_check(sim, {"ticker": ticker})
@@ -77,15 +82,15 @@ class TestQuiescence:
         assert claims == [{"owner": "ticker",
                            "slot": {"kind": "tick", "at": 10}}]
 
-    def test_unclaimed_entry_blocks(self, backend):
-        sim = Simulator(backend=backend)
+    def test_unclaimed_entry_blocks(self, make_queue):
+        sim = Simulator(queue=make_queue())
         sim.schedule_after(5, lambda: None)
         blockers, _ = quiescence_check(sim, {})
         assert any("unclaimed queue entry" in reason
                    for reason in blockers)
 
-    def test_unclaimed_live_process_blocks(self, backend):
-        sim = Simulator(backend=backend)
+    def test_unclaimed_live_process_blocks(self, make_queue):
+        sim = Simulator(queue=make_queue())
 
         def waiter():
             yield 3
@@ -96,14 +101,14 @@ class TestQuiescence:
         # entry unclaimed AND its process unowned: both reported
         assert any("unclaimed queue entry" in r for r in blockers)
 
-    def test_component_blocker_reported_with_name(self, backend):
-        sim = Simulator(backend=backend)
+    def test_component_blocker_reported_with_name(self, make_queue):
+        sim = Simulator(queue=make_queue())
         blockers, _ = quiescence_check(
             sim, {"dev": Blocked("transaction in flight")})
         assert "dev: transaction in flight" in blockers
 
-    def test_advance_reaches_first_quiescent_cycle(self, backend):
-        sim = Simulator(backend=backend)
+    def test_advance_reaches_first_quiescent_cycle(self, make_queue):
+        sim = Simulator(queue=make_queue())
         ticker = Ticker(sim)
         blocker = Blocked()
         done = []
@@ -123,8 +128,8 @@ class TestQuiescence:
         assert claims[0]["owner"] == "ticker"
         assert blocker is not None
 
-    def test_scan_limit_raises_typed_error(self, backend):
-        sim = Simulator(backend=backend)
+    def test_scan_limit_raises_typed_error(self, make_queue):
+        sim = Simulator(queue=make_queue())
         ticker = Ticker(sim)
         with pytest.raises(SnapshotError) as excinfo:
             advance_to_quiescence(
@@ -133,41 +138,41 @@ class TestQuiescence:
         assert "no quiescent cycle within 50" in str(excinfo.value)
         assert excinfo.value.exit_code == EXIT_SNAPSHOT
 
-    def test_drained_queue_with_blockers_raises(self, backend):
-        sim = Simulator(backend=backend)
+    def test_drained_queue_with_blockers_raises(self, make_queue):
+        sim = Simulator(queue=make_queue())
         with pytest.raises(SnapshotError) as excinfo:
             advance_to_quiescence(sim, {"wall": Blocked()})
         assert "drained" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@QUEUES
 class TestCaptureRestore:
 
-    def _capture(self, backend, until=35):
-        sim = Simulator(backend=backend)
+    def _capture(self, make_queue, until=35):
+        sim = Simulator(queue=make_queue())
         ticker = Ticker(sim)
         sim.run(until=until)
         payload = capture(sim, {"ticker": ticker}, {"recipe": True})
         return sim, ticker, payload
 
-    def test_payload_shape(self, backend):
-        sim, ticker, payload = self._capture(backend)
+    def test_payload_shape(self, make_queue):
+        sim, ticker, payload = self._capture(make_queue)
         assert payload["cycle"] == sim.now
-        assert payload["backend"] == backend
+        assert "backend" not in payload       # there is one engine
         assert payload["kernel"]["events_fired"] == sim.events_fired
         assert payload["components"] == {"ticker": {"ticks": 4}}
         assert payload["platform"] == {"recipe": True}
         assert len(payload["pending"]) == 1
 
-    def test_restore_is_bit_identical_continuation(self, backend):
-        _, _, payload = self._capture(backend)
+    def test_restore_is_bit_identical_continuation(self, make_queue):
+        _, _, payload = self._capture(make_queue)
 
         # uninterrupted twin
-        sim_a = Simulator(backend=backend)
+        sim_a = Simulator(queue=make_queue())
         ticker_a = Ticker(sim_a)
         sim_a.run(until=100)
 
-        sim_b = Simulator(backend=backend)
+        sim_b = Simulator(queue=make_queue())
         ticker_b = Ticker(sim_b)
         # restore requires an untouched target: throw away the fresh
         # process (restore re-arms from the snapshot)
@@ -180,18 +185,18 @@ class TestCaptureRestore:
         assert ticker_b.ticks == ticker_a.ticks
         assert sim_b.events_fired == sim_a.events_fired
 
-    def test_restore_refuses_dirty_target(self, backend):
-        _, _, payload = self._capture(backend)
-        sim = Simulator(backend=backend)
+    def test_restore_refuses_dirty_target(self, make_queue):
+        _, _, payload = self._capture(make_queue)
+        sim = Simulator(queue=make_queue())
         ticker = Ticker(sim)
         sim.run(until=12)
         with pytest.raises(SnapshotError) as excinfo:
             restore(sim, {"ticker": ticker}, payload)
         assert "not fresh" in str(excinfo.value)
 
-    def test_restore_refuses_missing_component_state(self, backend):
-        _, _, payload = self._capture(backend)
-        sim = Simulator(backend=backend)
+    def test_restore_refuses_missing_component_state(self, make_queue):
+        _, _, payload = self._capture(make_queue)
+        sim = Simulator(queue=make_queue())
         ticker = Ticker(sim)
         ticker._process.kill()
         other = Ticker(sim, name="other")
@@ -200,25 +205,25 @@ class TestCaptureRestore:
             restore(sim, {"ticker": ticker, "other": other}, payload)
         assert "no state for component" in str(excinfo.value)
 
-    def test_restore_refuses_extra_component_state(self, backend):
-        _, _, payload = self._capture(backend)
-        sim = Simulator(backend=backend)
+    def test_restore_refuses_extra_component_state(self, make_queue):
+        _, _, payload = self._capture(make_queue)
+        sim = Simulator(queue=make_queue())
         with pytest.raises(SnapshotError) as excinfo:
             restore(sim, {}, payload)
         assert "unknown component" in str(excinfo.value)
 
-    def test_fresh_exempts_both_directions(self, backend):
-        _, _, payload = self._capture(backend)
+    def test_fresh_exempts_both_directions(self, make_queue):
+        _, _, payload = self._capture(make_queue)
         # extra state tolerated when named fresh (branch disarming)
-        sim = Simulator(backend=backend)
+        sim = Simulator(queue=make_queue())
         with pytest.raises(SnapshotError):
             restore(sim, {}, payload)
-        sim = Simulator(backend=backend)
+        sim = Simulator(queue=make_queue())
         restore(sim, {}, dict(payload, pending=[]),
                 fresh=["ticker"])
         assert sim.now == payload["cycle"]
         # missing state tolerated when the fresh component is new
-        sim2 = Simulator(backend=backend)
+        sim2 = Simulator(queue=make_queue())
         ticker2 = Ticker(sim2)
         ticker2._process.kill()
         extra = Blocked()
@@ -226,20 +231,20 @@ class TestCaptureRestore:
                 fresh=["extra"])
         assert ticker2.ticks == 4
 
-    def test_restore_refuses_unknown_pending_owner(self, backend):
-        _, _, payload = self._capture(backend)
+    def test_restore_refuses_unknown_pending_owner(self, make_queue):
+        _, _, payload = self._capture(make_queue)
         forged = dict(payload)
         forged["pending"] = [{"owner": "ghost", "slot": {}}]
-        sim = Simulator(backend=backend)
+        sim = Simulator(queue=make_queue())
         ticker = Ticker(sim)
         ticker._process.kill()
         with pytest.raises(SnapshotError) as excinfo:
             restore(sim, {"ticker": ticker}, forged)
         assert "ghost" in str(excinfo.value)
 
-    def test_cross_backend_restore(self, backend):
-        _, _, payload = self._capture("classic")
-        sim = Simulator(backend=backend)
+    def test_cross_backend_restore(self, make_queue):
+        _, _, payload = self._capture(EventQueue)
+        sim = Simulator(queue=make_queue())
         ticker = Ticker(sim)
         ticker._process.kill()
         restore(sim, {"ticker": ticker}, payload)
