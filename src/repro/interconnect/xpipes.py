@@ -30,6 +30,7 @@ from repro.ocp.types import OCPError, Request, Response
 #: Router port identifiers.
 LOCAL, NORTH, SOUTH, EAST, WEST = "L", "N", "S", "E", "W"
 _OPPOSITE = {NORTH: SOUTH, SOUTH: NORTH, EAST: WEST, WEST: EAST}
+_STEP = {EAST: (1, 0), WEST: (-1, 0), SOUTH: (0, 1), NORTH: (0, -1)}
 
 
 class Packet:
@@ -126,6 +127,9 @@ class Router:
         self._output_busy: Dict[str, bool] = {}
         self._output_free: Dict[str, object] = {}
         self._procs: Dict[str, object] = {}
+        #: destination node -> (output port, downstream FIFO); filled by
+        #: :meth:`XpipesNoc.build` for every endpoint node
+        self.links: Dict[Tuple[int, int], Tuple[str, Fifo]] = {}
         self.flits_routed = 0
         name = f"router{coords}"
         for port in (LOCAL, NORTH, SOUTH, EAST, WEST):
@@ -139,42 +143,60 @@ class Router:
                 self._input_process(port),
                 name=f"router{self.coords}.fw[{port}]")
 
-    def _acquire_output(self, port: str):
-        while self._output_busy[port]:
-            yield self._output_free[port]
-        self._output_busy[port] = True
-
-    def _release_output(self, port: str) -> None:
-        self._output_busy[port] = False
-        self._output_free[port].notify()
-
     def _input_process(self, in_port: str):
-        """Forward packets arriving on one input, one at a time (wormhole)."""
+        """Forward packets arriving on one input, one at a time (wormhole).
+
+        Every flit moves through the inlined :class:`Fifo` hand-off and the
+        process waits on the FIFO and channel signals itself, so no
+        generator is created per flit or per packet.
+        """
         fifo = self.inputs[in_port]
+        items = fifo.items
+        not_empty = fifo.not_empty
+        not_full = fifo.not_full
+        links = self.links
+        output_busy = self._output_busy
+        output_free = self._output_free
+        noc = self.noc
         while True:
-            head = yield from fifo.get()
-            if not head.is_head:
+            while not items:
+                yield not_empty
+            flit = items.popleft()
+            not_full.notify()
+            if flit.index:
                 raise OCPError(f"router {self.coords}: expected head flit, "
-                               f"got {head!r}")
-            out_port = self.noc.route(self.coords, head.packet.dest)
-            yield from self._acquire_output(out_port)
-            injector = self.noc.fault_injector
+                               f"got {flit!r}")
+            packet = flit.packet
+            out_port, downstream = links[packet.dest]
+            while output_busy[out_port]:
+                yield output_free[out_port]
+            output_busy[out_port] = True
+            injector = noc.fault_injector
             if injector is not None:
                 # per-hop link fault: jitter/stall charged once per packet
                 # traversal of this router (wormhole: the whole packet is
                 # held up with its head)
-                stall = injector.hop_delay(self.noc.name)
+                stall = injector.hop_delay(noc.name)
                 if stall:
                     yield stall
-            flit = head
+            down_items = downstream.items
+            down_limit = downstream.limit
+            tail = packet.flit_count - 1
             while True:
                 yield 1  # switch + link traversal, one cycle per flit
-                yield from self.noc._deliver(self.coords, out_port, flit)
+                while len(down_items) >= down_limit:
+                    yield downstream.not_full
+                down_items.append(flit)
+                downstream.not_empty.notify()
                 self.flits_routed += 1
-                if flit.is_tail:
+                if flit.index == tail:
                     break
-                flit = yield from fifo.get()
-            self._release_output(out_port)
+                while not items:
+                    yield not_empty
+                flit = items.popleft()
+                not_full.notify()
+            output_busy[out_port] = False
+            output_free[out_port].notify()
 
 
 class NetworkInterface:
@@ -187,6 +209,7 @@ class NetworkInterface:
         self.coords = coords
         self.name = name
         self.receive_fifo = sim.fifo(noc.fifo_depth, f"{name}.rx")
+        self._transmit_fifo = noc._routers[coords].inputs[LOCAL]
         self._tx_busy = False
         self._tx_free = sim.signal(f"{name}.tx_free")
         self._rx_proc = None  # set by the subclass after spawning
@@ -200,21 +223,36 @@ class NetworkInterface:
         while self._tx_busy:
             yield self._tx_free
         self._tx_busy = True
+        fifo = self._transmit_fifo
+        items = fifo.items
+        limit = fifo.limit
         try:
-            router = self.noc._routers[self.coords]
             for index in range(packet.flit_count):
                 yield 1
-                yield from router.inputs[LOCAL].put(Flit(packet, index))
+                while len(items) >= limit:
+                    yield fifo.not_full
+                items.append(Flit(packet, index))
+                fifo.not_empty.notify()
         finally:
             self._tx_busy = False
             self._tx_free.notify()
 
     def _receive_packet(self):
         """Collect one whole packet from the local router (generator)."""
-        head = yield from self.receive_fifo.get()
+        fifo = self.receive_fifo
+        items = fifo.items
+        not_empty = fifo.not_empty
+        while not items:
+            yield not_empty
+        head = items.popleft()
+        fifo.not_full.notify()
         flit = head
-        while not flit.is_tail:
-            flit = yield from self.receive_fifo.get()
+        tail = head.packet.flit_count - 1
+        while flit.index != tail:
+            while not items:
+                yield not_empty
+            flit = items.popleft()
+            fifo.not_full.notify()
         return head.packet
 
 
@@ -365,9 +403,10 @@ class XpipesNoc(Fabric):
                 self._routers[(x, y)] = Router(self.sim, self, (x, y),
                                                self.fifo_depth)
         taken = self._resolve_placement(slave_ports)
+        placed = set(taken.values())
         free_iter = ((x, y) for y in range(self.height)
                      for x in range(self.width)
-                     if (x, y) not in set(taken.values()))
+                     if (x, y) not in placed)
         for master_id in list(self._master_nis):
             coords = taken.get(("m", master_id))
             if coords is None:
@@ -383,7 +422,10 @@ class XpipesNoc(Fabric):
                          f"{self.name}.sni[{slave_port.name}]", slave_port)
             self._slave_coords[id(slave_port)] = coords
             self._slave_nis.append(ni)
+        endpoints = list(self._all_nis())
         for router in self._routers.values():
+            router.links.update((ni.coords, self._link(router.coords, ni))
+                                for ni in endpoints)
             router.start()
         self._built = True
 
@@ -437,35 +479,16 @@ class XpipesNoc(Fabric):
     def total_flits_routed(self) -> int:
         return sum(r.flits_routed for r in self._routers.values())
 
-    def _deliver(self, coords: Tuple[int, int], out_port: str, flit: Flit):
-        """Hand a flit to the downstream FIFO of ``out_port`` (generator)."""
+    def _link(self, coords: Tuple[int, int],
+              dest: NetworkInterface) -> Tuple[str, Fifo]:
+        """Output port and downstream FIFO of the hop from router
+        ``coords`` toward endpoint ``dest``."""
+        out_port = self.route(coords, dest.coords)
         if out_port == LOCAL:
-            packet = flit.packet
-            if packet.is_request:
-                target = self._slave_nis_by_coords(coords)
-            else:
-                target = self._master_ni_by_coords(coords)
-            yield from target.receive_fifo.put(flit)
-            return
-        x, y = coords
-        step = {EAST: (1, 0), WEST: (-1, 0), SOUTH: (0, 1), NORTH: (0, -1)}
-        dx, dy = step[out_port]
-        neighbour = self._routers.get((x + dx, y + dy))
-        if neighbour is None:
-            raise OCPError(f"flit routed off-mesh at {coords} via {out_port}")
-        yield from neighbour.inputs[_OPPOSITE[out_port]].put(flit)
-
-    def _slave_nis_by_coords(self, coords):
-        for ni in self._slave_nis:
-            if ni.coords == coords:
-                return ni
-        raise OCPError(f"no slave NI at {coords}")
-
-    def _master_ni_by_coords(self, coords):
-        for ni in self._master_nis.values():
-            if ni is not None and ni.coords == coords:
-                return ni
-        raise OCPError(f"no master NI at {coords}")
+            return out_port, dest.receive_fifo
+        dx, dy = _STEP[out_port]
+        neighbour = self._routers[(coords[0] + dx, coords[1] + dy)]
+        return out_port, neighbour.inputs[_OPPOSITE[out_port]]
 
     # ----------------------------------------------------------- checkpoint
 

@@ -39,6 +39,7 @@ from typing import Callable, Optional, Tuple
 from repro.kernel.errors import SimulationError
 from repro.kernel.event import Event, PendingEntry, _classify_entry
 from repro.kernel.process import Process
+from repro.kernel.signal import Signal
 
 
 class CalendarQueue:
@@ -122,10 +123,12 @@ class CalendarQueue:
     def drain(self, sim) -> None:
         """Run-to-empty batched dispatch (the unbounded ``run()`` path).
 
-        Inlines the resume of bare :class:`Process` entries — generator
-        ``send`` plus the ``yield <int>`` re-schedule — saving the
-        ``Event.fn`` -> ``_resume`` -> ``_dispatch`` -> ``schedule_after``
-        call chain per event.  The clock only advances when an entry
+        Inlines the resume of process entries — generator ``send`` plus
+        the ``yield <int>`` re-schedule or the ``yield <Signal>`` wait —
+        saving the ``Event.fn`` -> ``_resume`` -> ``_dispatch`` ->
+        ``schedule_after``/``_add_waiter`` call chain per event.  Signal
+        subclasses (``TimeoutSignal``) and joins still go through
+        ``Process._dispatch``.  The clock only advances when an entry
         actually fires, so all-tombstone buckets leave ``now`` untouched,
         exactly like the oracle heap skipping cancelled pops.
         """
@@ -175,6 +178,9 @@ class CalendarQueue:
                                     else:
                                         buckets[when] = [prev, entry]
                                     self._size += 1
+                                elif yielded.__class__ is Signal:
+                                    entry._waiting_on = yielded
+                                    yielded._waiters[entry] = None
                                 else:
                                     entry._dispatch(yielded)
                     elif cls is Event:
@@ -237,6 +243,9 @@ class CalendarQueue:
                                         else:
                                             buckets[when] = [prev, entry]
                                         self._size += 1
+                                    elif yielded.__class__ is Signal:
+                                        entry._waiting_on = yielded
+                                        yielded._waiters[entry] = None
                                     else:
                                         entry._dispatch(yielded)
                         elif cls is Event:
@@ -275,6 +284,9 @@ class CalendarQueue:
                                         else:
                                             buckets[when] = [prev, process]
                                         self._size += 1
+                                    elif yielded.__class__ is Signal:
+                                        process._waiting_on = yielded
+                                        yielded._waiters[process] = None
                                     else:
                                         process._dispatch(yielded)
                         else:

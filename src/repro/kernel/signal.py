@@ -1,5 +1,6 @@
 """Synchronisation primitives: broadcast signals and bounded FIFOs."""
 
+import sys
 from collections import deque
 from typing import Any, Deque, Dict, Optional
 
@@ -99,65 +100,77 @@ class Fifo:
 
         yield from fifo.put(flit)
         flit = yield from fifo.get()
+
+    Per-item hot loops (the ×pipes routers and network interfaces) inline
+    the same steps instead of creating a generator per item, through the
+    public ``items``/``limit``/``not_full``/``not_empty`` attributes: a
+    producer waits on ``not_full`` while ``len(items) >= limit``, appends
+    and notifies ``not_empty``; a consumer waits on ``not_empty`` while
+    ``items`` is empty, pops from the left and notifies ``not_full``.
+    An inlined hand-off must keep exactly that order, or same-cycle
+    wake-ups (and so the simulation) change.
     """
+
+    __slots__ = ("sim", "name", "limit", "items", "not_full", "not_empty")
 
     def __init__(self, sim, capacity: Optional[int] = None, name: str = "fifo"):
         if capacity is not None and capacity < 1:
             raise SimulationError(f"fifo capacity must be >= 1, got {capacity}")
         self.sim = sim
         self.name = name
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._not_full = Signal(sim, f"{name}.not_full")
-        self._not_empty = Signal(sim, f"{name}.not_empty")
+        #: ``capacity`` as a plain int bound (``sys.maxsize`` if unbounded)
+        self.limit = sys.maxsize if capacity is None else capacity
+        self.items: Deque[Any] = deque()
+        #: producer-side wait signal, notified after every removal
+        self.not_full = Signal(sim, f"{name}.not_full")
+        #: consumer-side wait signal, notified after every insertion (see
+        #: ``Process.waiting_on``)
+        self.not_empty = Signal(sim, f"{name}.not_empty")
 
     def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def not_empty(self) -> Signal:
-        """The consumer-side wait signal (see ``Process.waiting_on``)."""
-        return self._not_empty
+        return len(self.items)
 
     @property
     def is_full(self) -> bool:
-        return self.capacity is not None and len(self._items) >= self.capacity
+        return len(self.items) >= self.limit
 
     @property
     def is_empty(self) -> bool:
-        return not self._items
+        return not self.items
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put; returns False when the queue is full."""
-        if self.is_full:
+        if len(self.items) >= self.limit:
             return False
-        self._items.append(item)
-        self._not_empty.notify()
+        self.items.append(item)
+        self.not_empty.notify()
         return True
 
     def try_get(self) -> Any:
         """Non-blocking get; returns ``(True, item)`` or ``(False, None)``."""
-        if self._items:
-            item = self._items.popleft()
-            self._not_full.notify()
+        if self.items:
+            item = self.items.popleft()
+            self.not_full.notify()
             return True, item
         return False, None
 
     def put(self, item: Any):
         """Blocking put (generator): waits while the queue is full."""
-        while self.is_full:
-            yield self._not_full
-        self._items.append(item)
-        self._not_empty.notify()
+        items = self.items
+        while len(items) >= self.limit:
+            yield self.not_full
+        items.append(item)
+        self.not_empty.notify()
 
     def get(self):
         """Blocking get (generator): waits while the queue is empty."""
-        while not self._items:
-            yield self._not_empty
-        item = self._items.popleft()
-        self._not_full.notify()
+        items = self.items
+        while not items:
+            yield self.not_empty
+        item = items.popleft()
+        self.not_full.notify()
         return item
 
     def __repr__(self) -> str:
-        cap = "inf" if self.capacity is None else str(self.capacity)
-        return f"<Fifo {self.name!r} {len(self._items)}/{cap}>"
+        cap = "inf" if self.limit == sys.maxsize else str(self.limit)
+        return f"<Fifo {self.name!r} {len(self.items)}/{cap}>"

@@ -93,6 +93,24 @@ def test_synthetic_flow_parity():
             == masked_summary(fast.tg_platform))
 
 
+def test_mesh_flow_parity():
+    """8-core hotspot traffic on the ×pipes mesh: the routers and NIs
+    park on FIFO signals in the engine's drain loop and through
+    ``Process._dispatch`` on the oracle, and must agree exactly."""
+    spec = TrafficSpec(n_cores=8, pattern="hotspot", transactions=30,
+                       load=0.6, seed=3)
+    with oracle_kernel():
+        classic = synthetic_flow(spec, interconnect="xpipes")
+    fast = synthetic_flow(spec, interconnect="xpipes")
+
+    for field in ("tg_cycles", "tg_events", "latency_avg", "latency_max"):
+        assert getattr(classic, field) == getattr(fast, field), field
+    assert (classic.tg_platform.fabric.total_flits_routed
+            == fast.tg_platform.fabric.total_flits_routed)
+    assert (masked_summary(classic.tg_platform)
+            == masked_summary(fast.tg_platform))
+
+
 def test_counters_present_under_both_backends():
     """kernel_counters() exposes the same schema on the engine and the
     oracle."""

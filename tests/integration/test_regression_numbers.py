@@ -11,6 +11,7 @@ DESIGN.md note about the timing change that justified it.
 import pytest
 
 from repro.apps import cacheloop, des, mp_matrix, sp_matrix
+from repro.apps.synthetic import TrafficSpec, synthetic_flow
 from repro.harness import tg_flow
 
 #: (app, cores, params) -> (reference cycles, TG cycles)
@@ -46,6 +47,28 @@ def test_cycle_counts_locked(app, n_cores, params):
         f"{key}: TG simulation now takes {result.tg_cycles} cycles "
         f"(locked: {expected_tg}) — the translator or TG cost model "
         f"changed")
+
+
+#: 8-core hotspot traffic replayed on the ×pipes mesh -> (TG cycles,
+#: router flit hops, kernel events fired)
+MESH_GOLDEN = (9498, 13385, 25273)
+
+
+def test_mesh_flit_path_locked():
+    """The router/NI flit path is timing model too.  Its event count is
+    locked beside the cycles because hand-off shortcuts in that path
+    (inlined FIFO steps, precomputed links) must fire exactly the events
+    the plain FIFO generators fire — same-cycle wake order decides who
+    wins a contended channel."""
+    spec = TrafficSpec(8, pattern="hotspot", load=0.6, transactions=60,
+                       seed=1)
+    result = synthetic_flow(spec, interconnect="xpipes")
+    got = (result.tg_cycles,
+           result.tg_platform.fabric.total_flits_routed,
+           result.tg_events)
+    assert got == MESH_GOLDEN, (
+        f"mesh replay now gives (cycles, flits, events) {got} (locked: "
+        f"{MESH_GOLDEN}) — the ×pipes flit path changed")
 
 
 def test_goldens_are_self_consistent():

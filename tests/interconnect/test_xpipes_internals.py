@@ -3,6 +3,7 @@
 import sys
 from pathlib import Path
 
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from helpers import MEM_BASE, MEM2_BASE, TinySystem
@@ -33,6 +34,34 @@ class TestPacketsAndFlits:
         packet = self.make_packet()
         assert "req#7" in repr(packet)
         assert "0/3" in repr(Flit(packet, 0))
+
+
+class TestLinks:
+    @pytest.mark.parametrize("routing", ["xy", "yx"])
+    def test_links_lead_every_router_to_every_endpoint(self, routing):
+        """Following the precomputed links from any router reaches an
+        endpoint's receive FIFO in exactly the Manhattan distance, taking
+        the port the routing function names at every hop."""
+        system = TinySystem("xpipes", masters=2, mesh=(3, 3),
+                            routing=routing)
+        noc = system.fabric
+        endpoints = list(noc._all_nis())
+        fifo_owner = {id(router.inputs[port]): router
+                      for router in noc._routers.values()
+                      for port in router.inputs}
+        for start in noc._routers.values():
+            assert set(start.links) == {ni.coords for ni in endpoints}
+            for ni in endpoints:
+                router, hops = start, 0
+                while True:
+                    port, downstream = router.links[ni.coords]
+                    assert port == noc.route(router.coords, ni.coords)
+                    if downstream is ni.receive_fifo:
+                        break
+                    router = fifo_owner[id(downstream)]
+                    hops += 1
+                assert hops == (abs(start.coords[0] - ni.coords[0])
+                                + abs(start.coords[1] - ni.coords[1]))
 
 
 class TestWormholeBehaviour:

@@ -241,6 +241,45 @@ class TestCrossBackendParity:
 
         assert run(make_queue) == run(EventQueue)
 
+    def test_signal_waits_park_identically(self, make_queue):
+        """A process that yields a Signal is parked on it (``waiting_on``
+        set, counted, removable by kill) and woken in wait order whichever
+        path resumed it: a lone wake-up, one of several in a cycle, or
+        one of several payload-carrying wake-ups."""
+        sim = Simulator(queue=make_queue())
+        gate = sim.signal("gate")
+        park = sim.signal("park")
+        woke = []
+
+        def sleeper(tag, delay):
+            yield delay
+            got = yield park
+            woke.append((tag, sim.now, got))
+
+        def relay(tag):
+            got = yield gate
+            woke.append((tag, sim.now, got))
+            got = yield park
+            woke.append((tag, sim.now, got))
+
+        parked = [sim.spawn(sleeper("lone", 3)),
+                  sim.spawn(sleeper("pair0", 5)),
+                  sim.spawn(sleeper("pair1", 5)),
+                  sim.spawn(relay("relay0")),
+                  sim.spawn(relay("relay1"))]
+        sim.schedule_after(7, lambda: gate.notify("go"))
+        sim.run()
+        assert [p.waiting_on for p in parked] == [park] * 5
+        assert park.waiter_count == 5
+        parked[0].kill()
+        assert park.waiter_count == 4
+        park.notify("done")
+        sim.run()
+        assert woke == [("relay0", 7, "go"), ("relay1", 7, "go"),
+                        ("pair0", 7, "done"), ("pair1", 7, "done"),
+                        ("relay0", 7, "done"), ("relay1", 7, "done")]
+        assert [p.waiting_on for p in parked] == [None] * 5
+
 
 def _marker():
     pass

@@ -1,5 +1,7 @@
 """Unit and property tests for the bounded Fifo primitive."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,7 +104,69 @@ class TestFifoBasics:
         assert out == list(range(10))
 
 
+def inline_put(fifo, item):
+    """The producer half of the hand-off the ×pipes model inlines."""
+    while len(fifo.items) >= fifo.limit:
+        yield fifo.not_full
+    fifo.items.append(item)
+    fifo.not_empty.notify()
+
+
+def inline_get(fifo):
+    """The consumer half of the hand-off the ×pipes model inlines."""
+    while not fifo.items:
+        yield fifo.not_empty
+    item = fifo.items.popleft()
+    fifo.not_full.notify()
+    return item
+
+
 class TestFifoProperties:
+    def test_unbounded_limit(self):
+        sim = Simulator()
+        assert sim.fifo().limit == sys.maxsize
+        assert sim.fifo(capacity=3).limit == 3
+        assert "inf" in repr(sim.fifo())
+        assert "/3>" in repr(sim.fifo(capacity=3))
+
+    @given(st.lists(st.integers(min_value=0, max_value=3), max_size=30),
+           st.lists(st.integers(min_value=0, max_value=3), max_size=30),
+           st.integers(min_value=1, max_value=4))
+    def test_inline_hand_off_matches_generators(self, put_gaps, get_gaps,
+                                                capacity):
+        """Two producers and two consumers contending for one FIFO see
+        the same timeline and fire the same events whether they use
+        put/get or the documented inline hand-off."""
+        count = min(len(put_gaps), len(get_gaps))
+
+        def run(put, get):
+            sim = Simulator()
+            fifo = sim.fifo(capacity=capacity)
+            log = []
+
+            def producer(tag):
+                for index, gap in enumerate(put_gaps[:count]):
+                    yield from put(fifo, (tag, index))
+                    if gap:
+                        yield gap
+
+            def consumer(tag):
+                for gap in get_gaps[:count]:
+                    item = yield from get(fifo)
+                    log.append((sim.now, tag, item))
+                    if gap:
+                        yield gap
+
+            for tag in "ab":
+                sim.spawn(producer(tag))
+                sim.spawn(consumer(tag))
+            sim.run()
+            return log, sim.events_fired
+
+        reference = run(lambda fifo, item: fifo.put(item),
+                        lambda fifo: fifo.get())
+        assert run(inline_put, inline_get) == reference
+
     @given(st.lists(st.integers(), max_size=60),
            st.integers(min_value=1, max_value=5))
     def test_everything_put_comes_out_in_order(self, items, capacity):
