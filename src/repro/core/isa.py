@@ -136,6 +136,18 @@ class Cond(enum.IntEnum):
         return a <= b
 
 
+#: :meth:`TGInstruction.validate`'s opcode groups (plain ints match too).
+_ADDRESSED_OPS = frozenset((TGOp.READ, TGOp.WRITE, TGOp.BURST_READ,
+                            TGOp.BURST_WRITE, TGOp.READ_NB))
+_BURST_OPS = frozenset((TGOp.BURST_READ, TGOp.BURST_WRITE))
+_BRANCH_OPS = frozenset((TGOp.IF, TGOp.JUMP))
+_CONDS = frozenset(Cond)
+
+
+def _bad_register(op, what: str, value) -> TGError:
+    return TGError(f"{op.name}: {what} register {value} out of range")
+
+
 class TGInstruction(NamedTuple):
     """One decoded TG instruction.
 
@@ -164,39 +176,39 @@ class TGInstruction(NamedTuple):
 
     def validate(self, n_instructions: int, pool_size: int) -> None:
         """Raise :class:`TGError` when fields are out of range."""
-        def check_reg(value, what):
-            if not 0 <= value < TG_NUM_REGS:
-                raise TGError(f"{self.op.name}: {what} register {value} "
-                              f"out of range")
-
-        if self.op in (TGOp.READ, TGOp.WRITE, TGOp.BURST_READ,
-                       TGOp.BURST_WRITE, TGOp.READ_NB):
-            check_reg(self.a, "address")
-        if self.op == TGOp.WRITE:
-            check_reg(self.b, "data")
-        if self.op in (TGOp.BURST_READ, TGOp.BURST_WRITE):
-            if not 2 <= self.b <= 255:
-                raise TGError(f"{self.op.name}: burst count {self.b} "
-                              f"outside [2, 255]")
-        if self.op == TGOp.BURST_WRITE:
-            if self.imm < 0 or self.imm + self.b > pool_size:
-                raise TGError(f"BURST_WRITE pool range [{self.imm}, "
-                              f"{self.imm + self.b}) outside pool of "
-                              f"{pool_size} words")
-        if self.op == TGOp.SET_REGISTER:
-            check_reg(self.a, "destination")
-            if not 0 <= self.imm <= WORD_MASK:
-                raise TGError(f"SET_REGISTER value 0x{self.imm:x} not 32-bit")
-        if self.op == TGOp.IDLE and self.imm < 0:
-            raise TGError(f"IDLE cycles must be >= 0, got {self.imm}")
-        if self.op == TGOp.IF:
-            check_reg(self.a, "left")
-            check_reg(self.b, "right")
-            if self.cond not in [int(c) for c in Cond]:
-                raise TGError(f"IF: bad condition {self.cond}")
-        if self.op in (TGOp.IF, TGOp.JUMP):
-            if not 0 <= self.imm < n_instructions:
-                raise TGError(f"{self.op.name} target {self.imm} outside "
+        op, a, b, cond, imm = self
+        if op in _ADDRESSED_OPS:
+            if not 0 <= a < TG_NUM_REGS:
+                raise _bad_register(op, "address", a)
+            if op == TGOp.WRITE:
+                if not 0 <= b < TG_NUM_REGS:
+                    raise _bad_register(op, "data", b)
+            elif op in _BURST_OPS:
+                if not 2 <= b <= 255:
+                    raise TGError(f"{op.name}: burst count {b} "
+                                  f"outside [2, 255]")
+                if op == TGOp.BURST_WRITE and (imm < 0 or imm + b > pool_size):
+                    raise TGError(f"BURST_WRITE pool range [{imm}, "
+                                  f"{imm + b}) outside pool of "
+                                  f"{pool_size} words")
+        elif op == TGOp.SET_REGISTER:
+            if not 0 <= a < TG_NUM_REGS:
+                raise _bad_register(op, "destination", a)
+            if not 0 <= imm <= WORD_MASK:
+                raise TGError(f"SET_REGISTER value 0x{imm:x} not 32-bit")
+        elif op == TGOp.IDLE:
+            if imm < 0:
+                raise TGError(f"IDLE cycles must be >= 0, got {imm}")
+        elif op in _BRANCH_OPS:
+            if op == TGOp.IF:
+                if not 0 <= a < TG_NUM_REGS:
+                    raise _bad_register(op, "left", a)
+                if not 0 <= b < TG_NUM_REGS:
+                    raise _bad_register(op, "right", b)
+                if cond not in _CONDS:
+                    raise TGError(f"IF: bad condition {cond}")
+            if not 0 <= imm < n_instructions:
+                raise TGError(f"{op.name} target {imm} outside "
                               f"program of {n_instructions} instructions")
 
     def __repr__(self) -> str:

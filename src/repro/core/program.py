@@ -89,8 +89,9 @@ class TGProgram:
             raise TGError("empty TG program")
         if self.instructions[-1].op not in (TGOp.HALT, TGOp.JUMP):
             raise TGError("program must end with Halt (or a Jump loop)")
+        n_instructions, pool_size = len(self.instructions), len(self.pool)
         for instr in self.instructions:
-            instr.validate(len(self.instructions), len(self.pool))
+            instr.validate(n_instructions, pool_size)
 
     # ------------------------------------------------------------ equality
 
@@ -102,10 +103,6 @@ class TGProgram:
                 and self.mode == other.mode
                 and self.instructions == other.instructions
                 and self.pool == other.pool)
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     def __len__(self) -> int:
         return len(self.instructions)

@@ -270,81 +270,65 @@ class TGMaster(Component):
                   burst_len: int = 1):
         """One OCP transaction with optional watchdog and retry-on-error.
 
-        Wraps :meth:`_transact_attempts` with latency bookkeeping only —
-        no extra yields, so simulated timing and event counts are
-        bit-identical to the unwrapped transaction.  Latency is measured
+        With neither feature configured this is exactly
+        ``port.transaction(Request(...))`` — same requests, same yields,
+        same event count as the pre-resilience TG.  Latency is measured
         from issue to unblock: response arrival for reads, command
         accept for posted writes (whose beats drain in the background).
         """
-        start = self.sim.now
+        sim = self.sim
+        start = sim.now
+        policy = self.retry_policy
+        watchdog = self.watchdog_cycles
+        port = self.port
+        failures = 0
         self._txn_depth += 1
         try:
-            response = yield from self._transact_attempts(cmd, addr, data,
-                                                          burst_len)
+            while True:
+                request = Request(cmd, addr, data, burst_len)
+                if watchdog is None:
+                    response = yield from port.transaction(request)
+                else:
+                    # the guard event is cancelled on response; the queue
+                    # compacts these tombstones, so per-request watchdogs
+                    # stay cheap even over millions of transactions
+                    txn = sim.spawn(
+                        port.transaction(request),
+                        name=f"{self.name}.txn#{request.uid}")
+                    guard = sim.schedule_after(
+                        watchdog,
+                        lambda p=txn, r=request: self._watchdog_expired(p, r))
+                    response = yield txn
+                    guard.cancel()
+                if response is None or not response.error:
+                    break
+                self.error_responses += 1
+                if policy is None:
+                    # historical behaviour: the error flag is invisible to
+                    # the program, which continues on the bogus data
+                    break
+                failures += 1
+                if failures >= policy.max_attempts:
+                    if policy.fail_fast:
+                        raise TGError(
+                            f"{self.name}: {request!r} still erroring after "
+                            f"{failures} attempt(s) at cycle {sim.now}")
+                    self.degraded_transactions += 1
+                    break
+                backoff = policy.backoff_cycles(failures)
+                self.retries += 1
+                self.retry_backoff_cycles += backoff
+                if backoff:
+                    yield backoff
         finally:
             self._txn_depth -= 1
-        elapsed = self.sim.now - start
+        elapsed = sim.now - start
         self.ocp_transactions += 1
         self.ocp_beats += burst_len
         self.ocp_latency_cycles += elapsed
         if elapsed > self.ocp_latency_max:
             self.ocp_latency_max = elapsed
         return response
-
-    def _transact_attempts(self, cmd: OCPCommand, addr: int, data=None,
-                           burst_len: int = 1):
-        """The transaction loop proper (watchdog + retry-on-error).
-
-        With neither feature configured this is exactly
-        ``port.transaction(Request(...))`` — same requests, same yields,
-        same event count as the pre-resilience TG.
-        """
-        policy = self.retry_policy
-        watchdog = self.watchdog_cycles
-        sim = self.sim
-        port = self.port
-        failures = 0
-        while True:
-            request = Request(cmd, addr, data, burst_len)
-            if watchdog is None:
-                response = yield from port.transaction(request)
-            else:
-                # the guard event is cancelled on response; the queue
-                # compacts these tombstones, so per-request watchdogs stay
-                # cheap even over millions of transactions
-                txn = sim.spawn(
-                    port.transaction(request),
-                    name=f"{self.name}.txn#{request.uid}")
-                guard = sim.schedule_after(
-                    watchdog,
-                    lambda p=txn, r=request: self._watchdog_expired(p, r))
-                response = yield txn
-                guard.cancel()
-            if response is None or not response.error:
-                return response
-            self.error_responses += 1
-            if policy is None:
-                # historical behaviour: the error flag is invisible to the
-                # program, which continues on the bogus response data
-                return response
-            failures += 1
-            if failures >= policy.max_attempts:
-                if policy.fail_fast:
-                    raise TGError(
-                        f"{self.name}: {request!r} still erroring after "
-                        f"{failures} attempt(s) at cycle {self.sim.now}")
-                self.degraded_transactions += 1
-                return response
-            backoff = policy.backoff_cycles(failures)
-            self.retries += 1
-            self.retry_backoff_cycles += backoff
-            if backoff:
-                yield backoff
-
-    def _read_word(self, addr: int):
-        """Single read via :meth:`_transact`; returns the data word."""
-        response = yield from self._transact(OCPCommand.READ, addr)
-        return response.word
 
     def _watchdog_expired(self, txn, request: Request) -> None:
         if not txn.alive:  # completed on the same cycle the guard fired
@@ -394,8 +378,9 @@ class TGMaster(Component):
                     yield from self._issue_fifo.put(
                         (TGOp.READ, regs[field_a[pc]], None))
                 else:
-                    regs[RDREG] = yield from self._read_word(
-                        regs[field_a[pc]])
+                    response = yield from self._transact(
+                        OCPCommand.READ, regs[field_a[pc]])
+                    regs[RDREG] = response.word
             elif op == 2:  # WRITE
                 if cloning:
                     yield from self._issue_fifo.put(
@@ -426,7 +411,7 @@ class TGMaster(Component):
                 # out-of-order extension: the read retires in the
                 # background; the program continues after a 1-cycle issue
                 reader = self.sim.spawn(
-                    self._read_word(regs[field_a[pc]]),
+                    self._transact(OCPCommand.READ, regs[field_a[pc]]),
                     name=f"{self.name}.nb#{self.instructions_executed}")
                 self._outstanding.append(reader)
                 self.max_outstanding_observed = max(
@@ -476,7 +461,8 @@ class TGMaster(Component):
                 return
             op, addr, operand = entry
             if op == TGOp.READ:
-                regs[RDREG] = yield from self._read_word(addr)
+                response = yield from self._transact(OCPCommand.READ, addr)
+                regs[RDREG] = response.word
             elif op == TGOp.WRITE:
                 yield from self._transact(OCPCommand.WRITE, addr, operand)
             elif op == TGOp.BURST_READ:

@@ -1,5 +1,6 @@
 """Global address decoding shared by all fabrics."""
 
+from bisect import bisect_right
 from typing import List, Optional
 
 from repro.ocp.types import OCPError, Request, WORD_BYTES
@@ -39,6 +40,7 @@ class AddressMap:
 
     def __init__(self) -> None:
         self._ranges: List[AddressRange] = []
+        self._bases: List[int] = []   # sorted, parallel to _ranges
 
     def add(self, base: int, size: int, slave_port, name: str = "") -> AddressRange:
         """Map ``slave_port`` at ``[base, base+size)``; rejects overlaps."""
@@ -48,6 +50,7 @@ class AddressMap:
                 raise OCPError(f"{new!r} overlaps {existing!r}")
         self._ranges.append(new)
         self._ranges.sort(key=lambda r: r.base)
+        self._bases = [range_.base for range_ in self._ranges]
         return new
 
     @property
@@ -56,8 +59,10 @@ class AddressMap:
 
     def find(self, addr: int) -> Optional[AddressRange]:
         """Range containing ``addr``, or None."""
-        for range_ in self._ranges:
-            if range_.contains(addr):
+        index = bisect_right(self._bases, addr) - 1  # the last base <= addr
+        if index >= 0:
+            range_ = self._ranges[index]
+            if addr < range_.base + range_.size:
                 return range_
         return None
 

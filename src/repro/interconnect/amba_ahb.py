@@ -90,9 +90,11 @@ class AmbaAhbBus(Fabric):
     def transport(self, master_id: int, request: Request):
         self.stats.record(master_id, request)
         range_ = self.address_map.decode(request)
-        stall = self._hop_delay()  # request-path jitter / transient stall
-        if stall:
-            yield stall
+        injector = self.fault_injector
+        if injector is not None:
+            stall = injector.hop_delay(self.name)  # request-path jitter/stall
+            if stall:
+                yield stall
         yield from self.arbiter.acquire(master_id)
         if self.address_phase_cycles:
             yield self.address_phase_cycles
@@ -105,9 +107,10 @@ class AmbaAhbBus(Fabric):
             return None
         response = yield from range_.slave_port.access(request)
         self.arbiter.release(master_id)
-        stall = self._hop_delay()  # response-path jitter
-        if stall:
-            yield stall
+        if injector is not None:
+            stall = injector.hop_delay(self.name)  # response-path jitter
+            if stall:
+                yield stall
         if self.response_delay:
             yield self.response_delay
         return response

@@ -40,6 +40,7 @@ class Arbiter:
         self._entries: List[_Entry] = []   # request order
         self._owner: Optional[int] = None
         self._decision_scheduled = False
+        self._grant_names: Dict[int, str] = {}   # master id -> signal name
         # statistics
         self.grants = 0
         self.wait_cycles: Dict[int, int] = {}
@@ -71,7 +72,10 @@ class Arbiter:
         holding the bus, split-transaction reads); they are served
         oldest-first whenever the policy selects that master.
         """
-        signal = self.sim.signal(f"{self.name}.grant{master_id}")
+        names = self._grant_names
+        if master_id not in names:
+            names[master_id] = f"{self.name}.grant{master_id}"
+        signal = self.sim.signal(names[master_id])
         self._entries.append(_Entry(master_id, signal, self.sim.now))
         if self._owner is None and not self._decision_scheduled:
             self._decision_scheduled = True
@@ -144,20 +148,27 @@ class Arbiter:
             return
         winner_id = self._choose([entry.master_id
                                   for entry in self._entries])
-        for slot, entry in enumerate(self._entries):
-            if entry.master_id == winner_id:
-                break
-        else:  # pragma: no cover - _choose returns a pending id
+        # never raises: _choose returns a pending id
+        if not self._grant_oldest(winner_id):  # pragma: no cover
             raise SimulationError(f"{self.name}: policy chose non-pending "
                                   f"master {winner_id}")
-        entry = self._entries.pop(slot)
-        self._owner = winner_id
+
+    def _grant_oldest(self, master_id: int) -> bool:
+        """Grant ``master_id``'s oldest request; False if none is queued."""
+        for slot, entry in enumerate(self._entries):
+            if entry.master_id == master_id:
+                break
+        else:
+            return False
+        del self._entries[slot]
+        self._owner = master_id
         self._owned_since = self.sim.now
         self.grants += 1
         waited = self.sim.now - entry.request_time
-        self.wait_cycles[winner_id] = (
-            self.wait_cycles.get(winner_id, 0) + waited)
+        self.wait_cycles[master_id] = (
+            self.wait_cycles.get(master_id, 0) + waited)
         entry.signal.notify()
+        return True
 
 
 class FixedPriorityArbiter(Arbiter):
@@ -235,19 +246,7 @@ class TdmaArbiter(Arbiter):
         self._decision_scheduled = False
         if self._owner is not None or not self._entries:
             return
-        slot_master = self.current_slot_master()
-        if any(entry.master_id == slot_master for entry in self._entries):
-            for slot, entry in enumerate(self._entries):
-                if entry.master_id == slot_master:
-                    break
-            entry = self._entries.pop(slot)
-            self._owner = slot_master
-            self._owned_since = self.sim.now
-            self.grants += 1
-            waited = self.sim.now - entry.request_time
-            self.wait_cycles[slot_master] = (
-                self.wait_cycles.get(slot_master, 0) + waited)
-            entry.signal.notify()
+        if self._grant_oldest(self.current_slot_master()):
             return
         # nobody owns the current slot: re-evaluate at the next slot edge
         self._decision_scheduled = True

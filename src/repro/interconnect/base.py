@@ -120,12 +120,6 @@ class Fabric(Component):
         can park it.
         """
 
-    def _hop_delay(self) -> int:
-        """Injected extra cycles for one hop (0 when faults are disabled)."""
-        if self.fault_injector is None:
-            return 0
-        return self.fault_injector.hop_delay(self.name)
-
     @staticmethod
     def _accept(request: Request) -> None:
         """Fire the accept callback exactly once."""

@@ -110,9 +110,11 @@ class STBusFabric(Fabric):
         self.stats.record(master_id, request)
         range_ = self.address_map.decode(request)
         arbiter = self._arbiter_for(range_.slave_port)
-        stall = self._hop_delay()
-        if stall:
-            yield stall
+        injector = self.fault_injector
+        if injector is not None:
+            stall = injector.hop_delay(self.name)
+            if stall:
+                yield stall
         if self.request_latency:
             yield self.request_latency
         yield from arbiter.acquire(master_id)
@@ -124,9 +126,10 @@ class STBusFabric(Fabric):
             return None
         response = yield from range_.slave_port.access(request)
         arbiter.release(master_id)
-        stall = self._hop_delay()
-        if stall:
-            yield stall
+        if injector is not None:
+            stall = injector.hop_delay(self.name)
+            if stall:
+                yield stall
         if self.response_latency:
             yield self.response_latency
         return response

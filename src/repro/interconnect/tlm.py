@@ -43,23 +43,25 @@ class TlmFabric(Fabric):
     def transport(self, master_id: int, request: Request):
         self.stats.record(master_id, request)
         range_ = self.address_map.decode(request)
-        stall = self._hop_delay()
-        if stall:
-            yield stall
+        injector = self.fault_injector
+        if injector is not None:
+            stall = injector.hop_delay(self.name)
+            if stall:
+                yield stall
         if self.request_latency:
             yield self.request_latency
+        # Command accepted once it reaches the slave side; a write
+        # completes in the background while the master proceeds.
+        self._accept(request)
         if request.cmd.is_write:
-            # Command accepted once it reaches the slave side; the write
-            # completes in the background while the master proceeds.
-            self._accept(request)
             self.sim.spawn(range_.slave_port.access(request),
                            name=f"{self.name}.wr#{request.uid}")
             return None
-        self._accept(request)
         response = yield from range_.slave_port.access(request)
-        stall = self._hop_delay()
-        if stall:
-            yield stall
+        if injector is not None:
+            stall = injector.hop_delay(self.name)
+            if stall:
+                yield stall
         if self.response_latency:
             yield self.response_latency
         return response

@@ -94,14 +94,18 @@ class MemorySlave(Component):
                 return Response(request, data, error=True)
             return Response(request, error=True)
         if request.cmd.is_read:
-            words = [self.read_location(self._offset(addr))
-                     for addr in request.beat_addresses]
+            if request.cmd.is_burst:
+                data = [self.read_location(self._offset(addr))
+                        for addr in request.beat_addresses]
+            else:
+                data = self.read_location(self._offset(request.addr))
             self.reads += request.burst_len
-            data = words if request.cmd.is_burst else words[0]
             return Response(request, data)
-        words = request.data if request.cmd.is_burst else [request.data]
-        for addr, word in zip(request.beat_addresses, words):
-            self.write_location(self._offset(addr), word)
+        if request.cmd.is_burst:
+            for addr, word in zip(request.beat_addresses, request.data):
+                self.write_location(self._offset(addr), word)
+        else:
+            self.write_location(self._offset(request.addr), request.data)
         self.writes += request.burst_len
         return Response(request)
 

@@ -28,17 +28,11 @@ class OCPCommand(enum.Enum):
     BURST_READ = "BRD"
     BURST_WRITE = "BWR"
 
-    @property
-    def is_read(self) -> bool:
-        return self in (OCPCommand.READ, OCPCommand.BURST_READ)
-
-    @property
-    def is_write(self) -> bool:
-        return self in (OCPCommand.WRITE, OCPCommand.BURST_WRITE)
-
-    @property
-    def is_burst(self) -> bool:
-        return self in (OCPCommand.BURST_READ, OCPCommand.BURST_WRITE)
+    def __init__(self, value: str) -> None:
+        # set once per member: every transaction reads these flags
+        self.is_read = value in ("RD", "BRD")
+        self.is_write = not self.is_read
+        self.is_burst = value.startswith("B")
 
 
 _request_ids = itertools.count()
@@ -78,10 +72,10 @@ class Request:
             raise OCPError("burst commands need burst_len >= 2")
         if not cmd.is_burst and burst_len != 1:
             raise OCPError("single transfers must have burst_len == 1")
-        if cmd == OCPCommand.WRITE:
+        if cmd is OCPCommand.WRITE:
             if not isinstance(data, int):
                 raise OCPError("WRITE needs a single int data word")
-        elif cmd == OCPCommand.BURST_WRITE:
+        elif cmd is OCPCommand.BURST_WRITE:
             if not isinstance(data, list) or len(data) != burst_len:
                 raise OCPError("BURST_WRITE needs a data list of burst_len words")
         elif data is not None:

@@ -71,6 +71,61 @@ def test_mesh_flit_path_locked():
         f"{MESH_GOLDEN}) — the ×pipes flit path changed")
 
 
+#: Table-2 runs at the end-to-end benchmark's sizes -> (reference cycles,
+#: reference events, TG cycles, TG events, TG OCP transactions)
+BUS_GOLDEN = {
+    ("mp_matrix", 8): (54453, 26761, 54451, 17790, 2583),
+    ("des", 6): (35290, 24112, 35197, 11998, 1698),
+}
+
+BUS_CONFIGS = [
+    (mp_matrix, 8, {"n": 8}),
+    (des, 6, {"blocks": 4}),
+]
+
+
+@pytest.mark.parametrize("app,n_cores,params", BUS_CONFIGS,
+                         ids=[f"{a.__name__.split('.')[-1]}-{n}P"
+                              for a, n, _ in BUS_CONFIGS])
+def test_bus_transaction_path_locked(app, n_cores, params):
+    """The shared-bus OCP transaction path (TG transaction loop, address
+    decode, arbiter grant, slave access) is timing model too.  Its event
+    counts are locked beside the cycles because shortcuts in that path
+    must fire exactly the events the plain path fires."""
+    result = tg_flow(app, n_cores, app_params=params)
+    got = (result.ref_cycles, result.ref_events, result.tg_cycles,
+           result.tg_events,
+           sum(m.ocp_transactions for m in result.tg_platform.masters))
+    expected = BUS_GOLDEN[(app.__name__.split(".")[-1], n_cores)]
+    assert got == expected, (
+        f"(ref cycles, ref events, TG cycles, TG events, OCP "
+        f"transactions) now {got} (locked: {expected}) — the bus "
+        f"transaction path changed")
+
+
+#: The mesh lock's hotspot traffic on the other fabrics -> (TG cycles,
+#: kernel events, fabric transactions, fabric beats)
+FABRIC_GOLDEN = {
+    "ahb": (20518, 3368, 480, 1920),
+    "stbus": (6997, 3368, 480, 1920),
+    "tlm": (6670, 3610, 480, 1920),
+}
+
+
+@pytest.mark.parametrize("fabric", sorted(FABRIC_GOLDEN))
+def test_fabric_transaction_path_locked(fabric):
+    spec = TrafficSpec(8, pattern="hotspot", load=0.6, transactions=60,
+                       seed=1)
+    result = synthetic_flow(spec, interconnect=fabric)
+    stats = result.tg_platform.fabric.stats
+    got = (result.tg_cycles, result.tg_events, stats.transactions,
+           stats.beats_transferred)
+    assert got == FABRIC_GOLDEN[fabric], (
+        f"{fabric} replay now gives (cycles, events, transactions, beats) "
+        f"{got} (locked: {FABRIC_GOLDEN[fabric]}) — the {fabric} "
+        f"transaction path changed")
+
+
 def test_goldens_are_self_consistent():
     """The locked numbers embody the paper's accuracy claim."""
     for (name, _), (ref, tg) in GOLDEN.items():

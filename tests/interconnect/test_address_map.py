@@ -1,9 +1,11 @@
 """Unit tests for address decoding."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.interconnect import AddressMap
 from repro.ocp import OCPCommand, OCPError, Request
+from repro.ocp.types import WORD_BYTES
 
 
 class FakePort:
@@ -81,3 +83,66 @@ class TestAddressMap:
         amap.add(0x0, 0x100, port)
         amap.add(0x1000, 0x100, port)
         assert amap.slave_ports() == [port]
+
+
+def _reference_find(ranges, addr):
+    """The linear scan ``AddressMap.find`` replaced, kept as the
+    reference its bisect lookup must match."""
+    for range_ in ranges:
+        if range_.base <= addr < range_.base + range_.size:
+            return range_
+    return None
+
+
+def _reference_decode(ranges, request):
+    range_ = _reference_find(ranges, request.addr)
+    if range_ is None:
+        raise OCPError(f"unmapped address 0x{request.addr:08x}")
+    last = request.addr + (request.burst_len - 1) * WORD_BYTES
+    if not range_.base <= last < range_.base + range_.size:
+        raise OCPError(f"burst {request!r} crosses out of {range_!r}")
+    return range_
+
+
+def _outcome(decode, request):
+    try:
+        return decode(request)
+    except OCPError as error:
+        return str(error)
+
+
+#: (gap before, size) of each range, in words
+_LAYOUT = st.lists(st.tuples(st.integers(0, 6), st.integers(1, 6)),
+                   min_size=1, max_size=8)
+
+
+class TestFindMatchesLinearScan:
+    @settings(max_examples=150, deadline=None)
+    @given(layout=_LAYOUT, data=st.data())
+    def test_find_and_decode_match_reference(self, layout, data):
+        spans, base = [], 0
+        for gap, size in layout:
+            base += gap * WORD_BYTES
+            spans.append((base, size * WORD_BYTES))
+            base += size * WORD_BYTES
+        amap = AddressMap()
+        # insertion order must not matter: add() keeps the ranges sorted;
+        # the reference scans them in the order they were added
+        ranges = [amap.add(*spans[index], FakePort(f"s{index}"))
+                  for index in data.draw(st.permutations(range(len(spans))))]
+
+        probes = {spans[0][0] - WORD_BYTES, base + WORD_BYTES}
+        for range_ in ranges:
+            # the end and one word past it sit in the gap, if any
+            probes.update((range_.base, range_.end - WORD_BYTES,
+                           range_.end, range_.end + WORD_BYTES))
+        probes = sorted(addr for addr in probes if addr >= 0)
+        for addr in probes:
+            assert amap.find(addr) is _reference_find(ranges, addr)
+            for burst_len in (1, 2, 3):
+                cmd = (OCPCommand.READ if burst_len == 1
+                       else OCPCommand.BURST_READ)
+                request = Request(cmd, addr, burst_len=burst_len)
+                assert (_outcome(amap.decode, request)
+                        == _outcome(lambda r: _reference_decode(ranges, r),
+                                    request))
