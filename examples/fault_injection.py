@@ -14,7 +14,7 @@ Run:  python examples/fault_injection.py
 
 from repro.apps import mp_matrix
 from repro.faults import FaultSpec, RetryPolicy
-from repro.harness import resilience_demo, tg_flow
+from repro.harness import RunOptions, resilience_demo, tg_flow
 from repro.stats import resilience_report
 
 #: The shared memory errors every 5th read; every AHB hop can jitter.
@@ -22,6 +22,13 @@ DEGRADED = {
     "slave_errors": [{"slave": "shared", "nth": 5}],
     "link_faults": [{"fabric": "ahb", "jitter": 1}],
 }
+
+#: Replay under those faults, with TGs that retry with backoff.
+DEGRADED_RUN = RunOptions(
+    fault_spec=FaultSpec.from_dict(DEGRADED), fault_seed=1,
+    retry_policy=RetryPolicy(max_attempts=4, backoff=2, backoff_factor=2,
+                             on_exhaust="degrade"),
+    watchdog_cycles=50_000)
 
 
 def main():
@@ -37,20 +44,12 @@ def main():
 
     print("Where the cycles went:\n")
     result = tg_flow(mp_matrix, 2, app_params={"n": 4},
-                     fault_spec=FaultSpec.from_dict(DEGRADED), fault_seed=1,
-                     retry_policy=RetryPolicy(max_attempts=4, backoff=2,
-                                              backoff_factor=2,
-                                              on_exhaust="degrade"),
-                     watchdog_cycles=50_000)
+                     options=DEGRADED_RUN)
     print(resilience_report(result.tg_platform.resilience_counters()))
 
     print("\nSame spec, same seed — the degradation replays identically:")
     again = tg_flow(mp_matrix, 2, app_params={"n": 4},
-                    fault_spec=FaultSpec.from_dict(DEGRADED), fault_seed=1,
-                    retry_policy=RetryPolicy(max_attempts=4, backoff=2,
-                                             backoff_factor=2,
-                                             on_exhaust="degrade"),
-                    watchdog_cycles=50_000)
+                    options=DEGRADED_RUN)
     print(f"  run 1: {result.tg_cycles} TG cycles   "
           f"run 2: {again.tg_cycles} TG cycles   "
           f"identical: {result.tg_cycles == again.tg_cycles}")

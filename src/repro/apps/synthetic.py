@@ -52,6 +52,7 @@ from repro.artifacts.errors import ParseDiagnostic
 from repro.core.isa import ADDRREG, DATAREG, TGInstruction, TGOp
 from repro.core.modes import ReplayMode
 from repro.core.program import TGProgram
+from repro.harness.experiments import RunOptions, RunResult, run_tg
 from repro.platform.config import (
     DEFAULT_PRIVATE_SIZE,
     DEFAULT_SHARED_SIZE,
@@ -614,90 +615,35 @@ def synthetic_programs(spec: TrafficSpec
 
 # ------------------------------------------------------------ execution
 
-class SyntheticResult:
+class SyntheticResult(RunResult):
     """Outcome of one synthetic-traffic simulation.
 
-    Mirrors enough of :class:`~repro.harness.experiments.TGFlowResult`'s
-    surface (``benchmark``/``n_cores``/``interconnect``/``mode``/
-    ``status``/``tg_*``) for the sweep renderers, plus the load-curve
-    metrics: offered vs. scheduled vs. realised load, transaction
-    latency statistics and delivered throughput.
+    The :class:`~repro.harness.experiments.RunResult` core (there is no
+    reference run, so its ``ref_*`` and derived columns stay zero) plus
+    the load-curve metrics: offered vs. scheduled vs. realised load,
+    transaction latency statistics and delivered throughput.
     """
 
+    SUMMARY_KEYS = ("benchmark", "n_cores", "interconnect", "mode",
+                    "pattern", "offered_load", "scheduled_load",
+                    "realised_load", "tg_cycles", "tg_wall", "tg_events",
+                    "issued", "words", "latency_avg", "latency_max",
+                    "throughput_wpkc")
+
     def __init__(self, spec: TrafficSpec, interconnect: str):
-        self.benchmark = "synthetic"
+        super().__init__("synthetic", spec.n_cores, interconnect, spec.mode)
         self.spec = spec
-        self.n_cores = spec.n_cores
-        self.interconnect = interconnect
-        self.mode = spec.mode
         self.pattern = spec.pattern
         self.offered_load = spec.load
-        self.status = "ok"
-        self.failure = None
-        self.ref_cycles = 0
-        self.ref_wall = 0.0
-        self.ref_events = 0
         self.scheduled_load = 0.0
         self.realised_load = 0.0
-        self.tg_cycles = 0
-        self.tg_wall = 0.0
-        self.tg_events = 0
         self.issued = 0
         self.words = 0
         self.latency_avg = 0.0
         self.latency_max = 0
         self.throughput_wpkc = 0.0
-        # set on fast-forwarded runs: the quiescent cycle the warm-up
-        # snapshot was captured at, and the fabric it ran on
-        self.warmup_cycle: Optional[int] = None
-        self.warmup_fabric: Optional[str] = None
         self.generator_report: List[Dict] = []
         self.tg_platform = None
-
-    # reference-comparison columns are meaningless for synthetic
-    # workloads (there is no ARM run to compare against) but the
-    # renderers expect them on every row
-    @property
-    def error(self) -> float:
-        return 0.0
-
-    @property
-    def gain(self) -> float:
-        return 0.0
-
-    @property
-    def event_gain(self) -> float:
-        return 0.0
-
-    def summary(self) -> Dict[str, object]:
-        """Picklable scalar view (sweep workers / result cache).
-
-        The warm-up keys appear only on fast-forwarded runs, so
-        cold-run summaries are byte-identical to what older versions
-        produced.
-        """
-        data = {
-            "benchmark": self.benchmark,
-            "n_cores": self.n_cores,
-            "interconnect": self.interconnect,
-            "mode": self.mode.value,
-            "pattern": self.pattern,
-            "offered_load": self.offered_load,
-            "scheduled_load": self.scheduled_load,
-            "realised_load": self.realised_load,
-            "tg_cycles": self.tg_cycles,
-            "tg_wall": self.tg_wall,
-            "tg_events": self.tg_events,
-            "issued": self.issued,
-            "words": self.words,
-            "latency_avg": self.latency_avg,
-            "latency_max": self.latency_max,
-            "throughput_wpkc": self.throughput_wpkc,
-        }
-        if self.warmup_cycle is not None:
-            data["warmup_cycle"] = self.warmup_cycle
-            data["warmup_fabric"] = self.warmup_fabric
-        return data
 
     def __repr__(self) -> str:
         return (f"<SyntheticResult {self.pattern} {self.n_cores}P "
@@ -707,40 +653,22 @@ class SyntheticResult:
 
 def synthetic_flow(spec: TrafficSpec, interconnect: str = "tlm",
                    config_overrides: Optional[Dict] = None,
-                   checkpoint_every: Optional[int] = None,
-                   checkpoint_dir=None,
-                   checkpoint_keep: Optional[int] = None,
-                   warmup_cycles: Optional[int] = None,
-                   warmup_fabric: str = "tlm",
+                   options: RunOptions = RunOptions(),
                    warmup_payload: Optional[Dict] = None
                    ) -> SyntheticResult:
     """Generate, assemble and simulate one synthetic workload.
 
     The programs are pushed through the ``.bin`` assemble/disassemble
     cycle (the TG executes the binary image, mirroring the trace flow),
-    then run on an all-TG platform on the requested fabric.  Latency
+    then run on an all-TG platform on the requested fabric through
+    :func:`~repro.harness.experiments.run_tg`, which ``options`` steer
+    exactly as in :func:`~repro.harness.experiments.tg_flow`.  Latency
     statistics come from the per-TG OCP counters.
-    ``checkpoint_every``/``checkpoint_dir``/``checkpoint_keep`` arm
-    crash-durable auto-checkpointing exactly as in
-    :func:`~repro.harness.experiments.tg_flow`.
 
-    ``warmup_cycles`` arms mixed-fidelity fast-forward: the workload's
-    first quiescent cycle at or after that boundary is simulated on
-    ``warmup_fabric`` (default: the cheap contention-free TLM model),
-    snapshotted, and the run continues cycle-true on ``interconnect``
-    from there — with fault injection arming at the restore point.
     ``warmup_payload`` supplies an already-captured warm-up snapshot
     (the warm-up-shared sweep path); it is verified against this
-    workload's recipe before restoring, so a stale or foreign snapshot
-    is a typed error, never a wrong result.  See docs/CHECKPOINT.md.
+    workload's recipe before restoring.  See docs/CHECKPOINT.md.
     """
-    from repro.harness.experiments import build_tg_platform
-    import time
-
-    warmup = warmup_cycles is not None or warmup_payload is not None
-    if warmup and checkpoint_every is not None:
-        raise ValueError("warm-up fast-forward and auto-checkpointing "
-                         "are mutually exclusive")
     result = SyntheticResult(spec, interconnect)
     if warmup_payload is not None:
         # restore path: the platform is rebuilt from the snapshot's
@@ -751,56 +679,9 @@ def synthetic_flow(spec: TrafficSpec, interconnect: str = "tlm",
     else:
         programs, report = synthetic_programs(spec)
     result.generator_report = report
-    if warmup:
-        from repro.harness.checkpoint import (
-            fast_forward,
-            platform_recipe,
-            warmup_snapshot,
-        )
-        expected = platform_recipe(programs, spec.n_cores, interconnect,
-                                   config_overrides)
-        payload = warmup_payload
-        if payload is None:
-            payload = warmup_snapshot(programs, spec.n_cores,
-                                      warmup_cycles, warmup_fabric,
-                                      config_overrides)
-        # the restore (but not the warm-up itself) counts into tg_wall:
-        # shared warm-ups run once in the sweep driver, so per-point
-        # wall clocks stay comparable between shared and cold execution
-        start = time.perf_counter()
-        platform = fast_forward(
-            payload, interconnect=interconnect,
-            config_overrides=config_overrides, expected_recipe=expected,
-            programs=programs if warmup_payload is not None else None)
-        platform.run()
-        result.warmup_cycle = payload["cycle"]
-        result.warmup_fabric = payload["platform"]["interconnect"]
-    else:
-        platform = build_tg_platform(programs, spec.n_cores, interconnect,
-                                     config_overrides)
-        start = time.perf_counter()
-        if checkpoint_every is not None:
-            from repro.harness.checkpoint import (
-                DEFAULT_KEEP,
-                CheckpointManager,
-                checkpointed_run,
-                platform_recipe,
-            )
-            if checkpoint_dir is None:
-                raise ValueError("checkpoint_every requires "
-                                 "checkpoint_dir")
-            recipe = platform_recipe(programs, spec.n_cores, interconnect,
-                                     config_overrides)
-            manager = CheckpointManager(
-                checkpoint_dir,
-                keep=checkpoint_keep if checkpoint_keep else DEFAULT_KEEP)
-            checkpointed_run(platform, recipe, manager, checkpoint_every)
-        else:
-            platform.run()
-    result.tg_wall = time.perf_counter() - start
-    result.tg_platform = platform
-    result.tg_events = platform.sim.events_fired
-    result.tg_cycles = platform.cumulative_execution_time
+    result.record_tg(*run_tg(programs, spec.n_cores, interconnect,
+                             config_overrides, options, warmup_payload))
+    platform = result.tg_platform
 
     latency_total = 0
     realised = []

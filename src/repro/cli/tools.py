@@ -23,14 +23,120 @@ from repro.core import ReplayMode
 from repro.trace import Translator, TranslatorOptions, group_events
 
 
-def _parse_range(text: str):
-    """``BASE:SIZE`` (both int literals, hex ok) -> (base, size)."""
+def _int_pair(usage: str):
+    """argparse type for ``A:B`` (both int literals, hex ok) -> (a, b);
+    ``usage`` names the pair in the error message."""
+    def parse(text: str):
+        try:
+            first, second = text.split(":")
+            return int(first, 0), int(second, 0)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {usage}, got {text!r}")
+    return parse
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for an integer >= 1."""
     try:
-        base_text, size_text = text.split(":")
-        return int(base_text, 0), int(size_text, 0)
+        value = int(text)
     except ValueError:
+        value = 0
+    if value < 1:
         raise argparse.ArgumentTypeError(
-            f"expected BASE:SIZE (e.g. 0x1a000000:0x80), got {text!r}")
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _parse_param(text: str):
+    """``KEY=INT`` (int literal, hex ok) -> (key, value)."""
+    key, separator, value = text.partition("=")
+    try:
+        if key and separator:
+            return key, int(value, 0)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected KEY=INT (e.g. n=8), got {text!r}")
+
+
+# ------------------------------------------------------- shared flags
+
+def _diagnostics_parent() -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--diagnostics-json", metavar="FILE",
+                        help="write a machine-readable diagnostics report "
+                             "('-' for stdout)")
+    return parent
+
+
+#: Fabrics a warm-up prefix may run on.
+_FABRICS = ["ahb", "stbus", "tlm", "xpipes"]
+
+
+def _run_parent() -> argparse.ArgumentParser:
+    """Checkpoint, restore and warm-up flags of the single-run tools."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--checkpoint-every", type=_positive_int,
+                        default=None, metavar="CYCLES",
+                        help="snapshot the TG run at the first quiescent "
+                             "cycle on/after every CYCLES-cycle boundary "
+                             "(requires --checkpoint-dir; see "
+                             "docs/CHECKPOINT.md)")
+    parent.add_argument("--checkpoint-dir", metavar="DIR", default=None,
+                        help="directory for .snap checkpoints (written "
+                             "atomically; newest K retained)")
+    parent.add_argument("--checkpoint-keep", type=_positive_int,
+                        default=None, metavar="K",
+                        help="checkpoints to retain (default 3)")
+    parent.add_argument("--restore", metavar="SNAP", default=None,
+                        help="resume a checkpointed TG run from this "
+                             ".snap file and run it to completion "
+                             "(bit-identical to the uninterrupted run)")
+    parent.add_argument("--warmup-cycles", type=_positive_int,
+                        default=None, metavar="N",
+                        help="fast-forward the TG run through an N-cycle "
+                             "warm-up simulated on --warmup-fabric and "
+                             "restored onto the target fabric (see "
+                             "docs/CHECKPOINT.md)")
+    parent.add_argument("--warmup-fabric", default="tlm", choices=_FABRICS,
+                        help="fabric the warm-up prefix is simulated on "
+                             "(default tlm, the cheapest)")
+    return parent
+
+
+def _run_options(parser: argparse.ArgumentParser, args, **extra):
+    """The parsed run flags as :class:`~repro.harness.RunOptions`.
+
+    A refused combination is a usage error (exit 2) naming the flags.
+    """
+    from repro.harness import RunOptions
+    try:
+        return RunOptions(checkpoint_every=args.checkpoint_every,
+                          checkpoint_dir=args.checkpoint_dir,
+                          checkpoint_keep=args.checkpoint_keep,
+                          warmup_cycles=args.warmup_cycles,
+                          warmup_fabric=args.warmup_fabric, **extra)
+    except ValueError as error:
+        message = str(error)
+        for name in ("checkpoint_every", "checkpoint_dir", "warmup_cycles"):
+            message = message.replace(name, "--" + name.replace("_", "-"))
+        parser.error(message)
+
+
+def _restore(tool: str, args, options) -> int:
+    """``--restore SNAP``: continue a checkpointed run to completion."""
+    from repro.harness import load_snapshot, restore_platform
+    snapshot = load_snapshot(args.restore)
+    platform = restore_platform(snapshot)
+    platform.run(progress_window=options.progress_window)
+    print(json.dumps({"restored_from": args.restore,
+                      "restore_cycle": snapshot["cycle"],
+                      "tg_summary": platform.stats_summary()},
+                     indent=2, sort_keys=True))
+    _write_diagnostics(args.diagnostics_json,
+                       _diagnostics_payload(tool, True))
+    return 0
 
 
 # ------------------------------------------------------ failure plumbing
@@ -83,7 +189,7 @@ def _guarded(tool: str, body, diagnostics: Optional[str] = None) -> int:
 def trc2tgp_main(argv: Optional[List[str]] = None) -> int:
     """Translate a ``.trc`` trace file into a symbolic ``.tgp`` program."""
     parser = argparse.ArgumentParser(
-        prog="repro-trc2tgp",
+        prog="repro-trc2tgp", parents=[_diagnostics_parent()],
         description="Translate an OCP .trc trace into a TG .tgp program.")
     parser.add_argument("trace", help="input .trc file")
     parser.add_argument("-o", "--output",
@@ -91,7 +197,8 @@ def trc2tgp_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--mode", choices=[m.value for m in ReplayMode],
                         default=ReplayMode.REACTIVE.value,
                         help="replay fidelity (default: reactive)")
-    parser.add_argument("--pollable", type=_parse_range, action="append",
+    parser.add_argument("--pollable", action="append",
+                        type=_int_pair("BASE:SIZE (e.g. 0x1a000000:0x80)"),
                         default=[], metavar="BASE:SIZE",
                         help="pollable address range (repeatable)")
     parser.add_argument("--default-poll-gap", type=int, default=4,
@@ -105,9 +212,6 @@ def trc2tgp_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--permissive", action="store_true",
                         help="skip recoverably-bad trace records instead "
                              "of failing on the first defect")
-    parser.add_argument("--diagnostics-json", metavar="FILE",
-                        help="write a machine-readable diagnostics report "
-                             "('-' for stdout)")
     args = parser.parse_args(argv)
 
     def body() -> int:
@@ -153,14 +257,11 @@ def trc2tgp_main(argv: Optional[List[str]] = None) -> int:
 def tgasm_main(argv: Optional[List[str]] = None) -> int:
     """Assemble a ``.tgp`` program into a ``.bin`` image."""
     parser = argparse.ArgumentParser(
-        prog="repro-tgasm",
+        prog="repro-tgasm", parents=[_diagnostics_parent()],
         description="Assemble a .tgp program into a TG .bin image.")
     parser.add_argument("program", help="input .tgp file")
     parser.add_argument("-o", "--output", required=True,
                         help="output .bin file")
-    parser.add_argument("--diagnostics-json", metavar="FILE",
-                        help="write a machine-readable diagnostics report "
-                             "('-' for stdout)")
     args = parser.parse_args(argv)
 
     def body() -> int:
@@ -185,16 +286,13 @@ def tgasm_main(argv: Optional[List[str]] = None) -> int:
 def tgdump_main(argv: Optional[List[str]] = None) -> int:
     """Disassemble a ``.bin`` image back to ``.tgp`` text."""
     parser = argparse.ArgumentParser(
-        prog="repro-tgdump",
+        prog="repro-tgdump", parents=[_diagnostics_parent()],
         description="Disassemble a TG .bin image to .tgp text.")
     parser.add_argument("image", help="input .bin file")
     parser.add_argument("-o", "--output",
                         help="output .tgp file (default: stdout)")
     parser.add_argument("--stats", action="store_true",
                         help="print the program footprint summary instead")
-    parser.add_argument("--diagnostics-json", metavar="FILE",
-                        help="write a machine-readable diagnostics report "
-                             "('-' for stdout)")
     args = parser.parse_args(argv)
 
     def body() -> int:
@@ -220,7 +318,7 @@ def trace_stats_main(argv: Optional[List[str]] = None) -> int:
     """Summarise a ``.trc`` trace (mix, latencies, idle gaps)."""
     from repro.stats import trace_summary
     parser = argparse.ArgumentParser(
-        prog="repro-trace-stats",
+        prog="repro-trace-stats", parents=[_diagnostics_parent()],
         description="Print summary statistics of a .trc trace.")
     parser.add_argument("trace", help="input .trc file")
     parser.add_argument("--json", action="store_true",
@@ -234,9 +332,6 @@ def trace_stats_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--permissive", action="store_true",
                         help="skip recoverably-bad trace records instead "
                              "of failing on the first defect")
-    parser.add_argument("--diagnostics-json", metavar="FILE",
-                        help="write a machine-readable diagnostics report "
-                             "('-' for stdout)")
     args = parser.parse_args(argv)
 
     def body() -> int:
@@ -409,8 +504,7 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
                              "equivalence class on the warm-up fabric, "
                              "overriding the spec's 'warmup_cycles' key "
                              "(see docs/CHECKPOINT.md)")
-    parser.add_argument("--warmup-fabric", default=None,
-                        choices=["ahb", "stbus", "tlm", "xpipes"],
+    parser.add_argument("--warmup-fabric", default=None, choices=_FABRICS,
                         help="fabric the shared warm-up prefix is "
                              "simulated on (default: the spec's "
                              "'warmup_fabric' key, else tlm)")
@@ -687,15 +781,18 @@ def _app_by_name(name: str):
 
 def experiment_main(argv: Optional[List[str]] = None) -> int:
     """Run one Table-2 configuration and print the row."""
+    import inspect
+
     parser = argparse.ArgumentParser(
         prog="repro-experiment",
+        parents=[_run_parent(), _diagnostics_parent()],
         description="Run a reference + TG simulation pair and report "
                     "accuracy and speedup (one Table-2 row).")
     parser.add_argument("benchmark", type=_app_by_name, nargs="?",
                         help="sp_matrix | cacheloop | mp_matrix | des "
                              "(not needed with --restore: snapshots are "
                              "self-contained)")
-    parser.add_argument("-n", "--cores", type=int, default=2)
+    parser.add_argument("-n", "--cores", type=_positive_int, default=2)
     parser.add_argument("--interconnect", default="ahb",
                         choices=["ahb", "xpipes", "stbus", "tlm"])
     parser.add_argument("--tg-interconnect", default=None,
@@ -703,8 +800,8 @@ def experiment_main(argv: Optional[List[str]] = None) -> int:
                         help="run the TGs on a different fabric (DSE)")
     parser.add_argument("--mode", choices=[m.value for m in ReplayMode],
                         default=ReplayMode.REACTIVE.value)
-    parser.add_argument("--param", action="append", default=[],
-                        metavar="KEY=VALUE",
+    parser.add_argument("--param", type=_parse_param, action="append",
+                        default=[], metavar="KEY=VALUE",
                         help="benchmark parameter, e.g. n=8 or blocks=4")
     parser.add_argument("--save-traces", metavar="DIR",
                         help="archive the reference traces as a trace set")
@@ -735,80 +832,44 @@ def experiment_main(argv: Optional[List[str]] = None) -> int:
                         metavar="EVENTS",
                         help="kernel livelock watchdog: abort after EVENTS "
                              "events with no simulated-time progress")
-    parser.add_argument("--checkpoint-every", type=int, default=None,
-                        metavar="CYCLES",
-                        help="snapshot the TG run at the first quiescent "
-                             "cycle on/after every CYCLES-cycle boundary "
-                             "(requires --checkpoint-dir; see "
-                             "docs/CHECKPOINT.md)")
-    parser.add_argument("--checkpoint-dir", metavar="DIR", default=None,
-                        help="directory for .snap checkpoints (written "
-                             "atomically; newest K retained)")
-    parser.add_argument("--checkpoint-keep", type=int, default=None,
-                        metavar="K",
-                        help="checkpoints to retain (default 3)")
-    parser.add_argument("--restore", metavar="SNAP", default=None,
-                        help="resume a checkpointed TG run from this "
-                             ".snap file and run it to completion "
-                             "(bit-identical to the uninterrupted run)")
-    parser.add_argument("--warmup-cycles", type=int, default=None,
-                        metavar="N",
-                        help="fast-forward the TG run through an N-cycle "
-                             "warm-up simulated on --warmup-fabric and "
-                             "restored onto the target fabric (see "
-                             "docs/CHECKPOINT.md)")
-    parser.add_argument("--warmup-fabric", default="tlm",
-                        choices=["ahb", "stbus", "tlm", "xpipes"],
-                        help="fabric the warm-up prefix is simulated on "
-                             "(default tlm, the cheapest)")
     parser.add_argument("--json", action="store_true")
-    parser.add_argument("--diagnostics-json", metavar="FILE",
-                        help="write a machine-readable diagnostics report "
-                             "('-' for stdout)")
     args = parser.parse_args(argv)
     if args.restore is None and args.benchmark is None:
         parser.error("benchmark is required unless --restore SNAP "
                      "is given")
-    if args.checkpoint_every is not None and args.checkpoint_dir is None:
-        parser.error("--checkpoint-every requires --checkpoint-dir")
-    if args.warmup_cycles is not None \
-            and args.checkpoint_every is not None:
-        parser.error("--warmup-cycles cannot be combined with "
-                     "--checkpoint-every (a fast-forwarded run starts "
-                     "past the early checkpoint boundaries)")
-
-    def body() -> int:
-        if args.restore:
-            from repro.harness import load_snapshot, restore_platform
-            snapshot = load_snapshot(args.restore)
-            platform = restore_platform(snapshot)
-            platform.run(progress_window=args.progress_window)
-            out = {
-                "restored_from": args.restore,
-                "restore_cycle": snapshot["cycle"],
-                "tg_summary": platform.stats_summary(),
-            }
-            print(json.dumps(out, indent=2, sort_keys=True))
-            _write_diagnostics(args.diagnostics_json,
-                               _diagnostics_payload("repro-experiment",
-                                                    True))
-            return 0
-
-        app_params = {}
-        for item in args.param:
-            key, _, value = item.partition("=")
-            app_params[key] = int(value, 0)
-
-        fault_spec = None
-        if args.fault_spec:
-            from repro.faults import FaultSpec
-            fault_spec = FaultSpec.load(args.fault_spec)
-        retry_policy = None
-        if args.retry_attempts is not None:
-            from repro.faults import RetryPolicy
+    app_params = dict(args.param)
+    if args.benchmark is not None:
+        accepted = sorted(set(inspect.signature(
+            args.benchmark.source).parameters) - {"core_id", "n_cores"})
+        unknown = sorted(set(app_params) - set(accepted))
+        if unknown:
+            parser.error(f"unknown --param {', '.join(unknown)} for "
+                         f"{args.benchmark.__name__.split('.')[-1]}; "
+                         f"choose from {', '.join(accepted)}")
+    retry_policy = None
+    if args.retry_attempts is not None:
+        from repro.faults import RetryPolicy
+        try:
             retry_policy = RetryPolicy(max_attempts=args.retry_attempts,
                                        backoff=args.retry_backoff,
                                        on_exhaust=args.on_exhaust)
+        except ValueError as error:
+            parser.error(str(error))
+    options = _run_options(parser, args, fault_seed=args.fault_seed,
+                           retry_policy=retry_policy,
+                           watchdog_cycles=args.watchdog,
+                           progress_window=args.progress_window)
+
+    def body() -> int:
+        if args.restore:
+            return _restore("repro-experiment", args, options)
+        run_options = options
+        if args.fault_spec:
+            import dataclasses
+
+            from repro.faults import FaultSpec
+            run_options = dataclasses.replace(
+                options, fault_spec=FaultSpec.load(args.fault_spec))
 
         from repro.harness import table2_row, tg_flow
         result = tg_flow(args.benchmark, args.cores,
@@ -816,16 +877,7 @@ def experiment_main(argv: Optional[List[str]] = None) -> int:
                          tg_interconnect=args.tg_interconnect,
                          mode=ReplayMode.from_name(args.mode),
                          app_params=app_params or None,
-                         fault_spec=fault_spec,
-                         fault_seed=args.fault_seed,
-                         retry_policy=retry_policy,
-                         watchdog_cycles=args.watchdog,
-                         progress_window=args.progress_window,
-                         checkpoint_every=args.checkpoint_every,
-                         checkpoint_dir=args.checkpoint_dir,
-                         checkpoint_keep=args.checkpoint_keep,
-                         warmup_cycles=args.warmup_cycles,
-                         warmup_fabric=args.warmup_fabric)
+                         options=run_options)
         if args.save_traces:
             from repro.apps.common import pollable_ranges
             from repro.trace import save_trace_set
@@ -878,16 +930,6 @@ def experiment_main(argv: Optional[List[str]] = None) -> int:
 
 # --------------------------------------------------------------- traffic
 
-def _parse_burst(text: str):
-    """``ON:OFF`` transaction/idle phase lengths."""
-    try:
-        on_text, off_text = text.split(":")
-        return {"on": int(on_text, 0), "off": int(off_text, 0)}
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected ON:OFF (e.g. 8:200), got {text!r}")
-
-
 def _parse_hot_target(text: str):
     """``shared`` or a slave/core index."""
     if text == "shared":
@@ -911,7 +953,7 @@ def traffic_main(argv: Optional[List[str]] = None) -> int:
     """
     from repro.apps.synthetic import PATTERNS
     parser = argparse.ArgumentParser(
-        prog="repro-traffic",
+        prog="repro-traffic", parents=[_run_parent(), _diagnostics_parent()],
         description="Generate (and optionally simulate) synthetic "
                     "TG traffic from a declarative spec.")
     parser.add_argument("spec", nargs="?",
@@ -933,13 +975,15 @@ def traffic_main(argv: Optional[List[str]] = None) -> int:
                         metavar="F", help="fraction of reads in [0, 1]")
     parser.add_argument("--size-words", type=int, default=None,
                         metavar="N", help="fixed transaction size (words)")
-    parser.add_argument("--size-uniform", type=_parse_range, default=None,
+    parser.add_argument("--size-uniform", type=_int_pair("MIN:MAX (e.g. 1:4)"),
+                        default=None,
                         metavar="MIN:MAX",
                         help="uniform transaction size range (words)")
     parser.add_argument("--size-cdf", metavar="FILE", default=None,
                         help="packet-size CDF file "
                              "(lines: '<bytes> <cumulative-percent>')")
-    parser.add_argument("--burst", type=_parse_burst, default=None,
+    parser.add_argument("--burst", type=_int_pair("ON:OFF (e.g. 8:200)"),
+                        default=None,
                         metavar="ON:OFF",
                         help="bursty on/off phases: ON transactions, "
                              "then OFF idle cycles")
@@ -953,67 +997,22 @@ def traffic_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--simulate", metavar="FABRIC", default=None,
                         choices=["ahb", "xpipes", "stbus", "tlm"],
                         help="also run the workload on this fabric and "
-                             "print load/latency metrics")
-    parser.add_argument("--checkpoint-every", type=int, default=None,
-                        metavar="CYCLES",
-                        help="with --simulate: snapshot the run at every "
-                             "CYCLES-cycle boundary (requires "
-                             "--checkpoint-dir; see docs/CHECKPOINT.md)")
-    parser.add_argument("--checkpoint-dir", metavar="DIR", default=None,
-                        help="directory for .snap checkpoints")
-    parser.add_argument("--checkpoint-keep", type=int, default=None,
-                        metavar="K",
-                        help="checkpoints to retain (default 3)")
-    parser.add_argument("--restore", metavar="SNAP", default=None,
-                        help="resume a checkpointed simulation from this "
-                             ".snap file instead of generating traffic")
-    parser.add_argument("--warmup-cycles", type=int, default=None,
-                        metavar="N",
-                        help="with --simulate: fast-forward the run "
-                             "through an N-cycle warm-up simulated on "
-                             "--warmup-fabric and restored onto the "
-                             "target fabric (see docs/CHECKPOINT.md)")
-    parser.add_argument("--warmup-fabric", default="tlm",
-                        choices=["ahb", "stbus", "tlm", "xpipes"],
-                        help="fabric the warm-up prefix is simulated on "
-                             "(default tlm, the cheapest)")
+                             "print load/latency metrics (required by "
+                             "--checkpoint-every and --warmup-cycles)")
     parser.add_argument("--json", action="store_true",
                         help="print the simulation summary as JSON")
-    parser.add_argument("--diagnostics-json", metavar="FILE",
-                        help="write a machine-readable diagnostics report "
-                             "('-' for stdout)")
     args = parser.parse_args(argv)
-    if args.checkpoint_every is not None:
-        if args.checkpoint_dir is None:
-            parser.error("--checkpoint-every requires --checkpoint-dir")
-        if args.simulate is None:
-            parser.error("--checkpoint-every requires --simulate FABRIC")
-    if args.warmup_cycles is not None:
-        if args.simulate is None:
-            parser.error("--warmup-cycles requires --simulate FABRIC")
-        if args.checkpoint_every is not None:
-            parser.error("--warmup-cycles cannot be combined with "
-                         "--checkpoint-every (a fast-forwarded run "
-                         "starts past the early checkpoint boundaries)")
+    options = _run_options(parser, args)
+    for flag in ("checkpoint_every", "warmup_cycles"):
+        if getattr(args, flag) is not None and args.simulate is None:
+            parser.error(f"--{flag.replace('_', '-')} requires "
+                         f"--simulate FABRIC")
 
     def body() -> int:
         import os
 
         if args.restore:
-            from repro.harness import load_snapshot, restore_platform
-            snapshot = load_snapshot(args.restore)
-            platform = restore_platform(snapshot)
-            platform.run()
-            out = {
-                "restored_from": args.restore,
-                "restore_cycle": snapshot["cycle"],
-                "tg_summary": platform.stats_summary(),
-            }
-            print(json.dumps(out, indent=2, sort_keys=True))
-            _write_diagnostics(args.diagnostics_json,
-                               _diagnostics_payload("repro-traffic",
-                                                    True))
-            return 0
+            return _restore("repro-traffic", args, options)
 
         from repro.apps.synthetic import (
             TrafficSpec,
@@ -1040,7 +1039,8 @@ def traffic_main(argv: Optional[List[str]] = None) -> int:
             "transactions": args.transactions,
             "seed": args.seed,
             "read_fraction": args.read_fraction,
-            "burst": args.burst,
+            "burst": dict(zip(("on", "off"), args.burst))
+            if args.burst else None,
             "hot_target": args.hot_target,
             "hot_weight": args.hot_weight,
             "mode": args.mode,
@@ -1085,13 +1085,7 @@ def traffic_main(argv: Optional[List[str]] = None) -> int:
                   f"{args.output}/core<i>.tgp|.bin", file=sys.stderr)
 
         if args.simulate:
-            result = synthetic_flow(
-                spec, args.simulate,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_dir=args.checkpoint_dir,
-                checkpoint_keep=args.checkpoint_keep,
-                warmup_cycles=args.warmup_cycles,
-                warmup_fabric=args.warmup_fabric)
+            result = synthetic_flow(spec, args.simulate, options=options)
             summary = result.summary()
             if args.checkpoint_every is not None:
                 # same shape --restore prints, for crash-restore compares

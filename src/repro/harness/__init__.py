@@ -11,6 +11,9 @@ benchmark configuration:
    and speedup (wall-clock, Table 2's "Gain").
 
 ``table2_row`` formats the result like a row of the paper's Table 2.
+Every flow runs its TG platform through ``run_tg``, steered by one
+``RunOptions`` (faults, resilience, checkpointing, warm-up), and every
+result shares the ``RunResult`` core.
 
 Sweeps over many configurations run through ``run_sweep_parallel``: a
 supervised worker pool (``repro.harness.supervisor``) with an on-disk
@@ -20,11 +23,14 @@ without re-simulating completed points (see docs/SWEEPS.md).
 """
 
 from repro.harness.experiments import (
+    RunOptions,
+    RunResult,
     TGFlowResult,
     build_testchip_platform,
     build_tg_platform,
     reference_run,
     resilience_demo,
+    run_tg,
     table2_row,
     tg_flow,
     translate_traces,
@@ -71,7 +77,6 @@ from repro.harness.supervisor import (
 )
 from repro.harness.sweep import (
     SweepSpec,
-    run_sweep,
     sweep_csv,
     sweep_table,
 )
@@ -108,12 +113,14 @@ __all__ = [
     "point_cache_key",
     "run_sweep_parallel",
     "warmup_digest",
+    "RunOptions",
+    "RunResult",
     "TGFlowResult",
     "build_testchip_platform",
     "build_tg_platform",
     "reference_run",
     "resilience_demo",
-    "run_sweep",
+    "run_tg",
     "sweep_csv",
     "sweep_table",
     "table2_row",

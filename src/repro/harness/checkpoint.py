@@ -417,9 +417,11 @@ def checkpointed_run(platform: MparmPlatform, recipe: dict,
 
     A snapshot is taken at the first quiescent cycle at or after each
     ``every``-cycle boundary (quiescence scans may overshoot slightly;
-    the next boundary is measured from the snapshot cycle).  Completion
-    semantics — deadlock detection, the livelock watchdog — match a
-    plain ``platform.run(progress_window=...)``.
+    the next boundary is measured from the snapshot cycle).  When the
+    next event lies past a boundary — an idle gap longer than the
+    cadence — the boundary moves to that event, so every segment makes
+    progress.  Completion semantics — deadlock detection, the livelock
+    watchdog — match a plain ``platform.run(progress_window=...)``.
     """
     if every < 1:
         raise SnapshotError(
@@ -428,7 +430,7 @@ def checkpointed_run(platform: MparmPlatform, recipe: dict,
     if not platform._started:
         platform.start()  # run() starts lazily; we peek the queue first
     while True:
-        boundary = sim.now + every
+        boundary = max(sim.now + every, sim._queue.peek_time() or 0)
         # fire cluster-by-cluster so the clock stops on the last event
         # when the run completes inside this segment — run(until=X)
         # would coast to X and overshoot the natural completion cycle

@@ -1,6 +1,8 @@
-"""The end-to-end TG experiment flow."""
+"""The end-to-end TG experiment flow, and the one way to run a TG platform."""
 
+import os
 import time
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from repro.apps.common import pollable_ranges
@@ -11,54 +13,102 @@ from repro.platform import MparmPlatform, PlatformConfig
 from repro.trace import TraceCollector, Translator, TranslatorOptions, collect_traces
 
 
-class TGFlowResult:
-    """Everything one benchmark configuration produced."""
+@dataclass(frozen=True)
+class RunOptions:
+    """How one TG platform runs, beyond the workload and the fabric.
 
-    def __init__(self) -> None:
-        self.benchmark: str = ""
-        self.n_cores: int = 0
-        self.interconnect: str = ""
-        self.mode: ReplayMode = ReplayMode.REACTIVE
-        self.ref_cycles: int = 0          # cumulative execution time, cores
-        self.tg_cycles: int = 0           # cumulative execution time, TGs
-        self.ref_wall: float = 0.0        # seconds
-        self.tg_wall: float = 0.0
-        self.ref_events: int = 0          # simulator effort proxies
-        self.tg_events: int = 0
-        # set on fast-forwarded TG runs: the quiescent cycle the warm-up
-        # snapshot was captured at, and the fabric it ran on
+    ``fault_spec``/``fault_seed`` degrade the platform, and
+    ``retry_policy``/``watchdog_cycles``/``progress_window`` arm the TGs'
+    and the kernel's resilience features (docs/FAULTS.md).
+    ``checkpoint_every`` (cycles) writes crash-durable ``.snap``
+    checkpoints into ``checkpoint_dir``, keeping the newest
+    ``checkpoint_keep`` (default 3).  ``warmup_cycles`` fast-forwards the
+    run through a warm-up simulated on ``warmup_fabric`` and restored
+    onto the target fabric (docs/CHECKPOINT.md).  The default is a
+    plain run.
+    """
+
+    fault_spec: Union[None, dict, FaultSpec] = None
+    fault_seed: int = 0
+    retry_policy: Optional[RetryPolicy] = None
+    watchdog_cycles: Optional[int] = None
+    progress_window: Optional[int] = None
+    checkpoint_every: Optional[int] = None
+    checkpoint_dir: Union[None, str, os.PathLike] = None
+    checkpoint_keep: Optional[int] = None
+    warmup_cycles: Optional[int] = None
+    warmup_fabric: str = "tlm"
+
+    def __post_init__(self) -> None:
+        if self.warmup_cycles is not None:
+            self.refuse_checkpointing()
+        if self.checkpoint_every is not None and self.checkpoint_dir is None:
+            raise ValueError("checkpoint_every requires checkpoint_dir")
+
+    def refuse_checkpointing(self) -> None:
+        """Reject auto-checkpointing of a fast-forwarded run."""
+        if self.checkpoint_every is not None:
+            raise ValueError("warmup_cycles cannot be combined with "
+                             "checkpoint_every (a fast-forwarded run "
+                             "starts past the early checkpoint boundaries)")
+
+
+class RunResult:
+    """What one TG run produced, whichever flow or sweep ran it.
+
+    Identity (``benchmark``/``n_cores``/``interconnect``/``mode``), the
+    ``status`` (``"ok"`` or ``"failed"``, with a typed ``failure``), the
+    reference and TG cycles, wall times and kernel events, and — on
+    fast-forwarded runs — the quiescent ``warmup_cycle`` the warm-up
+    snapshot was captured at and the ``warmup_fabric`` it ran on.  Runs
+    without a reference (synthetic traffic) keep ``ref_*`` at zero,
+    which makes every derived column zero too.
+    """
+
+    #: The keys of :meth:`summary`, in order.
+    SUMMARY_KEYS: Tuple[str, ...] = (
+        "benchmark", "n_cores", "interconnect", "mode", "ref_cycles",
+        "tg_cycles", "ref_wall", "tg_wall", "ref_events", "tg_events")
+
+    def __init__(self, benchmark: str = "", n_cores: int = 0,
+                 interconnect: str = "",
+                 mode: ReplayMode = ReplayMode.REACTIVE) -> None:
+        self.benchmark = benchmark
+        self.n_cores = n_cores
+        self.interconnect = interconnect
+        self.mode = mode
+        self.status = "ok"
+        self.failure = None
+        self.ref_cycles = 0               # cumulative execution time, cores
+        self.tg_cycles = 0                # cumulative execution time, TGs
+        self.ref_wall = 0.0               # seconds
+        self.tg_wall = 0.0
+        self.ref_events = 0               # simulator effort proxies
+        self.tg_events = 0
         self.warmup_cycle: Optional[int] = None
         self.warmup_fabric: Optional[str] = None
-        self.programs: Dict[int, TGProgram] = {}
-        self.traces: Dict[int, TraceCollector] = {}
-        self.ref_platform: Optional[MparmPlatform] = None
-        self.tg_platform: Optional[MparmPlatform] = None
+
+    def record_tg(self, platform: MparmPlatform, wall: float,
+                  warmup: Optional[dict] = None) -> None:
+        """Take the TG numbers of a finished :func:`run_tg`."""
+        self.tg_platform = platform
+        self.tg_wall = wall
+        self.tg_events = platform.sim.events_fired
+        self.tg_cycles = platform.cumulative_execution_time
+        if warmup is not None:
+            self.warmup_cycle = warmup["cycle"]
+            self.warmup_fabric = warmup["platform"]["interconnect"]
 
     def summary(self) -> Dict[str, object]:
-        """Picklable scalar view of the result (no platforms/programs).
+        """Picklable scalar view: :attr:`SUMMARY_KEYS` plus warm-up keys.
 
-        This is what parallel sweep workers ship back to the parent process
-        and what the on-disk result cache stores: every Table-2 number plus
-        the provenance fields that identify the configuration, without the
-        heavyweight simulation objects (which are neither picklable nor
-        worth serialising).
-
-        The warm-up keys appear only on fast-forwarded runs, so
-        cold-run summaries are byte-identical to what older versions
-        produced.
+        This is what sweep workers ship back to the parent process and
+        what the on-disk result cache stores — no platforms or programs.
+        The warm-up keys appear only on fast-forwarded runs, so cold-run
+        summaries are byte-identical to what older versions produced.
         """
-        data = {
-            "benchmark": self.benchmark,
-            "n_cores": self.n_cores,
-            "interconnect": self.interconnect,
-            "mode": self.mode.value,
-            "ref_cycles": self.ref_cycles,
-            "tg_cycles": self.tg_cycles,
-            "ref_wall": self.ref_wall,
-            "tg_wall": self.tg_wall,
-            "ref_events": self.ref_events,
-            "tg_events": self.tg_events,
-        }
+        data = {key: getattr(self, key) for key in self.SUMMARY_KEYS}
+        data["mode"] = self.mode.value
         if self.warmup_cycle is not None:
             data["warmup_cycle"] = self.warmup_cycle
             data["warmup_fabric"] = self.warmup_fabric
@@ -80,6 +130,17 @@ class TGFlowResult:
     def event_gain(self) -> float:
         """Speedup in simulator events — a wall-clock-noise-free proxy."""
         return self.ref_events / self.tg_events if self.tg_events else 0.0
+
+
+class TGFlowResult(RunResult):
+    """Everything one benchmark configuration produced."""
+
+    def __init__(self, *identity) -> None:
+        super().__init__(*identity)
+        self.programs: Dict[int, TGProgram] = {}
+        self.traces: Dict[int, TraceCollector] = {}
+        self.ref_platform: Optional[MparmPlatform] = None
+        self.tg_platform: Optional[MparmPlatform] = None
 
     def __repr__(self) -> str:
         return (f"<TGFlowResult {self.benchmark} {self.n_cores}P "
@@ -173,8 +234,6 @@ def build_testchip_platform(programs: Dict[int, TGProgram], n_cores: int,
     configuration a silicon NoC test chip would carry.
     """
     from repro.core import TGDummySlave, TGSharedMemorySlave
-    from repro.memory.slave import MemorySlave
-    from repro.ocp import OCPSlavePort
 
     platform = MparmPlatform(_build_config(n_cores, interconnect,
                                            config_overrides))
@@ -196,55 +255,97 @@ def build_testchip_platform(programs: Dict[int, TGProgram], n_cores: int,
     return platform
 
 
+def run_tg(programs: Dict[int, TGProgram], n_cores: int,
+           interconnect: str = "ahb",
+           config_overrides: Optional[dict] = None,
+           options: RunOptions = RunOptions(),
+           warmup_payload: Optional[dict] = None,
+           ) -> Tuple[MparmPlatform, float, Optional[dict]]:
+    """Run TG ``programs`` on ``interconnect`` to completion.
+
+    The one run path of every flow: a plain run, an auto-checkpointed
+    run, or a fast-forward through a warm-up — simulated here, or
+    handed in as ``warmup_payload`` (the warm-up-shared sweep path).  A
+    warm-up snapshot is always checked against the recipe of
+    ``programs`` before it is restored, so a stale or foreign snapshot
+    is a typed error, never a wrong result.
+
+    The wall clock starts after the platform is built, or after the
+    warm-up is captured: shared warm-ups run once in the sweep driver,
+    so per-point wall times stay comparable between shared and cold
+    execution.  Returns ``(platform, tg_wall, warmup payload or None)``.
+    """
+    overrides = dict(config_overrides or {})
+    if options.fault_spec is not None:
+        overrides["fault_spec"] = options.fault_spec
+        overrides["fault_seed"] = options.fault_seed
+    resilience = {"retry_policy": options.retry_policy,
+                  "watchdog_cycles": options.watchdog_cycles}
+    if warmup_payload is not None or options.warmup_cycles is not None:
+        from repro.harness.checkpoint import (
+            fast_forward,
+            platform_recipe,
+            warmup_snapshot,
+        )
+        options.refuse_checkpointing()
+        expected = platform_recipe(programs, n_cores, interconnect,
+                                   overrides, **resilience)
+        payload = warmup_payload
+        if payload is None:
+            payload = warmup_snapshot(programs, n_cores,
+                                      options.warmup_cycles,
+                                      options.warmup_fabric, overrides,
+                                      **resilience)
+        start = time.perf_counter()
+        platform = fast_forward(
+            payload, interconnect=interconnect, config_overrides=overrides,
+            expected_recipe=expected,
+            programs=programs if warmup_payload is not None else None)
+        platform.run(progress_window=options.progress_window)
+        return platform, time.perf_counter() - start, payload
+    platform = build_tg_platform(programs, n_cores, interconnect, overrides,
+                                 **resilience)
+    start = time.perf_counter()
+    if options.checkpoint_every is None:
+        platform.run(progress_window=options.progress_window)
+    else:
+        from repro.harness.checkpoint import (
+            DEFAULT_KEEP,
+            CheckpointManager,
+            checkpointed_run,
+            platform_recipe,
+        )
+        recipe = platform_recipe(programs, n_cores, interconnect, overrides,
+                                 **resilience)
+        keep = options.checkpoint_keep
+        manager = CheckpointManager(
+            options.checkpoint_dir, keep=DEFAULT_KEEP if keep is None
+            else keep)
+        checkpointed_run(platform, recipe, manager,
+                         options.checkpoint_every,
+                         progress_window=options.progress_window)
+    return platform, time.perf_counter() - start, None
+
+
 def tg_flow(app, n_cores: int, interconnect: str = "ahb",
             tg_interconnect: Optional[str] = None,
             mode: ReplayMode = ReplayMode.REACTIVE,
             app_params: Optional[dict] = None,
             config_overrides: Optional[dict] = None,
-            fault_spec: Union[None, dict, FaultSpec] = None,
-            fault_seed: int = 0,
-            retry_policy: Optional[RetryPolicy] = None,
-            watchdog_cycles: Optional[int] = None,
-            progress_window: Optional[int] = None,
-            checkpoint_every: Optional[int] = None,
-            checkpoint_dir=None,
-            checkpoint_keep: Optional[int] = None,
-            warmup_cycles: Optional[int] = None,
-            warmup_fabric: str = "tlm") -> TGFlowResult:
+            options: RunOptions = RunOptions()) -> TGFlowResult:
     """Full flow: reference run → translate → TG run → compare.
 
     ``tg_interconnect`` lets the TG simulation run on a *different* fabric
     than the reference (the design-space-exploration use case); accuracy
     is only meaningful when both are the same.
 
-    The resilience knobs (``fault_spec``/``fault_seed``/``retry_policy``/
-    ``watchdog_cycles``/``progress_window``) apply to the **TG** run only:
-    the trace is collected on a healthy reference platform, then replayed
-    against a degraded interconnect — the paper's decoupling, exercised
-    under adverse conditions.
-
-    ``checkpoint_every`` (cycles) arms crash-durable auto-checkpointing of
-    the TG run: self-contained ``.snap`` artifacts land in
-    ``checkpoint_dir`` (keeping the newest ``checkpoint_keep``), each
-    restorable with ``repro-experiment --restore`` to a bit-identical
-    continuation (see docs/CHECKPOINT.md).
-
-    ``warmup_cycles`` arms mixed-fidelity fast-forward of the TG run
-    (the reference run is untouched): the translated programs first run
-    on ``warmup_fabric`` up to the first quiescent cycle at or after
-    the boundary, and the snapshot is then restored onto the TG fabric
-    — fault injection arming at the restore point.  Mutually exclusive
-    with ``checkpoint_every``.
+    ``options`` apply to the **TG** run only (see :func:`run_tg`): the
+    trace is collected on a healthy reference platform, then replayed
+    against a degraded, checkpointed or fast-forwarded one — the paper's
+    decoupling, exercised under adverse conditions.
     """
-    if warmup_cycles is not None and checkpoint_every is not None:
-        raise ValueError("warm-up fast-forward and auto-checkpointing "
-                         "are mutually exclusive")
-    result = TGFlowResult()
-    result.benchmark = getattr(app, "__name__", str(app)).split(".")[-1]
-    result.n_cores = n_cores
-    result.interconnect = interconnect
-    result.mode = mode
-
+    result = TGFlowResult(getattr(app, "__name__", str(app)).split(".")[-1],
+                          n_cores, interconnect, mode)
     platform, collectors, ref_wall = reference_run(
         app, n_cores, interconnect, app_params, config_overrides)
     result.ref_platform = platform
@@ -254,60 +355,9 @@ def tg_flow(app, n_cores: int, interconnect: str = "ahb",
     result.ref_cycles = platform.cumulative_execution_time
 
     result.programs = translate_traces(collectors, n_cores, mode)
-
-    tg_overrides = dict(config_overrides or {})
-    if fault_spec is not None:
-        tg_overrides["fault_spec"] = fault_spec
-        tg_overrides["fault_seed"] = fault_seed
-    if warmup_cycles is not None:
-        from repro.harness.checkpoint import fast_forward, warmup_snapshot
-        payload = warmup_snapshot(result.programs, n_cores, warmup_cycles,
-                                  warmup_fabric, tg_overrides,
-                                  retry_policy=retry_policy,
-                                  watchdog_cycles=watchdog_cycles)
-        start = time.perf_counter()
-        tg_platform = fast_forward(payload,
-                                   interconnect=tg_interconnect
-                                   or interconnect,
-                                   config_overrides=tg_overrides)
-        tg_platform.run(progress_window=progress_window)
-        result.warmup_cycle = payload["cycle"]
-        result.warmup_fabric = warmup_fabric
-        result.tg_wall = time.perf_counter() - start
-        result.tg_platform = tg_platform
-        result.tg_events = tg_platform.sim.events_fired
-        result.tg_cycles = tg_platform.cumulative_execution_time
-        return result
-    tg_platform = build_tg_platform(result.programs, n_cores,
-                                    tg_interconnect or interconnect,
-                                    tg_overrides,
-                                    retry_policy=retry_policy,
-                                    watchdog_cycles=watchdog_cycles)
-    start = time.perf_counter()
-    if checkpoint_every is not None:
-        from repro.harness.checkpoint import (
-            DEFAULT_KEEP,
-            CheckpointManager,
-            checkpointed_run,
-            platform_recipe,
-        )
-        if checkpoint_dir is None:
-            raise ValueError("checkpoint_every requires checkpoint_dir")
-        recipe = platform_recipe(result.programs, n_cores,
-                                 tg_interconnect or interconnect,
-                                 tg_overrides, retry_policy,
-                                 watchdog_cycles)
-        manager = CheckpointManager(
-            checkpoint_dir,
-            keep=checkpoint_keep if checkpoint_keep else DEFAULT_KEEP)
-        checkpointed_run(tg_platform, recipe, manager, checkpoint_every,
-                         progress_window=progress_window)
-    else:
-        tg_platform.run(progress_window=progress_window)
-    result.tg_wall = time.perf_counter() - start
-    result.tg_platform = tg_platform
-    result.tg_events = tg_platform.sim.events_fired
-    result.tg_cycles = tg_platform.cumulative_execution_time
+    result.record_tg(*run_tg(result.programs, n_cores,
+                             tg_interconnect or interconnect,
+                             config_overrides, options))
     return result
 
 
@@ -335,9 +385,10 @@ def resilience_demo(app, n_cores: int = 2, interconnect: str = "ahb",
                                    backoff_factor=2, on_exhaust="degrade")
     healthy = tg_flow(app, n_cores, interconnect, app_params=app_params)
     degraded = tg_flow(app, n_cores, interconnect, app_params=app_params,
-                       fault_spec=fault_spec, fault_seed=fault_seed,
-                       retry_policy=retry_policy,
-                       watchdog_cycles=watchdog_cycles)
+                       options=RunOptions(fault_spec=fault_spec,
+                                          fault_seed=fault_seed,
+                                          retry_policy=retry_policy,
+                                          watchdog_cycles=watchdog_cycles))
     counters = degraded.tg_platform.resilience_counters()
     healthy_cycles = healthy.tg_cycles
     degraded_cycles = degraded.tg_cycles

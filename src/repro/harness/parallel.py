@@ -59,6 +59,7 @@ from repro.harness.cache import (
     repro_version,
     warmup_digest,
 )
+from repro.harness.experiments import RunOptions, RunResult, tg_flow
 from repro.harness.journal import SweepJournal
 from repro.harness.supervisor import (
     INTERRUPTED,
@@ -184,9 +185,9 @@ class SweepPoint:
 def expand_grid(spec: SweepSpec) -> List[SweepPoint]:
     """Grid points in canonical sweep order (fabric → mode → cores).
 
-    The order matches :func:`repro.harness.sweep.run_sweep`, so serial
-    and parallel sweeps render identical tables.  Every point gets its
-    own deep copy of the app params.
+    Results come back in this order whatever the worker count, so
+    ``jobs=1`` and pooled sweeps render identical tables.  Every point
+    gets its own deep copy of the app params.
     """
     points: List[SweepPoint] = []
     for interconnect in spec.interconnects:
@@ -221,37 +222,33 @@ def expand_grid(spec: SweepSpec) -> List[SweepPoint]:
     return points
 
 
-class PointResult:
+class PointResult(RunResult):
     """Picklable outcome of one grid point.
 
-    Mirrors the scalar fields and derived columns of
-    :class:`~repro.harness.experiments.TGFlowResult` (so the
-    ``sweep_table``/``sweep_csv`` renderers accept either), plus the
-    execution metadata resilient sweeps need: ``status`` (``"ok"`` or
-    ``"failed"``), the typed ``failure``
-    (:class:`~repro.harness.supervisor.SweepPointFailure`, None when
-    ok), how many ``attempts`` the point consumed, whether it was
-    ``quarantined`` after exhausting retries, and whether the row was
-    served from the ``cached`` results or the ``journaled`` record of
-    an earlier run.  ``traceback`` mirrors ``failure`` for rendering.
+    The :class:`~repro.harness.experiments.RunResult` core plus the
+    synthetic-sweep columns (None on classic benchmark rows; a non-None
+    ``offered_load`` marks the row synthetic for renderers) and the
+    execution metadata resilient sweeps need: how many ``attempts`` the
+    point consumed, whether it was ``quarantined`` after exhausting
+    retries, and whether the row was served from the ``cached`` results
+    or the ``journaled`` record of an earlier run.  ``traceback``
+    mirrors ``failure`` for rendering.
     """
 
-    def __init__(self, benchmark: str, n_cores: int, interconnect: str,
-                 mode: ReplayMode):
-        self.benchmark = benchmark
-        self.n_cores = n_cores
-        self.interconnect = interconnect
-        self.mode = mode
-        self.ref_cycles = 0
-        self.tg_cycles = 0
-        self.ref_wall = 0.0
-        self.tg_wall = 0.0
-        self.ref_events = 0
-        self.tg_events = 0
-        # synthetic-sweep columns (None on classic benchmark rows; a
-        # non-None offered_load marks the row synthetic for renderers)
-        self.offered_load: Optional[float] = None
-        self.pattern: Optional[str] = None
+    #: Summary keys a successful row copies.
+    FIELDS = ("ref_cycles", "tg_cycles", "ref_wall", "tg_wall",
+              "ref_events", "tg_events", "warmup_cycle", "warmup_fabric",
+              "offered_load", "pattern", "scheduled_load", "realised_load",
+              "latency_avg", "latency_max", "issued", "words",
+              "throughput_wpkc")
+
+    def __init__(self, point: SweepPoint,
+                 cache_key: Optional[str] = None):
+        super().__init__(point.benchmark, point.n_cores, point.interconnect,
+                         ReplayMode.from_name(point.mode))
+        traffic = point.traffic or {}
+        self.offered_load: Optional[float] = traffic.get("load")
+        self.pattern: Optional[str] = traffic.get("pattern")
         self.scheduled_load: Optional[float] = None
         self.realised_load: Optional[float] = None
         self.latency_avg: Optional[float] = None
@@ -259,8 +256,6 @@ class PointResult:
         self.issued: Optional[int] = None
         self.words: Optional[int] = None
         self.throughput_wpkc: Optional[float] = None
-        self.status = "ok"
-        self.failure: Optional[SweepPointFailure] = None
         self.traceback: Optional[str] = None
         self.attempts = 1
         self.quarantined = False
@@ -271,62 +266,46 @@ class PointResult:
         #: provenance is the cache or journal, however they were first
         #: computed)
         self.warm_restored = False
-        self.cache_key: Optional[str] = None
+        self.cache_key = cache_key
 
-    def fail(self, failure: SweepPointFailure,
-             quarantined: bool = False) -> "PointResult":
-        self.status = "failed"
-        self.failure = failure
-        self.traceback = failure.traceback or failure.message
-        self.attempts = failure.attempts
-        self.quarantined = quarantined
-        return self
+    @classmethod
+    def failed(cls, point: SweepPoint, failure: SweepPointFailure,
+               cache_key: Optional[str] = None,
+               quarantined: bool = False) -> "PointResult":
+        """A failed row, still named by its point's pattern and load."""
+        result = cls(point, cache_key)
+        result.status = "failed"
+        result.failure = failure
+        result.traceback = failure.traceback or failure.message
+        result.attempts = failure.attempts
+        result.quarantined = quarantined
+        return result
 
     @classmethod
     def from_summary(cls, point: SweepPoint, summary: Dict,
                      cached: bool = False,
                      cache_key: Optional[str] = None) -> "PointResult":
-        result = cls(point.benchmark, point.n_cores, point.interconnect,
-                     ReplayMode.from_name(point.mode))
         status = summary.get("status")
         if status == "ok":
-            for name in ("ref_cycles", "tg_cycles", "ref_wall", "tg_wall",
-                         "ref_events", "tg_events", "offered_load",
-                         "pattern", "scheduled_load", "realised_load",
-                         "latency_avg", "latency_max", "issued", "words",
-                         "throughput_wpkc"):
+            result = cls(point, cache_key)
+            for name in cls.FIELDS:
                 if name in summary:
                     setattr(result, name, summary[name])
         elif status == "failed":
-            result.fail(SweepPointFailure(
+            result = cls.failed(point, SweepPointFailure(
                 SIMULATION_ERROR, "grid point raised inside the worker",
-                traceback=summary.get("traceback")))
+                traceback=summary.get("traceback")), cache_key)
         else:
             # a summary with no (or an unknown) status is untrustworthy —
             # e.g. a stale cache entry from an older schema; defaulting
             # to "ok" here would report zeros as real cycle counts
-            result.fail(SweepPointFailure(
+            result = cls.failed(point, SweepPointFailure(
                 SIMULATION_ERROR,
                 f"result summary carries an invalid status {status!r} "
                 f"(stale cache entry from an older schema?); treating "
-                f"the point as failed"))
+                f"the point as failed"), cache_key)
         result.cached = cached
-        result.cache_key = cache_key
         return result
-
-    @property
-    def error(self) -> float:
-        if self.ref_cycles == 0:
-            return 0.0
-        return abs(self.tg_cycles - self.ref_cycles) / self.ref_cycles
-
-    @property
-    def gain(self) -> float:
-        return self.ref_wall / self.tg_wall if self.tg_wall > 0 else 0.0
-
-    @property
-    def event_gain(self) -> float:
-        return self.ref_events / self.tg_events if self.tg_events else 0.0
 
     def __repr__(self) -> str:
         flags = " cached" if self.cached else ""
@@ -348,20 +327,15 @@ def _execute_point(payload: Dict) -> Dict:
     if sleep_s > 0:
         time.sleep(sleep_s)
     try:
-        warmup = payload.get("warmup")
-        warmup_cycles = warmup["cycles"] if warmup is not None else None
-        warmup_fabric = warmup["fabric"] if warmup is not None else "tlm"
+        warmup = payload.get("warmup") or {}
+        options = RunOptions(fault_spec=payload.get("fault_spec"),
+                             fault_seed=payload.get("fault_seed", 0),
+                             warmup_cycles=warmup.get("cycles"),
+                             warmup_fabric=warmup.get("fabric", "tlm"))
         if payload["benchmark"] == SYNTHETIC:
             from repro.apps.synthetic import TrafficSpec, synthetic_flow
-            spec = TrafficSpec.from_dict(payload["traffic"])
-            overrides = None
-            if payload.get("fault_spec") is not None:
-                overrides = {
-                    "fault_spec": payload["fault_spec"],
-                    "fault_seed": payload.get("fault_seed", 0),
-                }
             warmup_payload = None
-            if warmup is not None and warmup.get("snap_path"):
+            if warmup.get("snap_path"):
                 # a damaged or vanished driver snapshot is a cache-style
                 # miss, not a failure: the worker re-derives the same
                 # warm-up itself (deterministic, so same result)
@@ -371,25 +345,16 @@ def _execute_point(payload: Dict) -> Dict:
                     warmup_payload = load_snapshot(warmup["snap_path"])
                 except (OSError, ArtifactError):
                     warmup_payload = None
-            result = synthetic_flow(spec, payload["interconnect"],
-                                    config_overrides=overrides,
-                                    warmup_cycles=warmup_cycles,
-                                    warmup_fabric=warmup_fabric,
+            result = synthetic_flow(TrafficSpec.from_dict(payload["traffic"]),
+                                    payload["interconnect"], options=options,
                                     warmup_payload=warmup_payload)
-            summary = result.summary()
-            summary["status"] = "ok"
-            return summary
-        from repro.harness.experiments import tg_flow
-        app = _resolve_app(payload["benchmark"])
-        result = tg_flow(
-            app, payload["n_cores"],
-            interconnect=payload["interconnect"],
-            mode=ReplayMode.from_name(payload["mode"]),
-            app_params=payload["app_params"] or None,
-            fault_spec=payload.get("fault_spec"),
-            fault_seed=payload.get("fault_seed", 0),
-            warmup_cycles=warmup_cycles,
-            warmup_fabric=warmup_fabric)
+        else:
+            result = tg_flow(_resolve_app(payload["benchmark"]),
+                             payload["n_cores"],
+                             interconnect=payload["interconnect"],
+                             mode=ReplayMode.from_name(payload["mode"]),
+                             app_params=payload["app_params"] or None,
+                             options=options)
         summary = result.summary()
         summary["status"] = "ok"
         return summary
@@ -658,12 +623,8 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
                                   traceback=failure.traceback, final=True)
             if quarantined:
                 journal.record_quarantined(point.index, failure.attempts)
-        result = PointResult(point.benchmark, point.n_cores,
-                             point.interconnect,
-                             ReplayMode.from_name(point.mode))
-        result.cache_key = task.key
-        result.fail(failure, quarantined=quarantined)
-        results[point.index] = result
+        results[point.index] = PointResult.failed(
+            point, failure, task.key, quarantined=quarantined)
         counters["failed"] += 1
         counters["done"] += 1
         emit()
@@ -686,17 +647,14 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
             return False
         if point.index in journal_state.failed:
             record = journal_state.failed[point.index]
-            result = PointResult(point.benchmark, point.n_cores,
-                                 point.interconnect,
-                                 ReplayMode.from_name(point.mode))
-            result.cache_key = key
-            result.fail(
+            result = PointResult.failed(
+                point,
                 SweepPointFailure(
                     record.get("kind", SIMULATION_ERROR),
                     record.get("message", "failed in an earlier run"),
                     traceback=record.get("traceback"),
                     attempts=record.get("attempt", 0) + 1),
-                quarantined=point.index in journal_state.quarantined)
+                key, quarantined=point.index in journal_state.quarantined)
             result.journaled = True
             results[point.index] = result
             counters["done"] += 1
@@ -708,16 +666,11 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
     def interrupt(unfinished: List[_Task]) -> None:
         """Mark every unfinished point interrupted and carry results out."""
         for task in unfinished:
-            point = task.point
-            failure = SweepPointFailure(
-                INTERRUPTED, "sweep interrupted before the point finished",
-                attempts=task.attempt + 1)
-            result = PointResult(point.benchmark, point.n_cores,
-                                 point.interconnect,
-                                 ReplayMode.from_name(point.mode))
-            result.cache_key = task.key
-            result.fail(failure)
-            results[point.index] = result
+            results[task.point.index] = PointResult.failed(
+                task.point, SweepPointFailure(
+                    INTERRUPTED,
+                    "sweep interrupted before the point finished",
+                    attempts=task.attempt + 1), task.key)
         journal_dir = str(journal.path.parent) if journal is not None \
             else None
         raise SweepInterrupted([r for r in results if r is not None],

@@ -3,8 +3,8 @@
 Architectural exploration is "carrying out the same set of simulations
 for each design alternative" — a sweep spec names the benchmark, the
 core counts, the interconnects and the replay modes, and the runner
-produces one :class:`~repro.harness.experiments.TGFlowResult` row per
-grid point, plus table/CSV renderings.
+produces one :class:`~repro.harness.parallel.PointResult` row per grid
+point, plus table/CSV renderings.
 
 Specs are plain dictionaries (JSON-friendly, used by ``repro-sweep``)::
 
@@ -16,11 +16,11 @@ Specs are plain dictionaries (JSON-friendly, used by ``repro-sweep``)::
       "app_params": {"n": 8}
     }
 
-``run_sweep`` here executes the grid serially, in process, and keeps the
-full platforms around for inspection.  The scalable path — a worker pool
-with per-point crash isolation and an on-disk result cache — lives in
-:mod:`repro.harness.parallel` / :mod:`repro.harness.cache` and shares
-this module's :class:`SweepSpec` and renderers (see docs/SWEEPS.md).
+The runner — a worker pool with per-point crash isolation and an
+on-disk result cache, or the same engine in process with ``jobs=1`` —
+lives in :mod:`repro.harness.parallel` / :mod:`repro.harness.cache`
+and shares this module's :class:`SweepSpec` and renderers (see
+docs/SWEEPS.md).
 """
 
 import copy
@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Union
 
 from repro.core.modes import ReplayMode
 from repro.faults import FaultSpec
-from repro.harness.experiments import TGFlowResult, tg_flow
 from repro.stats import Table
 
 _APP_NAMES = ("sp_matrix", "cacheloop", "mp_matrix", "des")
@@ -131,9 +130,9 @@ class SweepSpec:
             raise ValueError(f"jobs must be 'auto' or an int >= 0 "
                              f"(0 = all CPUs), got {jobs!r}")
         self.jobs = jobs
+        if benchmark != SYNTHETIC:
+            _resolve_app(benchmark)
         self.benchmark = benchmark
-        self.app = None if benchmark == SYNTHETIC \
-            else _resolve_app(benchmark)
         self.cores = _validated_cores(cores)
         self.interconnects = _deduped(list(interconnects or ["ahb"]))
         self.modes = _deduped([ReplayMode.from_name(mode)
@@ -292,161 +291,80 @@ def resolve_traffic(template: Dict, n_cores: int, mode: str,
     return resolved
 
 
-def run_sweep(spec: SweepSpec) -> List[TGFlowResult]:
-    """Run every grid point serially; returns results in grid order.
-
-    Each point receives its own deep copy of ``spec.app_params`` — an app
-    that mutates a nested parameter value (a list it appends to, a dict it
-    fills in) must not poison later grid points, and the spec itself stays
-    pristine for re-use.
-
-    For parallel execution with caching and crash isolation, use
-    :func:`repro.harness.parallel.run_sweep_parallel`.
-    """
-    if spec.benchmark == SYNTHETIC:
-        from repro.apps.synthetic import TrafficSpec, synthetic_flow
-        results = []
-        for interconnect in spec.interconnects:
-            for mode in spec.modes:
-                for n_cores in spec.cores:
-                    for pattern in (spec.patterns or [None]):
-                        for load in (spec.loads or [None]):
-                            traffic = TrafficSpec.from_dict(resolve_traffic(
-                                spec.traffic, n_cores, mode.value,
-                                pattern, load))
-                            results.append(synthetic_flow(
-                                traffic, interconnect,
-                                config_overrides=_fault_overrides(spec),
-                                warmup_cycles=spec.warmup_cycles,
-                                warmup_fabric=spec.warmup_fabric))
-        return results
-    results = []
-    for interconnect in spec.interconnects:
-        for mode in spec.modes:
-            for n_cores in spec.cores:
-                params = copy.deepcopy(spec.app_params)
-                results.append(tg_flow(
-                    spec.app, n_cores, interconnect=interconnect,
-                    mode=mode, app_params=params or None,
-                    fault_spec=copy.deepcopy(spec.fault_spec),
-                    fault_seed=spec.fault_seed,
-                    warmup_cycles=spec.warmup_cycles,
-                    warmup_fabric=spec.warmup_fabric))
-    return results
-
-
-def _fault_overrides(spec: SweepSpec) -> Optional[Dict]:
-    if spec.fault_spec is None:
-        return None
-    return {"fault_spec": copy.deepcopy(spec.fault_spec),
-            "fault_seed": spec.fault_seed}
-
-
 def _is_synthetic_row(result) -> bool:
     return getattr(result, "offered_load", None) is not None
+
+
+#: Table layouts: headers, the column a failed row's ``FAILED`` label
+#: goes in, and how many leading columns a failed row keeps.
+_LAYOUTS = {
+    "classic": (("benchmark", "fabric", "mode", "#IPs", "ARM cycles",
+                 "TG cycles", "error", "gain", "event gain"), "error", 4),
+    "synthetic": (("pattern", "fabric", "mode", "#IPs", "load",
+                   "TG cycles", "issued", "avg lat", "max lat",
+                   "words/kcyc"), "avg lat", 5),
+    "mixed": (("benchmark", "fabric", "mode", "#IPs", "ARM cycles",
+               "TG cycles", "error", "gain", "load", "issued", "avg lat",
+               "words/kcyc"), "error", 4),
+}
+
+
+def _cells(result) -> Dict[str, object]:
+    """Every column a row fills, by header; the rest render as ``-``."""
+    synthetic = _is_synthetic_row(result)
+    name = result.benchmark
+    if synthetic:
+        name = getattr(result, "pattern", None) or name
+    cells: Dict[str, object] = {
+        "benchmark": name, "pattern": name,
+        "fabric": result.interconnect, "mode": result.mode.value,
+        "#IPs": f"{result.n_cores}P"}
+    if synthetic:
+        cells["load"] = f"{result.offered_load:.2f}"
+    if getattr(result, "status", "ok") != "ok":
+        return cells
+    cells["TG cycles"] = result.tg_cycles
+    if synthetic:
+        cells.update({
+            "issued": result.issued,
+            "avg lat": f"{result.latency_avg:.1f}",
+            "max lat": result.latency_max,
+            "words/kcyc": f"{result.throughput_wpkc:.1f}"})
+    else:
+        cells.update({
+            "ARM cycles": result.ref_cycles,
+            "error": f"{result.error:.2%}",
+            "gain": f"{result.gain:.2f}x",
+            "event gain": f"{result.event_gain:.2f}x"})
+    return cells
 
 
 def sweep_table(results: List, title: Optional[str] = None) -> str:
     """Render sweep results as a fixed-width table.
 
-    Accepts rich :class:`TGFlowResult` rows (serial sweeps), the
-    picklable :class:`~repro.harness.parallel.PointResult` rows
-    (parallel and cached sweeps) and
-    :class:`~repro.apps.synthetic.SyntheticResult` rows, which get a
-    load/latency column layout instead of the reference-comparison one.
-    A *mixed* result list (synthetic and trace-benchmark rows together,
-    e.g. concatenated sweeps) gets the union layout: one header with
-    both column families, each row padded with ``-`` in the columns
-    that do not apply to it.  Failed grid points render as a ``FAILED``
-    row instead of fake numbers.
+    Accepts any row with the :class:`~repro.harness.experiments.RunResult`
+    surface — :class:`~repro.harness.parallel.PointResult` rows from a
+    sweep, or the flows' own results.  Trace-benchmark rows get the
+    reference-comparison layout; synthetic rows (a non-None
+    ``offered_load``) get a load/latency layout instead.  A *mixed*
+    list (e.g. concatenated sweeps) gets the union layout: one header
+    with both column families, each row padded with ``-`` in the
+    columns that do not apply to it.  Failed grid points render as a
+    ``FAILED`` row instead of fake numbers.
     """
     flags = [_is_synthetic_row(r) for r in results]
-    if results and all(flags):
-        return _synthetic_table(results, title)
-    if any(flags):
-        return _mixed_table(results, title)
-    table = Table(["benchmark", "fabric", "mode", "#IPs", "ARM cycles",
-                   "TG cycles", "error", "gain", "event gain"],
-                  title=title)
+    layout = "synthetic" if results and all(flags) \
+        else "mixed" if any(flags) else "classic"
+    headers, label_column, kept = _LAYOUTS[layout]
+    table = Table(list(headers), title=title)
     for result in results:
+        cells = _cells(result)
         if getattr(result, "status", "ok") != "ok":
             failure = getattr(result, "failure", None)
-            label = "FAILED" if failure is None \
+            cells = {header: cells[header] for header in headers[:kept]}
+            cells[label_column] = "FAILED" if failure is None \
                 else f"FAILED:{failure.kind}"
-            table.add_row(result.benchmark, result.interconnect,
-                          result.mode.value, f"{result.n_cores}P",
-                          "-", "-", label, "-", "-")
-            continue
-        table.add_row(result.benchmark, result.interconnect,
-                      result.mode.value, f"{result.n_cores}P",
-                      result.ref_cycles, result.tg_cycles,
-                      f"{result.error:.2%}", f"{result.gain:.2f}x",
-                      f"{result.event_gain:.2f}x")
-    return table.render()
-
-
-def _synthetic_table(results: List, title: Optional[str]) -> str:
-    table = Table(["pattern", "fabric", "mode", "#IPs", "load",
-                   "TG cycles", "issued", "avg lat", "max lat",
-                   "words/kcyc"], title=title)
-    for result in results:
-        pattern = getattr(result, "pattern", None) or "?"
-        load = getattr(result, "offered_load", None)
-        load_text = f"{load:.2f}" if load is not None else "-"
-        if getattr(result, "status", "ok") != "ok":
-            failure = getattr(result, "failure", None)
-            label = "FAILED" if failure is None \
-                else f"FAILED:{failure.kind}"
-            table.add_row(pattern, result.interconnect,
-                          result.mode.value, f"{result.n_cores}P",
-                          load_text, "-", "-", label, "-", "-")
-            continue
-        table.add_row(pattern, result.interconnect, result.mode.value,
-                      f"{result.n_cores}P", load_text, result.tg_cycles,
-                      result.issued, f"{result.latency_avg:.1f}",
-                      result.latency_max,
-                      f"{result.throughput_wpkc:.1f}")
-    return table.render()
-
-
-def _mixed_table(results: List, title: Optional[str]) -> str:
-    """Union layout for grids mixing synthetic and trace-benchmark rows.
-
-    The header is computed once for the whole list; every row fills the
-    columns its family defines and pads the rest with ``-`` — the old
-    behaviour routed *all* rows through the synthetic layout, which
-    crashed on trace-benchmark rows (no ``issued``/latency columns).
-    """
-    table = Table(["benchmark", "fabric", "mode", "#IPs",
-                   "ARM cycles", "TG cycles", "error", "gain",
-                   "load", "issued", "avg lat", "words/kcyc"],
-                  title=title)
-    for result in results:
-        synthetic = _is_synthetic_row(result)
-        name = result.benchmark
-        if synthetic:
-            name = getattr(result, "pattern", None) or name
-        if getattr(result, "status", "ok") != "ok":
-            failure = getattr(result, "failure", None)
-            label = "FAILED" if failure is None \
-                else f"FAILED:{failure.kind}"
-            table.add_row(name, result.interconnect, result.mode.value,
-                          f"{result.n_cores}P", "-", "-", label, "-",
-                          "-", "-", "-", "-")
-            continue
-        if synthetic:
-            load = getattr(result, "offered_load", None)
-            table.add_row(name, result.interconnect, result.mode.value,
-                          f"{result.n_cores}P", "-", result.tg_cycles,
-                          "-", "-",
-                          f"{load:.2f}" if load is not None else "-",
-                          result.issued, f"{result.latency_avg:.1f}",
-                          f"{result.throughput_wpkc:.1f}")
-        else:
-            table.add_row(name, result.interconnect, result.mode.value,
-                          f"{result.n_cores}P", result.ref_cycles,
-                          result.tg_cycles, f"{result.error:.2%}",
-                          f"{result.gain:.2f}x", "-", "-", "-", "-")
+        table.add_row(*(cells.get(header, "-") for header in headers))
     return table.render()
 
 

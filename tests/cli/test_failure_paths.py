@@ -16,11 +16,13 @@ from repro.artifacts import (
     save_trc,
 )
 from repro.cli import (
+    experiment_main,
     sweep_main,
     tgasm_main,
     tgdump_main,
     trace_stats_main,
     traceset_main,
+    traffic_main,
     trc2tgp_main,
 )
 from repro.trace import Translator, TranslatorOptions
@@ -205,3 +207,53 @@ class TestSweepCacheVerify:
     def test_missing_spec_file_exit_3(self, capsys):
         assert sweep_main(["nope.json"]) == EXIT_MISSING_FILE
         _assert_one_line_error(capsys, "repro-sweep")
+
+
+class TestRunFlagUsageErrors:
+    """Bad numbers on the run CLIs are usage errors: exit 2 and one
+    ``error:`` line, never a traceback or an unrelated exit code."""
+
+    @pytest.mark.parametrize("main,argv,tool,message", [
+        (experiment_main, ["cacheloop", "--param", "iters=abc"],
+         "repro-experiment", "KEY=INT"),
+        (experiment_main, ["cacheloop", "--param", "iters"],
+         "repro-experiment", "KEY=INT"),
+        (experiment_main, ["cacheloop", "--param", "bogus=1"],
+         "repro-experiment", "unknown --param bogus"),
+        (experiment_main, ["cacheloop", "-n", "0"],
+         "repro-experiment", "positive integer"),
+        (experiment_main, ["cacheloop", "--checkpoint-every", "0",
+                           "--checkpoint-dir", "ckpt"],
+         "repro-experiment", "positive integer"),
+        (experiment_main, ["cacheloop", "--checkpoint-every", "100",
+                           "--checkpoint-dir", "ckpt",
+                           "--checkpoint-keep", "0"],
+         "repro-experiment", "positive integer"),
+        (experiment_main, ["cacheloop", "--warmup-cycles", "0"],
+         "repro-experiment", "positive integer"),
+        (experiment_main, ["cacheloop", "--retry-attempts", "0"],
+         "repro-experiment", "max_attempts"),
+        (experiment_main, ["cacheloop", "--checkpoint-every", "100"],
+         "repro-experiment", "--checkpoint-every requires "
+                             "--checkpoint-dir"),
+        (traffic_main, ["--cores", "4", "--size-uniform", "1-4"],
+         "repro-traffic", "expected MIN:MAX"),
+        (traffic_main, ["--cores", "4", "--warmup-cycles", "100",
+                        "--simulate", "tlm", "--checkpoint-every", "50",
+                        "--checkpoint-dir", "ckpt"],
+         "repro-traffic", "--warmup-cycles cannot be combined with "
+                          "--checkpoint-every"),
+    ])
+    def test_exit_2(self, main, argv, tool, message, capsys, tmp_path,
+                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith(f"{tool}: error: ")]
+        assert len(errors) == 1
+        assert message in errors[0]
+        assert not list(tmp_path.iterdir())

@@ -13,14 +13,15 @@ import pytest
 
 from repro.apps import mp_matrix
 from repro.faults import FaultSpec, RetryPolicy
-from repro.harness import resilience_demo, tg_flow
+from repro.harness import RunOptions, resilience_demo, tg_flow
 from repro.trace import collect_traces
 
 pytestmark = pytest.mark.faults
 
 
-def flow(**kwargs):
-    return tg_flow(mp_matrix, 2, app_params={"n": 4}, **kwargs)
+def flow(**options):
+    return tg_flow(mp_matrix, 2, app_params={"n": 4},
+                   options=RunOptions(**options))
 
 
 class TestZeroCostWhenDisabled:

@@ -120,6 +120,43 @@ class TestCheckpointedRun:
         with pytest.raises(SnapshotError):
             checkpointed_run(_platform(), _recipe(), manager, every=0)
 
+    def test_idle_gap_longer_than_cadence_terminates(self, tmp_path):
+        """Regression: a segment whose next event lies past its boundary
+        fired nothing, so the run re-saved the same snapshot forever."""
+
+        class BoundedManager(CheckpointManager):
+            saves = 0
+
+            def save(self, payload):
+                BoundedManager.saves += 1
+                if BoundedManager.saves > 50:
+                    raise AssertionError("checkpointed_run stopped "
+                                         "making progress")
+                return super().save(payload)
+
+        sparse = TrafficSpec.from_dict({"n_cores": 2, "transactions": 6,
+                                        "pattern": "uniform",
+                                        "load": 0.05, "seed": 11})
+        programs, _ = generate(sparse)
+        gaps = [instr.imm for program in programs.values()
+                for instr in program.instructions
+                if instr.op.name == "IDLE"]
+        assert max(gaps) > 10
+        base = build_tg_platform(programs, 2, "ahb")
+        base.run()
+        recipe = platform_recipe(programs, 2, "ahb")
+        manager = BoundedManager(tmp_path, keep=50)
+        platform = build_tg_platform(programs, 2, "ahb")
+        checkpointed_run(platform, recipe, manager, every=10)
+        end = comparable_summary(base.stats_summary())
+        assert comparable_summary(platform.stats_summary()) == end
+        snaps = sorted(tmp_path.glob("*.snap"))
+        assert snaps
+        for path in snaps:
+            restored = restore_platform(load_snapshot(path))
+            restored.run()
+            assert comparable_summary(restored.stats_summary()) == end
+
 
 class TestRestorePlatform:
 

@@ -7,7 +7,6 @@ from repro.core import ReplayMode
 from repro.harness import (
     SweepSpec,
     expand_grid,
-    run_sweep,
     run_sweep_parallel,
     sweep_csv,
     sweep_table,
@@ -17,8 +16,8 @@ from repro.harness import parallel as parallel_module
 pytestmark = pytest.mark.sweep
 
 #: CSV column indices of the wall-clock-derived values (ref_wall,
-#: tg_wall, gain) — the only columns allowed to differ between a serial
-#: and a parallel run of the same grid.
+#: tg_wall, gain) — the only columns allowed to differ between an
+#: in-process (``jobs=1``) and a pooled run of the same grid.
 WALL_COLUMNS = (7, 8, 9)
 
 
@@ -65,7 +64,7 @@ class TestExpandGrid:
 class TestParallelMatchesSerial:
     def test_csv_identical_modulo_wall_columns(self):
         spec = small_spec()
-        serial = run_sweep(spec)
+        serial = run_sweep_parallel(spec, jobs=1)
         parallel = run_sweep_parallel(spec, jobs=2)
         assert normalised_csv(serial) == normalised_csv(parallel)
 

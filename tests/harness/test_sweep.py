@@ -6,7 +6,13 @@ import pytest
 
 from repro.cli import sweep_main
 from repro.core import ReplayMode
-from repro.harness import SweepSpec, run_sweep, sweep_csv, sweep_table
+from repro.harness import (
+    SweepSpec,
+    run_sweep_parallel,
+    sweep_csv,
+    sweep_table,
+)
+from repro.harness import parallel as parallel_module
 
 
 class TestSweepSpec:
@@ -90,7 +96,7 @@ class TestRunSweep:
         spec = SweepSpec("cacheloop", [1, 2],
                          interconnects=["ahb", "tlm"],
                          app_params={"iters": 60})
-        return run_sweep(spec)
+        return run_sweep_parallel(spec, jobs=1)
 
     def test_grid_size(self, results):
         assert len(results) == 4
@@ -121,7 +127,7 @@ class TestRunSweep:
 
 
 class TestAppParamIsolation:
-    def test_mutating_app_cannot_poison_later_points(self):
+    def test_mutating_app_cannot_poison_later_points(self, monkeypatch):
         """Regression: every grid point used to receive the *same*
         app_params dict, so nested-value mutations leaked across points."""
         from repro.apps import cacheloop
@@ -139,8 +145,10 @@ class TestAppParamIsolation:
 
         spec = SweepSpec("cacheloop", [1, 2],
                          app_params={"iters": 40, "history": []})
-        spec.app = MutatingApp
-        run_sweep(spec)
+        monkeypatch.setattr(parallel_module, "_resolve_app",
+                            lambda name: MutatingApp)
+        results = run_sweep_parallel(spec, jobs=1)
+        assert [r.status for r in results] == ["ok", "ok"]
         # with a shared dict the second point would start at length 2
         assert seen_lengths == [1, 1, 2]
         assert spec.app_params["history"] == []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.modes import ReplayMode
-from repro.harness import SweepSpec, run_sweep, run_sweep_parallel
+from repro.harness import SweepSpec, run_sweep_parallel
 from repro.harness.parallel import expand_grid
 from repro.harness.sweep import resolve_traffic, sweep_csv, sweep_table
 
@@ -101,7 +101,7 @@ class TestGridExpansion:
 class TestExecution:
     def test_serial_parallel_parity(self):
         spec = synthetic_spec()
-        serial = run_sweep(spec)
+        serial = run_sweep_parallel(spec, jobs=1)
         parallel = run_sweep_parallel(spec, jobs=2)
         assert len(serial) == len(parallel) == 2
         for s, p in zip(serial, parallel):
@@ -123,7 +123,7 @@ class TestExecution:
             traffic={"transactions": 60, "seed": 5,
                      "pattern": "hotspot", "hot_weight": 8.0},
             loads=[0.1, 0.3, 0.5, 0.7, 0.9], patterns=None)
-        results = run_sweep(spec)
+        results = run_sweep_parallel(spec, jobs=1)
         latencies = [r.latency_avg for r in results]
         assert latencies == sorted(latencies)
         # realised load tracks offered load until (and beyond) the knee
@@ -134,14 +134,14 @@ class TestExecution:
 
 class TestRenderers:
     def test_synthetic_table_layout(self):
-        results = run_sweep(synthetic_spec())
+        results = run_sweep_parallel(synthetic_spec(), jobs=1)
         text = sweep_table(results, title="t")
         assert "load" in text and "avg lat" in text
         assert "uniform" in text
         assert "ARM cycles" not in text
 
     def test_csv_has_synthetic_columns(self):
-        results = run_sweep(synthetic_spec())
+        results = run_sweep_parallel(synthetic_spec(), jobs=1)
         text = sweep_csv(results)
         header = text.splitlines()[0]
         assert header.endswith(
@@ -197,11 +197,10 @@ class TestMixedGridRendering:
 
     @pytest.fixture(scope="class")
     def mixed_results(self):
-        from repro.harness import run_sweep
-        classic = run_sweep(SweepSpec.from_dict(
+        classic = run_sweep_parallel(SweepSpec.from_dict(
             {"benchmark": "cacheloop", "cores": [2],
-             "app_params": {"iters": 40}}))
-        synthetic = run_sweep(synthetic_spec())
+             "app_params": {"iters": 40}}), jobs=1)
+        synthetic = run_sweep_parallel(synthetic_spec(), jobs=1)
         return classic + synthetic
 
     def test_table_renders_union_layout(self, mixed_results):
@@ -241,3 +240,50 @@ class TestMixedGridRendering:
         synthetic_text = sweep_table(synthetic, title="s")
         assert "load" not in classic_text.splitlines()[1]
         assert "ARM cycles" not in synthetic_text
+
+
+class TestFailedSyntheticRows:
+    """Regression: a failed synthetic point lost its pattern and load,
+    so the renderers took it for a Table-2 row — one failure switched
+    the table to the mixed layout, and an all-failed grid rendered as a
+    Table-2 sweep whose rows could not be told apart."""
+
+    def test_one_failure_keeps_the_synthetic_layout(self, monkeypatch):
+        import repro.apps.synthetic as synthetic
+        real = synthetic.synthetic_flow
+
+        def flaky(spec, *args, **kwargs):
+            if spec.load == 0.8:
+                raise RuntimeError("fabric melted")
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(synthetic, "synthetic_flow", flaky)
+        results = run_sweep_parallel(synthetic_spec(), jobs=1)
+        assert [r.status for r in results] == ["ok", "failed"]
+        assert (results[1].pattern, results[1].offered_load) \
+            == ("uniform", 0.8)
+        lines = sweep_table(results).splitlines()
+        assert lines[0].split()[:5] == ["pattern", "fabric", "mode",
+                                        "#IPs", "load"]
+        assert lines[-1].split()[:5] == ["uniform", "tlm", "reactive",
+                                         "4P", "0.80"]
+        assert "FAILED:simulation-error" in lines[-1]
+
+    def test_all_failed_grid_renders_as_synthetic(self, monkeypatch):
+        import csv
+        import io
+
+        from repro.harness import parallel as parallel_module
+        monkeypatch.setenv(parallel_module._TEST_SLEEP_ENV, "1.0")
+        results = run_sweep_parallel(synthetic_spec(loads=[0.3, 0.6]),
+                                     jobs=2, point_timeout_s=0.2)
+        assert [r.failure.kind for r in results] == ["timeout", "timeout"]
+        assert [(r.pattern, r.offered_load) for r in results] \
+            == [("uniform", 0.3), ("uniform", 0.6)]
+        table = sweep_table(results)
+        assert "ARM cycles" not in table and "avg lat" in table
+        assert "0.30" in table and "0.60" in table
+        rows = list(csv.reader(io.StringIO(sweep_csv(results))))
+        assert rows[0][12:14] == ["pattern", "offered_load"]
+        assert [row[12:14] for row in rows[1:]] \
+            == [["uniform", "0.3"], ["uniform", "0.6"]]
