@@ -643,7 +643,6 @@ class SyntheticResult(RunResult):
         self.latency_max = 0
         self.throughput_wpkc = 0.0
         self.generator_report: List[Dict] = []
-        self.tg_platform = None
 
     def __repr__(self) -> str:
         return (f"<SyntheticResult {self.pattern} {self.n_cores}P "

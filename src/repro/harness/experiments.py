@@ -87,6 +87,7 @@ class RunResult:
         self.tg_events = 0
         self.warmup_cycle: Optional[int] = None
         self.warmup_fabric: Optional[str] = None
+        self.tg_platform: Optional[MparmPlatform] = None  # in-process runs
 
     def record_tg(self, platform: MparmPlatform, wall: float,
                   warmup: Optional[dict] = None) -> None:
@@ -140,7 +141,6 @@ class TGFlowResult(RunResult):
         self.programs: Dict[int, TGProgram] = {}
         self.traces: Dict[int, TraceCollector] = {}
         self.ref_platform: Optional[MparmPlatform] = None
-        self.tg_platform: Optional[MparmPlatform] = None
 
     def __repr__(self) -> str:
         return (f"<TGFlowResult {self.benchmark} {self.n_cores}P "
