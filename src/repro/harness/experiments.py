@@ -317,11 +317,10 @@ def run_tg(programs: Dict[int, TGProgram], n_cores: int,
         )
         recipe = platform_recipe(programs, n_cores, interconnect, overrides,
                                  **resilience)
-        keep = options.checkpoint_keep
-        manager = CheckpointManager(
-            options.checkpoint_dir, keep=DEFAULT_KEEP if keep is None
-            else keep)
-        checkpointed_run(platform, recipe, manager,
+        keep = DEFAULT_KEEP if options.checkpoint_keep is None \
+            else options.checkpoint_keep
+        checkpointed_run(platform, recipe,
+                         CheckpointManager(options.checkpoint_dir, keep=keep),
                          options.checkpoint_every,
                          progress_window=options.progress_window)
     return platform, time.perf_counter() - start, None
