@@ -1,13 +1,9 @@
-"""E2 — Figure 3: the trace→program→binary toolchain, correctness + speed.
-
-Checks the paper's walk-through translation on the Figure 3 trace shape
-and benchmarks translator/assembler throughput on a large synthetic trace
-(the paper reports 145 s for a 20 MB trace; we report the scaled figure).
-"""
+"""Figure 3's toolchain speed: translator/assembler throughput on a large
+synthetic trace (the paper reports 145 s for a 20 MB trace)."""
 
 import pytest
 
-from repro.core import TGOp, parse_tgp
+from repro.core import parse_tgp
 from repro.core.assembler import assemble_binary, disassemble_binary
 from repro.ocp.types import OCPCommand
 from repro.trace import Phase, TraceEvent, Translator, TranslatorOptions
@@ -52,31 +48,6 @@ def synthetic_trace(transactions=5000):
             time_ns += 80
         uid += 1
     return events
-
-
-@pytest.mark.benchmark(group="fig3-toolchain")
-def test_figure3_walkthrough(benchmark):
-    """The exact idle arithmetic of the paper's Figure 3 example."""
-    events = [
-        TraceEvent(Phase.REQ, 55, OCPCommand.READ, 0x104, 1, None, 0),
-        TraceEvent(Phase.ACC, 60, OCPCommand.READ, 0x104, 1, None, 0),
-        TraceEvent(Phase.RESP, 75, OCPCommand.READ, 0x104, 1,
-                   0x088000F0, 0),
-        TraceEvent(Phase.REQ, 90, OCPCommand.WRITE, 0x20, 1, 0x111, 1),
-        TraceEvent(Phase.ACC, 95, OCPCommand.WRITE, 0x20, 1, None, 1),
-        TraceEvent(Phase.REQ, 140, OCPCommand.READ, 0xC4, 1, None, 2),
-        TraceEvent(Phase.ACC, 145, OCPCommand.READ, 0xC4, 1, None, 2),
-        TraceEvent(Phase.RESP, 165, OCPCommand.READ, 0xC4, 1, 0x2236, 2),
-    ]
-    program = benchmark(lambda: Translator().translate_events(events))
-    text = program.to_tgp()
-    # first instruction block: SetRegister + Idle(10) + Read, i.e. the
-    # paper's "Idle(11)" minus the one-cycle register setup
-    assert program.instructions[0].op == TGOp.SET_REGISTER
-    assert program.instructions[1].imm == 10
-    assert "Read(addr)" in text
-    REPORT_LINES.append("[E2] Figure 3 trace translates to:\n"
-                        + "\n".join(text.splitlines()[:14]))
 
 
 @pytest.mark.benchmark(group="fig3-toolchain")

@@ -1,69 +1,17 @@
-"""E10 — Table 2's trends as explicit series: error and gain vs #cores.
-
-Two claims from the paper's discussion are checked:
-
-* Cacheloop's gain does **not** degrade with core count ("the reduced
-  speedup is not a property of the TG") — its event-gain at 12P is at
-  least as good as at 2P;
-* MP matrix saturates the bus at high core counts, which *shrinks* the
-  gain (TGs cannot save simulation work while replaced cores idle-wait).
-"""
+"""Sweep-engine scaling: a parallel sweep reproduces the serial results
+and, given the CPUs, finishes faster."""
 
 import os
 import time
 
 import pytest
 
-from repro.apps import cacheloop, mp_matrix
-from benchmarks.common import table2_measurement
-from repro.interconnect import AmbaAhbBus
 from repro.harness import (
     SweepSpec,
-    reference_run,
     run_sweep_parallel,
     sweep_csv,
 )
 from benchmarks.conftest import REPORT_LINES
-
-
-@pytest.mark.benchmark(group="scaling")
-def test_cacheloop_gain_scales(benchmark):
-    def series():
-        return {n: table2_measurement(cacheloop, n, {"iters": 800},
-                                      repeats=2)
-                for n in (2, 6, 12)}
-
-    results = benchmark.pedantic(series, rounds=1, iterations=1)
-    gains = {n: round(r["event_gain"], 2) for n, r in results.items()}
-    REPORT_LINES.append(f"[E10] cacheloop event-gain by #cores: {gains}")
-    assert results[12]["event_gain"] >= results[2]["event_gain"] * 0.9
-
-
-@pytest.mark.benchmark(group="scaling")
-def test_mp_matrix_congestion_shrinks_gain(benchmark):
-    def series():
-        measurements = {n: table2_measurement(mp_matrix, n, {"n": 8},
-                                              repeats=2)
-                        for n in (2, 12)}
-        utilisation = {}
-        for n in (2, 12):
-            platform, _, _ = reference_run(mp_matrix, n, app_params={"n": 8},
-                                           collect=False)
-            assert isinstance(platform.fabric, AmbaAhbBus)
-            utilisation[n] = platform.fabric.utilisation()
-        return measurements, utilisation
-
-    measurements, utilisation = benchmark.pedantic(series, rounds=1,
-                                                   iterations=1)
-    REPORT_LINES.append(
-        f"[E10] mp_matrix: bus utilisation 2P={utilisation[2]:.2f} "
-        f"12P={utilisation[12]:.2f}; event-gain "
-        f"2P={measurements[2]['event_gain']:.2f}x "
-        f"12P={measurements[12]['event_gain']:.2f}x")
-    # congestion grows with cores...
-    assert utilisation[12] > utilisation[2]
-    # ...and eats into the TG's advantage
-    assert measurements[12]["event_gain"] < measurements[2]["event_gain"]
 
 
 def _normalised_csv(results):
@@ -106,7 +54,7 @@ def test_parallel_sweep_speedup(benchmark):
     except AttributeError:           # non-Linux
         available_cpus = os.cpu_count() or 1
     REPORT_LINES.append(
-        f"[E12] 12-point sweep on {available_cpus} CPU(s): serial "
+        f"12-point sweep on {available_cpus} CPU(s): serial "
         f"{serial_wall:.2f}s, --jobs 4 {parallel_wall:.2f}s "
         f"({speedup:.2f}x), CSV identical modulo wall columns")
     if available_cpus >= 4:

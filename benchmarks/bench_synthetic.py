@@ -1,4 +1,4 @@
-"""E12 — synthetic-traffic workloads: generation cost and saturation.
+"""Synthetic-traffic workloads: generation cost and saturation.
 
 Two properties worth tracking: (1) generating a parametric workload is
 cheap — the generator must never dominate the simulations it feeds; and

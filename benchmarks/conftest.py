@@ -1,54 +1,11 @@
-"""Session-level reporting: assemble and print the reproduced Table 2."""
+"""Session-level reporting: print the benches' report lines."""
 
-from typing import Dict, List, Tuple
+from typing import List
 
-from repro.stats import Table
-
-#: ``(section, measurement)`` rows accumulated by the Table-2 benches.
-TABLE2_ROWS: List[Tuple[str, Dict]] = []
-
-#: Free-form report lines from the other experiment benches.
+#: Free-form report lines from the benches.
 REPORT_LINES: List[str] = []
 
 
-def _write_csv(path: str) -> None:
-    columns = ["section", "n_cores", "arm_cycles", "tg_cycles", "error",
-               "arm_wall", "tg_wall", "gain", "event_gain"]
-    with open(path, "w") as handle:
-        handle.write(",".join(columns) + "\n")
-        for section, row in TABLE2_ROWS:
-            cells = [section] + [str(row[key]) for key in columns[1:]]
-            handle.write(",".join(cells) + "\n")
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if TABLE2_ROWS:
-        _write_csv("table2_results.csv")
-        terminalreporter.write_line("")
-        terminalreporter.write_line(
-            "Table-2 rows also written to table2_results.csv")
-        table = Table(
-            ["#IPs", "ARM cycles", "TG cycles", "Error",
-             "ARM sim", "TG sim", "Gain", "Event gain"],
-            title="Table 2 (reproduced): TG vs ARM performance with AMBA",
-        )
-        current_section = None
-        for section, row in TABLE2_ROWS:
-            if section != current_section:
-                table.add_section(f"{section}:")
-                current_section = section
-            table.add_row(
-                f"{row['n_cores']}P",
-                row["arm_cycles"],
-                row["tg_cycles"],
-                f"{row['error']:.2%}",
-                f"{row['arm_wall'] * 1000:.1f} ms",
-                f"{row['tg_wall'] * 1000:.1f} ms",
-                f"{row['gain']:.2f}x",
-                f"{row['event_gain']:.2f}x",
-            )
-        terminalreporter.write_line("")
-        for line in table.render().splitlines():
-            terminalreporter.write_line(line)
     for line in REPORT_LINES:
         terminalreporter.write_line(line)

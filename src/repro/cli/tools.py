@@ -48,6 +48,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _at_least(kind, minimum, strict: bool = False):
+    """argparse type for a ``kind`` (int or float) >= ``minimum``, or
+    > ``minimum`` when ``strict``."""
+    noun = "an integer" if kind is int else "a number"
+    bound = f"{'>' if strict else '>='} {minimum}"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        # the negated comparison also rejects nan
+        if value is None or not (value > minimum if strict
+                                 else value >= minimum):
+            raise argparse.ArgumentTypeError(
+                f"expected {noun} {bound}, got {text!r}")
+        return value
+    return parse
+
+
 def _parse_param(text: str):
     """``KEY=INT`` (int literal, hex ok) -> (key, value)."""
     key, separator, value = text.partition("=")
@@ -454,8 +474,8 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--cache-verify", action="store_true",
                         help="audit the cache directory for corrupt/stale "
                              "entries and exit (no sweep is run)")
-    parser.add_argument("-j", "--jobs", type=int, default=None,
-                        metavar="N",
+    parser.add_argument("-j", "--jobs", type=_at_least(int, 0),
+                        default=None, metavar="N",
                         help="worker processes (default: the spec's "
                              "'jobs' key, else all CPUs; 0 = all CPUs; "
                              "1 = in-process)")
@@ -465,8 +485,8 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="result cache directory (default: "
                              "$REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
+    parser.add_argument("--timeout", type=_at_least(float, 0, strict=True),
+                        default=None, metavar="SECONDS",
                         help="per-point wall-clock budget, measured from "
                              "worker pickup; the worker of an exceeded "
                              "point is killed and the point marked failed")
@@ -479,26 +499,27 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
                              "in DIR; completed points are served from "
                              "the journal, only unfinished ones re-run "
                              "(no spec file needed)")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
+    parser.add_argument("--retries", type=_at_least(int, 0), default=0,
+                        metavar="N",
                         help="re-run a transiently-failed point (worker "
                              "crash, timeout) up to N extra times with "
                              "exponential backoff; a point that exhausts "
                              "the budget is quarantined (default 0)")
-    parser.add_argument("--retry-backoff", type=float, default=0.5,
-                        metavar="SECONDS",
+    parser.add_argument("--retry-backoff", type=_at_least(float, 0),
+                        default=0.5, metavar="SECONDS",
                         help="base of the exponential retry backoff "
                              "(default 0.5)")
     parser.add_argument("--retry-quarantined", action="store_true",
                         help="on --resume, re-run points the journal "
                              "recorded as quarantined or terminally "
                              "failed instead of keeping them failed")
-    parser.add_argument("--heartbeat-timeout", type=float, default=30.0,
-                        metavar="SECONDS",
+    parser.add_argument("--heartbeat-timeout", type=_at_least(float, 0),
+                        default=30.0, metavar="SECONDS",
                         help="kill and replace a worker that sends no "
                              "heartbeat for this long — presumed hung "
                              "(default 30; 0 disables)")
-    parser.add_argument("--warmup-cycles", type=int, default=None,
-                        metavar="N",
+    parser.add_argument("--warmup-cycles", type=_positive_int,
+                        default=None, metavar="N",
                         help="fast-forward every grid point through an "
                              "N-cycle warm-up captured once per "
                              "equivalence class on the warm-up fabric, "

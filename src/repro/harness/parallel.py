@@ -37,7 +37,7 @@ Execution contract:
   cached/failed counts and an ETA extrapolated from completed points.
 
 ``jobs=1`` runs the same engine in-process (no pool, so no crash/hang
-protection), which is also the fallback for single-point grids.
+protection).
 """
 
 import copy
@@ -456,10 +456,9 @@ def _prepare_warmups(pending: List["_Task"], cache: Optional[ResultCache],
     return [t for t in pending if id(t) not in failed_ids], warm_tmp
 
 
-def _retry_delay(attempt: int, backoff_s: float, jitter_seed: int,
-                 index: int) -> float:
+def _retry_delay(attempt: int, backoff_s: float, index: int) -> float:
     """Exponential backoff with deterministic (seeded) jitter."""
-    rng = random.Random(f"{jitter_seed}:{index}:{attempt}")
+    rng = random.Random(f"0:{index}:{attempt}")
     return backoff_s * (2 ** attempt) + rng.uniform(0.0, backoff_s)
 
 
@@ -489,7 +488,6 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
                        progress: Optional[Callable[[str], None]] = None,
                        retries: int = 0,
                        retry_backoff_s: float = 0.5,
-                       retry_jitter_seed: int = 0,
                        journal: Optional[SweepJournal] = None,
                        heartbeat_timeout_s: Optional[float]
                        = DEFAULT_HEARTBEAT_TIMEOUT_S,
@@ -519,7 +517,6 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
             timeout) up to this many extra times; a point that exhausts
             the budget is quarantined.
         retry_backoff_s: Base of the exponential retry backoff.
-        retry_jitter_seed: Seed of the deterministic retry jitter.
         journal: Open :class:`SweepJournal`; every state transition is
             appended (write-ahead), and points already terminal in the
             journal are served from it without re-simulation.
@@ -713,7 +710,7 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
             if not pending:
                 return results    # every class's warm-up failed
 
-        if jobs == 1 or len(pending) == 1:
+        if jobs == 1:
             _run_in_process(pending, journal, cancel, finish_ok,
                             interrupt)
             return results
@@ -722,7 +719,6 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
                   cancel=cancel, point_timeout_s=point_timeout_s,
                   heartbeat_timeout_s=heartbeat_timeout_s,
                   retries=retries, retry_backoff_s=retry_backoff_s,
-                  retry_jitter_seed=retry_jitter_seed,
                   finish_ok=finish_ok, finish_failed=finish_failed,
                   interrupt=interrupt)
         return results
@@ -754,8 +750,8 @@ def _run_pool(pending: List[_Task], jobs: int,
               journal: Optional[SweepJournal], cancel: threading.Event,
               point_timeout_s: Optional[float],
               heartbeat_timeout_s: Optional[float], retries: int,
-              retry_backoff_s: float, retry_jitter_seed: int,
-              finish_ok, finish_failed, interrupt) -> None:
+              retry_backoff_s: float, finish_ok, finish_failed,
+              interrupt) -> None:
     """Fan the pending tasks over a supervised worker pool."""
     tasks = {task.point.index: task for task in pending}
     ready = deque(task.point.index for task in pending)
@@ -812,7 +808,7 @@ def _run_pool(pending: List[_Task], jobs: int,
                                               kind, event.detail,
                                               final=False)
                     delay = _retry_delay(task.attempt, retry_backoff_s,
-                                         retry_jitter_seed, event.index)
+                                         event.index)
                     task.attempt += 1
                     task.eligible_at = time.monotonic() + delay
                     deferred.append(event.index)

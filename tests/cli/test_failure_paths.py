@@ -243,6 +243,22 @@ class TestRunFlagUsageErrors:
                         "--checkpoint-dir", "ckpt"],
          "repro-traffic", "--warmup-cycles cannot be combined with "
                           "--checkpoint-every"),
+        (sweep_main, ["s.json", "--timeout", "0"],
+         "repro-sweep", "argument --timeout: expected a number > 0"),
+        (sweep_main, ["s.json", "--timeout", "-1"],
+         "repro-sweep", "argument --timeout: expected a number > 0"),
+        (sweep_main, ["s.json", "--heartbeat-timeout", "-1"],
+         "repro-sweep", "argument --heartbeat-timeout: expected a number "
+                        ">= 0"),
+        (sweep_main, ["s.json", "--retry-backoff", "-1"],
+         "repro-sweep", "argument --retry-backoff: expected a number >= 0"),
+        (sweep_main, ["s.json", "--retries", "-1"],
+         "repro-sweep", "argument --retries: expected an integer >= 0"),
+        (sweep_main, ["s.json", "-j", "-3"],
+         "repro-sweep", "argument -j/--jobs: expected an integer >= 0"),
+        (sweep_main, ["s.json", "--warmup-cycles", "0"],
+         "repro-sweep", "argument --warmup-cycles: expected a positive "
+                        "integer"),
     ])
     def test_exit_2(self, main, argv, tool, message, capsys, tmp_path,
                     monkeypatch):

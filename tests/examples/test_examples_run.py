@@ -1,9 +1,7 @@
 """Smoke tests: every example script must run to completion.
 
 Each example's ``main()`` is imported and executed in a temp directory
-(some write output files).  ``paper_report.py`` is excluded here — it is
-a minute-long full reproduction, exercised by the benchmark suite's
-equivalents instead.
+(some write output files).
 """
 
 import importlib.util
@@ -56,6 +54,4 @@ def test_every_example_has_docstring_and_main():
 def test_all_examples_listed_in_readme():
     readme = (EXAMPLES_DIR.parent / "README.md").read_text()
     for path in sorted(EXAMPLES_DIR.glob("*.py")):
-        if path.stem == "paper_report":
-            continue  # headline script, mentioned separately
         assert f"examples/{path.name}" in readme, path.name

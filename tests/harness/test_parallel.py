@@ -121,11 +121,15 @@ class TestCrashIsolation:
 
 
 class TestPointTimeout:
-    def test_slow_point_marked_failed(self, monkeypatch):
+    # a lone pending point is supervised too: jobs=2 must not fall back
+    # to the unprotected in-process path for a one-point grid
+    @pytest.mark.parametrize("cores", [[1], [1, 2]],
+                             ids=["one-point", "two-point"])
+    def test_slow_point_marked_failed(self, monkeypatch, cores):
         monkeypatch.setenv(parallel_module._TEST_SLEEP_ENV, "2.0")
-        spec = SweepSpec("cacheloop", [1, 2], app_params={"iters": 40})
+        spec = SweepSpec("cacheloop", cores, app_params={"iters": 40})
         results = run_sweep_parallel(spec, jobs=2, point_timeout_s=0.2)
-        assert [r.status for r in results] == ["failed", "failed"]
+        assert [r.status for r in results] == ["failed"] * len(cores)
         assert all("timeout" in r.traceback for r in results)
         assert all(r.failure.kind == "timeout" for r in results)
         assert all(r.failure.transient for r in results)
