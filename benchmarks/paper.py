@@ -555,7 +555,7 @@ def render_host(results):
 
 
 def render_table2(name):
-    def render(results):
+    def render_block(results):
         rows = []
         for n, (paper_error, paper_gain) in TABLE2[name][1].items():
             row = results["table2"][name][str(n)]
@@ -567,7 +567,7 @@ def render_table2(name):
         return table(["#IPs", "ARM cycles", "TG cycles", "error (paper)",
                       "error (ours)", "gain (paper)", "gain (ours)",
                       "event gain (ours)"], rows)
-    return render
+    return render_block
 
 
 def render_e7(results):
@@ -642,11 +642,11 @@ def render_fields(name):
             return ", ".join(text(item) for item in value)
         return str(value)
 
-    def render(results):
+    def render_block(results):
         return table(["field", "value"], [
             [f"`{path}`", text(value)]
             for path, value in flatten(results[name]).items()])
-    return render
+    return render_block
 
 
 def render_figure3(results):
