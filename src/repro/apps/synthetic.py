@@ -46,7 +46,7 @@ any ``--jobs`` parallelism.
 
 import math
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.artifacts.errors import ParseDiagnostic
 from repro.core.isa import ADDRREG, DATAREG, TGInstruction, TGOp
@@ -62,6 +62,7 @@ from repro.platform.config import (
 
 __all__ = [
     "PATTERNS",
+    "ProgramSet",
     "TrafficSpec",
     "TrafficSpecError",
     "generate",
@@ -599,18 +600,40 @@ def synthetic_programs(spec: TrafficSpec
     """Generate the programs exactly as the simulation flow runs them.
 
     Generation plus the ``.bin`` assemble/disassemble round-trip — the
-    TG executes the binary image, and the ``.tgp`` text of the
-    round-tripped program is what snapshot recipes embed.  The sweep
-    driver and its workers both build programs through this helper, so
-    a warm-up snapshot taken by the driver byte-matches the recipe a
-    worker derives independently (see
-    :func:`repro.harness.checkpoint.ensure_recipe_compatible`).
+    TG executes the binary image, mirroring the trace flow.  A cold
+    :func:`synthetic_flow` (one that simulates its own warm-up, if any)
+    builds its programs here.  ``.tgp`` text is canonical across the
+    round trip, so a recipe of these programs byte-matches one of
+    :func:`generate`'s — which is why a warm-up-shared sweep can skip
+    the round trip (see :class:`ProgramSet`).
     """
     from repro.core.assembler import assemble_binary, disassemble_binary
     programs, report = generate(spec)
     programs = {core: disassemble_binary(assemble_binary(program))
                 for core, program in programs.items()}
     return programs, report
+
+
+class ProgramSet(NamedTuple):
+    """One traffic class's programs, generator report and ``.tgp`` texts.
+
+    A warm-up-shared sweep process builds a class's set once with
+    :meth:`build` and reuses it for the class's warm-up and for every
+    member it restores: the texts feed the snapshot recipe, the
+    recipe byte-compare and the TGs' ``program_crc32`` (see
+    :func:`repro.harness.checkpoint.fast_forward`).
+    """
+
+    programs: Dict[int, TGProgram]
+    report: List[Dict]
+    texts: Dict[int, str]
+
+    @classmethod
+    def build(cls, spec: TrafficSpec) -> "ProgramSet":
+        """Generate ``spec``'s programs and format each once."""
+        from repro.harness.checkpoint import tgp_texts
+        programs, report = generate(spec)
+        return cls(programs, report, tgp_texts(programs))
 
 
 # ------------------------------------------------------------ execution
@@ -653,7 +676,8 @@ class SyntheticResult(RunResult):
 def synthetic_flow(spec: TrafficSpec, interconnect: str = "tlm",
                    config_overrides: Optional[Dict] = None,
                    options: RunOptions = RunOptions(),
-                   warmup_payload: Optional[Dict] = None
+                   warmup_payload: Optional[Dict] = None,
+                   program_set: Optional[ProgramSet] = None
                    ) -> SyntheticResult:
     """Generate, assemble and simulate one synthetic workload.
 
@@ -666,10 +690,15 @@ def synthetic_flow(spec: TrafficSpec, interconnect: str = "tlm",
 
     ``warmup_payload`` supplies an already-captured warm-up snapshot
     (the warm-up-shared sweep path); it is verified against this
-    workload's recipe before restoring.  See docs/CHECKPOINT.md.
+    workload's recipe before restoring.  ``program_set`` is ``spec``'s
+    :class:`ProgramSet` when the caller already built it.  See
+    docs/CHECKPOINT.md.
     """
     result = SyntheticResult(spec, interconnect)
-    if warmup_payload is not None:
+    texts = None
+    if program_set is not None:
+        programs, report, texts = program_set
+    elif warmup_payload is not None:
         # restore path: the platform is rebuilt from the snapshot's
         # byte-compared recipe, so the assemble round-trip is skipped —
         # ``.tgp`` text is canonical across it, making the generated
@@ -679,7 +708,8 @@ def synthetic_flow(spec: TrafficSpec, interconnect: str = "tlm",
         programs, report = synthetic_programs(spec)
     result.generator_report = report
     result.record_tg(*run_tg(programs, spec.n_cores, interconnect,
-                             config_overrides, options, warmup_payload))
+                             config_overrides, options, warmup_payload,
+                             texts=texts))
     platform = result.tg_platform
 
     latency_total = 0

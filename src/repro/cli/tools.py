@@ -447,6 +447,17 @@ def _sweep_diagnostics(results, interrupted: bool, journal_dir,
             "points": points}
 
 
+def _unusable_directory(flag: str, path, error: OSError,
+                        diagnostics: Optional[str]) -> int:
+    """One ``repro-sweep: error:`` line for a directory the sweep cannot
+    create or use (exit 3, like any unusable path)."""
+    print(f"repro-sweep: error: {flag} {path}: "
+          f"{error.strerror or error}", file=sys.stderr)
+    _write_diagnostics(diagnostics, _diagnostics_payload(
+        "repro-sweep", False, error=error))
+    return EXIT_MISSING_FILE
+
+
 def sweep_main(argv: Optional[List[str]] = None) -> int:
     """Run a grid of TG-flow experiments described by a JSON spec.
 
@@ -611,6 +622,17 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
                   file=sys.stderr)
             return EXIT_PARSE
 
+    cache = None
+    if not args.no_cache:
+        cache = ResultCache(args.cache_dir or default_cache_dir())
+        # create it now: a cache that cannot take a result must stop
+        # the sweep before the first point is simulated
+        try:
+            cache.directory.mkdir(parents=True, exist_ok=True)
+        except OSError as error:
+            return _unusable_directory("--cache-dir", cache.directory,
+                                       error, args.diagnostics_json)
+
     journal = None
     journal_dir = args.resume or args.journal
     try:
@@ -647,10 +669,10 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
         _write_diagnostics(args.diagnostics_json, _diagnostics_payload(
             "repro-sweep", False, error=error))
         return error.exit_code
-
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
+    except OSError as error:
+        return _unusable_directory(
+            "--resume" if args.resume else "--journal", journal_dir,
+            error, args.diagnostics_json)
 
     # graceful shutdown: first SIGINT/SIGTERM finishes the journal and
     # terminates the workers; a second one force-raises

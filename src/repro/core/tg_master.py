@@ -59,11 +59,16 @@ class TGMaster(Component):
       complete after this many cycles raises
       :class:`~repro.kernel.WatchdogTimeout` instead of hanging the
       simulation (e.g. a response packet lost by a broken fabric).
+
+    ``tgp_text`` is the program's canonical ``.tgp`` text when the
+    caller already holds it; the snapshot's ``program_crc32`` is then
+    the CRC of that string instead of a fresh formatting of the program.
     """
 
     def __init__(self, sim: Simulator, name: str, program: TGProgram,
                  retry_policy: Optional[RetryPolicy] = None,
-                 watchdog_cycles: Optional[int] = None):
+                 watchdog_cycles: Optional[int] = None,
+                 tgp_text: Optional[str] = None):
         super().__init__(sim, name)
         program.validate()
         if watchdog_cycles is not None and watchdog_cycles < 1:
@@ -72,6 +77,8 @@ class TGMaster(Component):
         self.program = program
         self.retry_policy = retry_policy
         self.watchdog_cycles = watchdog_cycles
+        self._tgp_crc32 = (None if tgp_text is None
+                           else crc32_hex(tgp_text.encode("utf-8")))
         self.port = OCPMasterPort(sim, f"{name}.ocp")
         self.regs = [0] * TG_NUM_REGS
         self.pc = 0
@@ -136,6 +143,8 @@ class TGMaster(Component):
     # ----------------------------------------------------------- checkpoint
 
     def _program_crc32(self) -> str:
+        if self._tgp_crc32 is not None:
+            return self._tgp_crc32
         return crc32_hex(self.program.to_tgp().encode("utf-8"))
 
     def state_dict(self) -> dict:
@@ -169,10 +178,11 @@ class TGMaster(Component):
         program wake-up itself arrives later via :meth:`rearm`.
         """
         crc = state_get(state, "program_crc32", self.name)
-        if crc != self._program_crc32():
+        ours = self._program_crc32()
+        if crc != ours:
             raise SnapshotError(
                 f"snapshot for {self.name} was taken with a different "
-                f"program (crc32 {crc} != {self._program_crc32()})",
+                f"program (crc32 {crc} != {ours})",
                 hint="rebuild the platform with the program the snapshot "
                      "was taken on")
         regs = state_get(state, "regs", self.name)

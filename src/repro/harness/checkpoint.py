@@ -48,20 +48,31 @@ def _serializable_overrides(config_overrides: Optional[dict]) -> dict:
     return overrides
 
 
+def tgp_texts(programs: Dict[int, TGProgram]) -> Dict[int, str]:
+    """Each program's canonical ``.tgp`` text, keyed like ``programs``."""
+    return {master_id: program.to_tgp()
+            for master_id, program in programs.items()}
+
+
 def platform_recipe(programs: Dict[int, TGProgram], n_cores: int,
                     interconnect: str = "ahb",
                     config_overrides: Optional[dict] = None,
                     retry_policy: Optional[RetryPolicy] = None,
-                    watchdog_cycles: Optional[int] = None) -> dict:
+                    watchdog_cycles: Optional[int] = None,
+                    texts: Optional[Dict[int, str]] = None) -> dict:
     """Self-contained rebuild recipe for a TG platform.
 
     Mirrors the :func:`~repro.harness.experiments.build_tg_platform`
     signature; programs travel as ``.tgp`` text (their canonical,
     checksummable form — the TG validates the CRC at restore).
+    ``texts`` (see :func:`tgp_texts`) reuses texts the caller already
+    formatted from these programs.
     """
+    if texts is None:
+        texts = tgp_texts(programs)
     return {
         "kind": "tg_platform",
-        "programs": {str(master_id): programs[master_id].to_tgp()
+        "programs": {str(master_id): texts[master_id]
                      for master_id in sorted(programs)},
         "n_cores": n_cores,
         "interconnect": interconnect,
@@ -101,7 +112,9 @@ def rebuild_platform(recipe: dict,
     when the caller already holds the recipe's programs in memory; it is
     only safe after the recipe has been byte-compared against a
     :func:`platform_recipe` of those same programs (``.tgp`` text is
-    canonical, so equal text means equal programs).
+    canonical, so equal text means equal programs).  The TGs then take
+    their ``program_crc32`` from the recipe text; a parsed rebuild
+    computes it from the parsed programs.
     """
     from repro.kernel.snapshot import state_get
     if not isinstance(recipe, dict) \
@@ -115,6 +128,7 @@ def rebuild_platform(recipe: dict,
     if not isinstance(raw_programs, dict) or not raw_programs:
         raise SnapshotError(
             "snapshot platform recipe carries no programs")
+    texts = None
     if programs is None:
         try:
             programs = {int(master_id): parse_tgp(text)
@@ -125,6 +139,9 @@ def rebuild_platform(recipe: dict,
             raise SnapshotError(
                 f"snapshot platform recipe has an unparsable program "
                 f"({error})") from None
+    else:
+        texts = {int(master_id): text
+                 for master_id, text in raw_programs.items()}
     overrides = _recipe_overrides(recipe)
     overrides.update(config_overrides or {})
     retry = state_get(recipe, "retry_policy", "platform recipe")
@@ -136,7 +153,8 @@ def rebuild_platform(recipe: dict,
         overrides,
         retry_policy=RetryPolicy.from_dict(retry),
         watchdog_cycles=state_get(recipe, "watchdog_cycles",
-                                  "platform recipe"))
+                                  "platform recipe"),
+        texts=texts)
 
 
 #: Recipe overrides that do not change the captured architectural state:
@@ -273,7 +291,8 @@ def warmup_snapshot(programs: Dict[int, TGProgram], n_cores: int,
                     config_overrides: Optional[dict] = None,
                     retry_policy: Optional[RetryPolicy] = None,
                     watchdog_cycles: Optional[int] = None,
-                    scan_limit: Optional[int] = None) -> dict:
+                    scan_limit: Optional[int] = None,
+                    texts: Optional[Dict[int, str]] = None) -> dict:
     """Simulate a warm-up prefix on a cheap fabric and snapshot it.
 
     Builds the workload on ``warmup_fabric`` (default: the contention-
@@ -286,6 +305,10 @@ def warmup_snapshot(programs: Dict[int, TGProgram], n_cores: int,
     A workload that finishes before ``warmup_cycles`` still snapshots
     cleanly — the queue is drained, the capture is trivially quiescent,
     and the restored run completes immediately.
+
+    The recipe and the TGs' ``program_crc32`` come from one dict of
+    ``.tgp`` texts: ``texts`` when the caller already formatted the
+    programs, else each program formatted once here.
     """
     from repro.kernel.snapshot import DEFAULT_SCAN_LIMIT
     if warmup_cycles < 1:
@@ -294,12 +317,15 @@ def warmup_snapshot(programs: Dict[int, TGProgram], n_cores: int,
     overrides = _serializable_overrides(config_overrides)
     for key in ("fault_spec", "fault_seed"):
         overrides.pop(key, None)
+    if texts is None:
+        texts = tgp_texts(programs)
     platform = build_tg_platform(programs, n_cores, warmup_fabric,
                                  overrides, retry_policy=retry_policy,
-                                 watchdog_cycles=watchdog_cycles)
+                                 watchdog_cycles=watchdog_cycles,
+                                 texts=texts)
     recipe = platform_recipe(programs, n_cores, warmup_fabric, overrides,
                              retry_policy=retry_policy,
-                             watchdog_cycles=watchdog_cycles)
+                             watchdog_cycles=watchdog_cycles, texts=texts)
     platform.run(until=warmup_cycles)
     return platform.snapshot(
         recipe,
@@ -333,10 +359,12 @@ def fast_forward(payload: dict,
 
     ``programs`` short-circuits the recipe's ``.tgp`` re-parse with
     the caller's in-memory programs — the hot path of a warm-up-shared
-    sweep, where every worker already generated the point's programs.
+    sweep, where the worker already holds the class's programs.
     It requires ``expected_recipe`` built from those same programs: the
     byte-compare then proves the recipe text *is* their canonical
-    ``.tgp`` form, so skipping the parse cannot change the workload.
+    ``.tgp`` form, so skipping the parse cannot change the workload,
+    and the TGs check the snapshot's ``program_crc32`` against the CRC
+    of that text instead of formatting the programs again.
     """
     from repro.kernel.snapshot import _require, state_get
     recipe = _require(payload, "platform", "payload")
@@ -493,5 +521,6 @@ __all__ = [
     "platform_recipe",
     "rebuild_platform",
     "restore_platform",
+    "tgp_texts",
     "warmup_snapshot",
 ]

@@ -201,19 +201,23 @@ def build_tg_platform(programs: Dict[int, TGProgram], n_cores: int,
                       config_overrides: Optional[dict] = None,
                       retry_policy: Optional[RetryPolicy] = None,
                       watchdog_cycles: Optional[int] = None,
+                      texts: Optional[Dict[int, str]] = None,
                       ) -> MparmPlatform:
     """Build a platform with TGs occupying every master socket.
 
     ``retry_policy``/``watchdog_cycles`` arm each TG's resilience features;
     a fault spec travels inside ``config_overrides`` (``fault_spec`` /
-    ``fault_seed`` keys of :class:`PlatformConfig`).
+    ``fault_seed`` keys of :class:`PlatformConfig`).  ``texts`` are the
+    programs' canonical ``.tgp`` texts, when the caller already formatted
+    them; each TG's snapshot ``program_crc32`` is then their CRC.
     """
     platform = MparmPlatform(_build_config(n_cores, interconnect,
                                            config_overrides))
     for master_id in range(n_cores):
         tg = TGMaster(platform.sim, f"tg{master_id}", programs[master_id],
                       retry_policy=retry_policy,
-                      watchdog_cycles=watchdog_cycles)
+                      watchdog_cycles=watchdog_cycles,
+                      tgp_text=None if texts is None else texts[master_id])
         platform.add_master(tg)
     return platform
 
@@ -260,6 +264,7 @@ def run_tg(programs: Dict[int, TGProgram], n_cores: int,
            config_overrides: Optional[dict] = None,
            options: RunOptions = RunOptions(),
            warmup_payload: Optional[dict] = None,
+           texts: Optional[Dict[int, str]] = None,
            ) -> Tuple[MparmPlatform, float, Optional[dict]]:
     """Run TG ``programs`` on ``interconnect`` to completion.
 
@@ -268,12 +273,15 @@ def run_tg(programs: Dict[int, TGProgram], n_cores: int,
     handed in as ``warmup_payload`` (the warm-up-shared sweep path).  A
     warm-up snapshot is always checked against the recipe of
     ``programs`` before it is restored, so a stale or foreign snapshot
-    is a typed error, never a wrong result.
+    is a typed error, never a wrong result.  ``texts`` are the programs'
+    ``.tgp`` texts when the caller already formatted them; otherwise a
+    warm-up run formats each program once, for both the recipe and the
+    snapshot.
 
     The wall clock starts after the platform is built, or after the
-    warm-up is captured: shared warm-ups run once in the sweep driver,
-    so per-point wall times stay comparable between shared and cold
-    execution.  Returns ``(platform, tg_wall, warmup payload or None)``.
+    warm-up is captured: a shared warm-up runs once, as its own sweep
+    task, so per-point wall times stay comparable between shared and
+    cold execution.  Returns ``(platform, tg_wall, warmup payload or None)``.
     """
     overrides = dict(config_overrides or {})
     if options.fault_spec is not None:
@@ -285,17 +293,20 @@ def run_tg(programs: Dict[int, TGProgram], n_cores: int,
         from repro.harness.checkpoint import (
             fast_forward,
             platform_recipe,
+            tgp_texts,
             warmup_snapshot,
         )
         options.refuse_checkpointing()
+        if texts is None:
+            texts = tgp_texts(programs)
         expected = platform_recipe(programs, n_cores, interconnect,
-                                   overrides, **resilience)
+                                   overrides, texts=texts, **resilience)
         payload = warmup_payload
         if payload is None:
             payload = warmup_snapshot(programs, n_cores,
                                       options.warmup_cycles,
                                       options.warmup_fabric, overrides,
-                                      **resilience)
+                                      texts=texts, **resilience)
         start = time.perf_counter()
         platform = fast_forward(
             payload, interconnect=interconnect, config_overrides=overrides,

@@ -29,6 +29,10 @@ Execution contract:
   retried up to ``retries`` times with exponential backoff and seeded
   jitter; a point that exhausts its budget is quarantined.
   Deterministic failures (``simulation-error``) are never retried.
+* **Warm-up sharing** — each warm-up equivalence class the cache cannot
+  serve is one supervised pool task, dispatched before any point; its
+  member points wait for its snapshot, and each process generates and
+  formats a class's programs once.
 * **Interruption** — when ``cancel`` is set (or Ctrl-C arrives),
   in-flight points are journalled ``interrupted``, every worker is
   terminated, and :class:`~repro.harness.supervisor.SweepInterrupted`
@@ -316,10 +320,36 @@ class PointResult(RunResult):
                 f"{self.interconnect} {status}{flags}>")
 
 
-def _execute_point(payload: Dict) -> Dict:
+#: Traffic classes whose :class:`~repro.apps.synthetic.ProgramSet` one
+#: sweep process keeps (see :func:`_class_programs`).
+_CLASS_PROGRAMS_LIMIT = 4
+
+
+def _class_programs(class_programs: Dict, digest: str, spec):
+    """Warm-up class ``digest``'s programs, built once per process.
+
+    ``class_programs`` belongs to the loop that runs the tasks — a pool
+    worker, or the driver at ``jobs=1`` — and starts empty with every
+    sweep.  It keeps the :data:`_CLASS_PROGRAMS_LIMIT` most recently
+    used classes, so a class's warm-up and every member restored in the
+    same process share one generation and one ``.tgp`` formatting.
+    """
+    from repro.apps.synthetic import ProgramSet
+    programs = class_programs.pop(digest, None)
+    if programs is None:
+        programs = ProgramSet.build(spec)
+        if len(class_programs) >= _CLASS_PROGRAMS_LIMIT:
+            del class_programs[next(iter(class_programs))]
+    class_programs[digest] = programs
+    return programs
+
+
+def _execute_point(payload: Dict, class_programs: Dict) -> Dict:
     """Worker body: run one grid point, return a picklable summary.
 
-    Runs in a pool worker (or in-process for ``jobs=1``).  All failures
+    Runs in a pool worker (or in-process for ``jobs=1``).  A point that
+    restores a shared warm-up takes its programs from
+    ``class_programs`` (see :func:`_class_programs`).  All failures
     are folded into a ``{"status": "failed"}`` summary so an exploding
     grid point cannot take the pool down with it.
     """
@@ -334,9 +364,10 @@ def _execute_point(payload: Dict) -> Dict:
                              warmup_fabric=warmup.get("fabric", "tlm"))
         if payload["benchmark"] == SYNTHETIC:
             from repro.apps.synthetic import TrafficSpec, synthetic_flow
-            warmup_payload = None
+            spec = TrafficSpec.from_dict(payload["traffic"])
+            warmup_payload = program_set = None
             if warmup.get("snap_path"):
-                # a damaged or vanished driver snapshot is a cache-style
+                # a damaged or vanished shared snapshot is a cache-style
                 # miss, not a failure: the worker re-derives the same
                 # warm-up itself (deterministic, so same result)
                 from repro.artifacts.errors import ArtifactError
@@ -345,9 +376,13 @@ def _execute_point(payload: Dict) -> Dict:
                     warmup_payload = load_snapshot(warmup["snap_path"])
                 except (OSError, ArtifactError):
                     warmup_payload = None
-            result = synthetic_flow(TrafficSpec.from_dict(payload["traffic"]),
-                                    payload["interconnect"], options=options,
-                                    warmup_payload=warmup_payload)
+                else:
+                    program_set = _class_programs(
+                        class_programs, warmup["digest"], spec)
+            result = synthetic_flow(spec, payload["interconnect"],
+                                    options=options,
+                                    warmup_payload=warmup_payload,
+                                    program_set=program_set)
         else:
             result = tg_flow(_resolve_app(payload["benchmark"]),
                              payload["n_cores"],
@@ -363,100 +398,49 @@ def _execute_point(payload: Dict) -> Dict:
                 "traceback": traceback_module.format_exc()}
 
 
-def _shared_warmup_payload(point: SweepPoint) -> Dict:
-    """Simulate one equivalence class's warm-up prefix in the driver.
+def _shared_warmup_payload(task: Dict, class_programs: Dict) -> Dict:
+    """Simulate one equivalence class's warm-up prefix.
 
-    Programs are built through
-    :func:`repro.apps.synthetic.synthetic_programs` — the same helper
-    the restoring workers use — so the snapshot's embedded recipe
-    byte-matches the recipe each worker derives independently (and
+    Runs as a pool task (in-process at ``jobs=1``).  The programs are
+    the class's :class:`~repro.apps.synthetic.ProgramSet` from
+    ``class_programs``, built with
+    :func:`~repro.apps.synthetic.generate` exactly as every restoring
+    member builds them, so the snapshot's embedded recipe byte-matches
+    the recipe each member derives (and
     :func:`~repro.harness.checkpoint.ensure_recipe_compatible` accepts
-    the restore).  The warm-up is healthy and fabric-agnostic
-    by construction (see :meth:`SweepPoint.warmup_material`).
+    the restore), and members restored in this process reuse the set.
+    The warm-up is healthy and fabric-agnostic by construction (see
+    :meth:`SweepPoint.warmup_material`).
     """
-    from repro.apps.synthetic import TrafficSpec, synthetic_programs
+    from repro.apps.synthetic import TrafficSpec
     from repro.harness.checkpoint import warmup_snapshot
-    spec = TrafficSpec.from_dict(point.traffic)
-    programs, _ = synthetic_programs(spec)
-    return warmup_snapshot(programs, point.n_cores, point.warmup_cycles,
-                           point.warmup_fabric)
+    programs = _class_programs(class_programs, task["digest"],
+                               TrafficSpec.from_dict(task["traffic"]))
+    return warmup_snapshot(programs.programs, task["n_cores"],
+                           task["cycles"], task["fabric"],
+                           texts=programs.texts)
 
 
-def _prepare_warmups(pending: List["_Task"], cache: Optional[ResultCache],
-                     share: bool, progress, report: Optional[Dict],
-                     cancel: threading.Event, finish_failed, interrupt):
-    """Phase A of a warm-up-enabled sweep: one simulation per class.
+def _execute_task(payload: Dict, class_programs: Dict) -> Dict:
+    """Run one pool task: a class warm-up or a grid point.
 
-    Groups the pending synthetic points into warm-up equivalence
-    classes, simulates each class's warm-up once (driver-side, serial),
-    persists the ``.snap`` into the result cache (or a temporary
-    directory with ``--no-cache``) and points every member task at it.
-    Classic-benchmark points — and everything when ``share`` is False —
-    keep ``snap_path`` unset and warm up in-worker instead.  A class
-    whose warm-up simulation fails marks every member point failed
-    (``simulation-error``, final, never retried — the failure is
-    deterministic).  Returns ``(runnable_tasks, temp_dir)``.
+    ``class_programs`` is the calling loop's dict of traffic classes.
+    A warm-up task's summary carries the snapshot as ``.snap`` text for
+    the driver to store.
     """
-    classes: Dict[str, List[_Task]] = {}
-    if share:
-        for task in pending:
-            point = task.point
-            if point.warmup_cycles is None or point.traffic is None:
-                continue
-            classes.setdefault(point.warmup_key(), []).append(task)
-    info: List[Dict] = []
-    failed_ids = set()
-    warm_tmp: Optional[str] = None
-    simulated = cached = 0
-    for digest in sorted(classes):
-        members = classes[digest]
-        if cancel.is_set():
-            interrupt([t for t in pending if id(t) not in failed_ids])
-        path: Optional[str] = None
-        if cache is not None and cache.get_snap(digest) is not None:
-            path = str(cache.snap_path_for(digest))
-            cached += 1
-            source = "cache"
-        else:
-            try:
-                payload = _shared_warmup_payload(members[0].point)
-            except Exception:
-                detail = traceback_module.format_exc()
-                for task in members:
-                    finish_failed(task, SweepPointFailure(
-                        SIMULATION_ERROR,
-                        "warm-up simulation failed for this point's "
-                        "equivalence class", traceback=detail,
-                        attempts=task.attempt + 1))
-                    failed_ids.add(id(task))
-                info.append({"digest": digest, "points": len(members),
-                             "source": "failed"})
-                continue
-            simulated += 1
-            source = "simulated"
-            if cache is not None:
-                path = str(cache.put_snap(digest, payload))
-            else:
-                from repro.artifacts.snap import save_snap
-                if warm_tmp is None:
-                    warm_tmp = tempfile.mkdtemp(prefix="repro-warmup-")
-                path = os.path.join(warm_tmp, f"{digest}.snap")
-                save_snap(path, payload)
-        for task in members:
-            task.snap_path = path
-        info.append({"digest": digest, "points": len(members),
-                     "source": source})
-    if classes and progress is not None:
-        progress(f"[sweep] warm-up: {len(classes)} equivalence "
-                 f"class(es) — {simulated} simulated, {cached} cached")
-    if report is not None:
-        report["classes"] = info
-        report["simulated"] = simulated
-        report["cached"] = cached
-    return [t for t in pending if id(t) not in failed_ids], warm_tmp
+    task = payload.get("warmup_task")
+    if task is None:
+        return _execute_point(payload, class_programs)
+    from repro.artifacts.snap import dump_snap
+    try:
+        snap = dump_snap(_shared_warmup_payload(task, class_programs))
+    except Exception:
+        return {"status": "failed",
+                "traceback": traceback_module.format_exc()}
+    return {"status": "ok", "snap": snap}
 
 
-def _retry_delay(attempt: int, backoff_s: float, index: int) -> float:
+def _retry_delay(attempt: int, backoff_s: float, index) -> float:
     """Exponential backoff with deterministic (seeded) jitter."""
     rng = random.Random(f"0:{index}:{attempt}")
     return backoff_s * (2 ** attempt) + rng.uniform(0.0, backoff_s)
@@ -471,15 +455,152 @@ class _Task:
     attempt: int = 0
     eligible_at: float = 0.0       # monotonic time a retry may dispatch
     picked_up: Optional[float] = None
-    #: driver-captured warm-up snapshot the worker restores from (set
-    #: by the warm-up-sharing phase; None = the worker warms up itself)
+    #: shared warm-up snapshot the worker restores from (set when its
+    #: class is ready; None = the worker warms up itself)
     snap_path: Optional[str] = None
+
+    @property
+    def index(self) -> int:
+        return self.point.index
 
     def payload(self) -> Dict:
         payload = self.point.payload()
         if self.snap_path is not None and payload.get("warmup"):
             payload["warmup"]["snap_path"] = self.snap_path
         return payload
+
+
+@dataclass
+class _WarmupTask:
+    """One warm-up equivalence class to simulate: a pool task whose
+    grid-point ``members`` wait for its snapshot.  Not a grid point —
+    the journal, cache keys and results never see it."""
+
+    digest: str
+    members: List[_Task]
+    attempt: int = 0
+    eligible_at: float = 0.0
+    picked_up: Optional[float] = None
+
+    @property
+    def index(self) -> str:
+        return f"warmup:{self.digest}"
+
+    def payload(self) -> Dict:
+        point = self.members[0].point
+        return {"warmup_task": {"digest": self.digest,
+                                "traffic": copy.deepcopy(point.traffic),
+                                "n_cores": point.n_cores,
+                                "cycles": point.warmup_cycles,
+                                "fabric": point.warmup_fabric}}
+
+
+class _WarmupClasses:
+    """The driver's side of warm-up sharing.
+
+    Groups the pending synthetic points into warm-up equivalence
+    classes.  A class the cache already holds a snapshot for releases
+    its members at once; every other class becomes a
+    :class:`_WarmupTask` and holds its members until :meth:`finish`
+    stores the snapshot the task returned — in the result cache, or a
+    temporary directory with ``--no-cache`` (the driver is their only
+    writer).  Classic-benchmark points, and everything when ``share``
+    is False, belong to no class and warm up in-worker.  Once the last
+    class is settled the warm-up line is printed and ``report`` gets
+    its ``classes``/``simulated``/``cached`` provenance.
+    """
+
+    def __init__(self, pending: List[_Task], cache: Optional[ResultCache],
+                 share: bool, progress, report: Optional[Dict],
+                 finish_failed):
+        self.cache = cache
+        self.progress = progress
+        # only a sweep with warm-ups reports on them
+        self.report = report if any(
+            t.point.warmup_cycles is not None for t in pending) else None
+        self.finish_failed = finish_failed
+        self.temp_dir: Optional[str] = None
+        self.info: Dict[str, Dict] = {}
+        self.tasks: List[_WarmupTask] = []
+        #: grid indices of members whose class has no snapshot (yet)
+        self.held: set = set()
+        self.simulated = self.cached = 0
+        classes: Dict[str, List[_Task]] = {}
+        if share:
+            for task in pending:
+                point = task.point
+                if point.warmup_cycles is not None \
+                        and point.traffic is not None:
+                    classes.setdefault(point.warmup_key(), []).append(task)
+        for digest in sorted(classes):
+            members = classes[digest]
+            source = None                 # set when the task settles
+            if cache is not None and cache.get_snap(digest) is not None:
+                source = "cache"
+                self.cached += 1
+                for task in members:
+                    task.snap_path = str(cache.snap_path_for(digest))
+            else:
+                self.tasks.append(_WarmupTask(digest, members))
+                self.held.update(task.index for task in members)
+            self.info[digest] = {"digest": digest, "points": len(members),
+                                 "source": source}
+        self.unsettled = len(self.tasks)
+        if not self.unsettled:
+            self._settled()
+
+    def finish(self, task: _WarmupTask, summary: Dict) -> List[_Task]:
+        """Settle a class from its task's summary; returns the members
+        now runnable (none when the warm-up simulation failed)."""
+        if summary.get("status") != "ok":
+            self.fail(task, SIMULATION_ERROR,
+                      "warm-up simulation failed for this point's "
+                      "equivalence class", summary.get("traceback"))
+            return []
+        if self.cache is not None:
+            path = str(self.cache.put_snap(task.digest, summary["snap"]))
+        else:
+            if self.temp_dir is None:
+                self.temp_dir = tempfile.mkdtemp(prefix="repro-warmup-")
+            path = os.path.join(self.temp_dir, f"{task.digest}.snap")
+            with open(path, "w") as handle:
+                handle.write(summary["snap"])
+        for member in task.members:
+            member.snap_path = path
+            self.held.discard(member.index)
+        self.simulated += 1
+        self._settle(task, "simulated")
+        return task.members
+
+    def fail(self, task: _WarmupTask, kind: str, message: str,
+             traceback: Optional[str] = None,
+             quarantined: bool = False) -> None:
+        """Fail every member of a class whose warm-up cannot land."""
+        self._settle(task, "failed")
+        for member in task.members:
+            self.finish_failed(member, SweepPointFailure(
+                kind, message, traceback=traceback,
+                attempts=member.attempt + 1), quarantined=quarantined)
+
+    def _settle(self, task: _WarmupTask, source: str) -> None:
+        self.info[task.digest]["source"] = source
+        self.unsettled -= 1
+        if not self.unsettled:
+            self._settled()
+
+    def _settled(self) -> None:
+        if self.info and self.progress is not None:
+            self.progress(f"[sweep] warm-up: {len(self.info)} equivalence "
+                          f"class(es) — {self.simulated} simulated, "
+                          f"{self.cached} cached")
+        if self.report is not None:
+            self.report["classes"] = list(self.info.values())
+            self.report["simulated"] = self.simulated
+            self.report["cached"] = self.cached
+
+    def cleanup(self) -> None:
+        if self.temp_dir is not None:
+            shutil.rmtree(self.temp_dir, ignore_errors=True)
 
 
 def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
@@ -527,9 +648,10 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
             failed).
         warmup_share: When the spec enables warm-up
             (``warmup_cycles``), simulate each warm-up equivalence
-            class once in the driver and hand every member worker the
-            ``.snap`` to restore from; False makes each worker re-run
-            its own warm-up (same results, no sharing).
+            class once, as a pool task dispatched before any point, and
+            hand every member the ``.snap`` to restore from; False makes
+            each worker re-run its own warm-up (same results, no
+            sharing).
         warmup_report: Optional dict the warm-up-sharing phase fills
             with ``classes``/``simulated``/``cached`` provenance for
             diagnostics.
@@ -660,14 +782,15 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
             return True
         return False
 
-    def interrupt(unfinished: List[_Task]) -> None:
+    def interrupt() -> None:
         """Mark every unfinished point interrupted and carry results out."""
-        for task in unfinished:
-            results[task.point.index] = PointResult.failed(
-                task.point, SweepPointFailure(
-                    INTERRUPTED,
-                    "sweep interrupted before the point finished",
-                    attempts=task.attempt + 1), task.key)
+        for task in pending:
+            if results[task.index] is None:
+                results[task.index] = PointResult.failed(
+                    task.point, SweepPointFailure(
+                        INTERRUPTED,
+                        "sweep interrupted before the point finished",
+                        attempts=task.attempt + 1), task.key)
         journal_dir = str(journal.path.parent) if journal is not None \
             else None
         raise SweepInterrupted([r for r in results if r is not None],
@@ -700,66 +823,81 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
     if not pending:
         return results            # every point served without simulating
 
-    warm_tmp: Optional[str] = None
+    warmups = _WarmupClasses(pending, cache, warmup_share, progress,
+                             warmup_report, finish_failed)
     try:
-        if any(t.point.warmup_cycles is not None for t in pending):
-            pending, warm_tmp = _prepare_warmups(
-                pending, cache=cache, share=warmup_share,
-                progress=progress, report=warmup_report, cancel=cancel,
-                finish_failed=finish_failed, interrupt=interrupt)
-            if not pending:
-                return results    # every class's warm-up failed
-
         if jobs == 1:
-            _run_in_process(pending, journal, cancel, finish_ok,
+            _run_in_process(pending, warmups, journal, cancel, finish_ok,
                             interrupt)
-            return results
-
-        _run_pool(pending, jobs=min(jobs, len(pending)), journal=journal,
-                  cancel=cancel, point_timeout_s=point_timeout_s,
-                  heartbeat_timeout_s=heartbeat_timeout_s,
-                  retries=retries, retry_backoff_s=retry_backoff_s,
-                  finish_ok=finish_ok, finish_failed=finish_failed,
-                  interrupt=interrupt)
+        else:
+            _run_pool(pending, warmups, jobs=min(jobs, len(pending)),
+                      journal=journal, cancel=cancel,
+                      point_timeout_s=point_timeout_s,
+                      heartbeat_timeout_s=heartbeat_timeout_s,
+                      retries=retries, retry_backoff_s=retry_backoff_s,
+                      finish_ok=finish_ok, finish_failed=finish_failed,
+                      interrupt=interrupt)
         return results
     finally:
-        if warm_tmp is not None:
-            shutil.rmtree(warm_tmp, ignore_errors=True)
+        warmups.cleanup()
 
 
-def _run_in_process(pending: List[_Task], journal: Optional[SweepJournal],
+def _run_in_process(pending: List[_Task], warmups: _WarmupClasses,
+                    journal: Optional[SweepJournal],
                     cancel: threading.Event, finish_ok, interrupt) -> None:
-    """``jobs=1``: same engine, no pool (and no crash/hang protection)."""
-    for position, task in enumerate(pending):
+    """``jobs=1``: the pool's steps in order, in-process (and with no
+    crash/hang protection) — every class warm-up, then every point."""
+    class_programs: Dict = {}
+    for warmup in warmups.tasks:
         if cancel.is_set():
-            interrupt(pending[position:])
+            interrupt()
+        try:
+            summary = _execute_task(warmup.payload(), class_programs)
+        except KeyboardInterrupt:
+            interrupt()
+        warmups.finish(warmup, summary)
+    for task in pending:
+        if task.index in warmups.held:
+            continue                   # its class warm-up failed
+        if cancel.is_set():
+            interrupt()
         if journal is not None:
-            journal.record_started(task.point.index, task.attempt,
-                                   key=task.key)
+            journal.record_started(task.index, task.attempt, key=task.key)
         start = time.perf_counter()
         try:
-            summary = _execute_point(task.payload())
+            summary = _execute_task(task.payload(), class_programs)
         except KeyboardInterrupt:
             if journal is not None:
-                journal.record_interrupted(task.point.index, task.attempt)
-            interrupt(pending[position:])
+                journal.record_interrupted(task.index, task.attempt)
+            interrupt()
         finish_ok(task, summary, wall=time.perf_counter() - start)
 
 
-def _run_pool(pending: List[_Task], jobs: int,
+def _run_pool(pending: List[_Task], warmups: _WarmupClasses, jobs: int,
               journal: Optional[SweepJournal], cancel: threading.Event,
               point_timeout_s: Optional[float],
               heartbeat_timeout_s: Optional[float], retries: int,
               retry_backoff_s: float, finish_ok, finish_failed,
               interrupt) -> None:
-    """Fan the pending tasks over a supervised worker pool."""
-    tasks = {task.point.index: task for task in pending}
-    ready = deque(task.point.index for task in pending)
-    deferred: List[int] = []       # waiting out a retry backoff
-    in_flight: Dict[int, _Task] = {}
+    """Fan the pending tasks over a supervised worker pool.
+
+    Class warm-ups go first; a class's members wait until its snapshot
+    lands.  A warm-up task is supervised like a point — timeout from
+    pickup, heartbeat, crash isolation, retries — and a warm-up that
+    cannot land fails its members with the warm-up's failure kind.
+    """
+    tasks: Dict = {task.index: task for task in warmups.tasks}
+    tasks.update((task.index, task) for task in pending)
+    ready = deque([task.index for task in warmups.tasks] +
+                  [task.index for task in pending
+                   if task.index not in warmups.held])
+    deferred: List = []            # waiting out a retry backoff
+    in_flight: Dict = {}
+    # grid points not yet finished, held class members included: the
+    # pool is sized for them, never for the warm-up tasks alone
     remaining = len(pending)
     supervisor = WorkerSupervisor(
-        min(jobs, len(pending)), heartbeat_timeout_s=heartbeat_timeout_s)
+        min(jobs, remaining), heartbeat_timeout_s=heartbeat_timeout_s)
     interrupted = False
     try:
         while remaining > 0:
@@ -784,17 +922,24 @@ def _run_pool(pending: List[_Task], jobs: int,
             events = supervisor.poll(timeout=0.05,
                                      point_timeout_s=point_timeout_s)
             for event in events:
-                task = tasks.get(event.index)
-                if task is None or event.index not in in_flight:
+                task = in_flight.get(event.index)
+                if task is None:
                     continue
+                warmup = isinstance(task, _WarmupTask)
                 if event.kind == "started":
                     task.picked_up = time.monotonic()
-                    if journal is not None:
+                    if journal is not None and not warmup:
                         journal.record_started(event.index, task.attempt,
                                                key=task.key)
                     continue
                 del in_flight[event.index]
                 if event.kind == "result":
+                    if warmup:
+                        released = warmups.finish(task, event.summary)
+                        ready.extend(member.index for member in released)
+                        if not released:
+                            remaining -= len(task.members)
+                        continue
                     wall = None if task.picked_up is None \
                         else time.monotonic() - task.picked_up
                     finish_ok(task, event.summary, wall=wall)
@@ -803,7 +948,7 @@ def _run_pool(pending: List[_Task], jobs: int,
                 # "crashed" / "timeout" — transient machinery failures
                 kind = TIMEOUT if event.kind == "timeout" else WORKER_CRASH
                 if task.attempt < retries:
-                    if journal is not None:
+                    if journal is not None and not warmup:
                         journal.record_failed(event.index, task.attempt,
                                               kind, event.detail,
                                               final=False)
@@ -812,6 +957,13 @@ def _run_pool(pending: List[_Task], jobs: int,
                     task.attempt += 1
                     task.eligible_at = time.monotonic() + delay
                     deferred.append(event.index)
+                elif warmup:
+                    warmups.fail(
+                        task, kind,
+                        f"warm-up task for this point's equivalence class "
+                        f"failed after {task.attempt + 1} attempt(s): "
+                        f"{event.detail}", quarantined=True)
+                    remaining -= len(task.members)
                 else:
                     finish_failed(
                         task,
@@ -823,10 +975,10 @@ def _run_pool(pending: List[_Task], jobs: int,
         interrupted = True
     finally:
         if interrupted and journal is not None:
-            for index, task in sorted(in_flight.items()):
-                journal.record_interrupted(index, task.attempt)
+            for task in sorted((t for t in in_flight.values()
+                                if isinstance(t, _Task)),
+                               key=lambda t: t.index):
+                journal.record_interrupted(task.index, task.attempt)
         supervisor.shutdown(graceful=not interrupted)
     if interrupted:
-        unfinished = [tasks[i] for i in sorted(
-            set(in_flight) | set(ready) | set(deferred))]
-        interrupt(unfinished)
+        interrupt()

@@ -180,7 +180,11 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
                                 args=(result_queue, worker_id, stop))
         beat.start()
 
-    from repro.harness.parallel import _execute_point
+    from repro.harness.parallel import _execute_task
+    # this worker's generated traffic classes, shared by the class
+    # warm-ups and the warm-restored points it runs (a fresh worker,
+    # like a fresh sweep, starts empty)
+    class_programs: Dict = {}
     crash_index = os.environ.get(_TEST_CRASH_INDEX_ENV)
     crash_once = os.environ.get(_TEST_CRASH_ONCE_ENV)
     while True:
@@ -200,7 +204,7 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
                 pass                # another worker already crashed
             else:
                 _test_crash(result_queue)
-        summary = _execute_point(payload)
+        summary = _execute_task(payload, class_programs)
         result_queue.put(("done", worker_id, index, summary))
 
 
@@ -210,7 +214,7 @@ class WorkerEvent(NamedTuple):
     """One supervision event, surfaced to the execution engine."""
 
     kind: str                 # "started" | "result" | "crashed" | "timeout"
-    index: int                # grid-point index the event is about
+    index: object             # task key: grid-point index or warm-up key
     summary: Optional[Dict]   # for "result": the worker's summary dict
     detail: str = ""          # human-readable cause for crash/timeout
 
@@ -222,7 +226,7 @@ class _WorkerHandle:
     worker_id: int
     process: multiprocessing.Process
     task_queue: object
-    index: Optional[int] = None          # grid point currently held
+    index: Optional[object] = None       # key of the task held
     dispatched_at: Optional[float] = None
     started_at: Optional[float] = None   # set on the "started" message
     last_heartbeat: float = field(default_factory=time.monotonic)
@@ -333,8 +337,8 @@ class WorkerSupervisor:
 
     # --------------------------------------------------------- dispatch
 
-    def dispatch(self, index: int, payload: Dict) -> None:
-        """Hand one grid point to an idle worker (caller checks idle_count)."""
+    def dispatch(self, index, payload: Dict) -> None:
+        """Hand one task to an idle worker (caller checks idle_count)."""
         for handle in list(self._workers.values()):
             if handle.busy:
                 continue
@@ -384,7 +388,7 @@ class WorkerSupervisor:
                     now - clock > point_timeout_s:
                 events.append(WorkerEvent(
                     "timeout", handle.index, None,
-                    f"grid point exceeded the per-point timeout of "
+                    f"task exceeded the per-point timeout of "
                     f"{point_timeout_s:g}s (measured from worker pickup); "
                     f"worker hard-killed"))
                 self._kill(handle)

@@ -208,6 +208,25 @@ class TestSweepCacheVerify:
         assert sweep_main(["nope.json"]) == EXIT_MISSING_FILE
         _assert_one_line_error(capsys, "repro-sweep")
 
+    @pytest.mark.parametrize("flag,extra", [
+        ("--cache-dir", []),
+        ("--journal", ["--no-cache"]),
+    ])
+    def test_unusable_directory_exit_3(self, flag, extra, tmp_path,
+                                       capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "benchmark": "cacheloop", "cores": [1],
+            "interconnects": ["ahb"], "app_params": {"iters": 10}}))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory\n")
+        code = sweep_main([str(spec), "-j", "1", *extra,
+                           flag, str(blocker / "dir")])
+        assert code == EXIT_MISSING_FILE
+        line = _assert_one_line_error(capsys, "repro-sweep")
+        assert line.startswith(f"repro-sweep: error: {flag} ")
+        assert " done " not in line
+
 
 class TestRunFlagUsageErrors:
     """Bad numbers on the run CLIs are usage errors: exit 2 and one

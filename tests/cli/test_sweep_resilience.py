@@ -138,11 +138,11 @@ class TestResumeExactness:
         count = [0]
         real = parallel_module._execute_point
 
-        def interrupt_mid_sweep(payload):
+        def interrupt_mid_sweep(payload, *rest):
             count[0] += 1
             if count[0] == 3:
                 raise KeyboardInterrupt
-            return real(payload)
+            return real(payload, *rest)
 
         monkeypatch.setattr(parallel_module, "_execute_point",
                             interrupt_mid_sweep)
@@ -190,7 +190,7 @@ class TestInterruptedDiagnostics:
         spec_file = write_spec(tmp_path)
         report = tmp_path / "report.json"
 
-        def bomb(payload):
+        def bomb(payload, *rest):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(parallel_module, "_execute_point", bomb)
@@ -244,11 +244,11 @@ class TestPropertyRandomInterruptPoints:
             journal_dir = tmp_path / f"run{runs[0]}"
             count = [0]
 
-            def die(payload):
+            def die(payload, *rest):
                 count[0] += 1
                 if count[0] == kill_at:
                     raise KeyboardInterrupt
-                return real(payload)
+                return real(payload, *rest)
 
             monkeypatch.setattr(parallel_module, "_execute_point", die)
             code = sweep_main([spec_file, "--no-cache", "-j", "1",

@@ -96,7 +96,7 @@ def counting_executor(monkeypatch):
     """Stub the point executor with a cheap fake that counts calls."""
     calls = []
 
-    def fake(payload):
+    def fake(payload, *rest):
         calls.append(payload)
         return {"status": "ok", "benchmark": payload["benchmark"],
                 "n_cores": payload["n_cores"],

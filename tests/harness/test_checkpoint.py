@@ -8,7 +8,10 @@ import pytest
 
 from repro.apps.synthetic import TrafficSpec, generate
 from repro.artifacts.errors import EXIT_SNAPSHOT, SnapshotError
+from repro.artifacts.header import crc32_hex
 from repro.artifacts.snap import load_snap
+from repro.core.isa import TGOp
+from repro.core.program import parse_tgp
 from repro.faults import RetryPolicy
 from repro.harness import (
     CheckpointManager,
@@ -20,6 +23,7 @@ from repro.harness import (
     platform_recipe,
     rebuild_platform,
     restore_platform,
+    warmup_snapshot,
 )
 from repro.kernel import CalendarQueue
 
@@ -250,6 +254,59 @@ class TestRestorePlatform:
         with pytest.raises(SnapshotError) as excinfo:
             restore_platform(payload)
         assert "fault spec" in str(excinfo.value)
+
+
+def _bump_first_idle(program):
+    """The program with its first ``Idle`` one cycle longer (same
+    instruction count, different ``.tgp`` text)."""
+    index = next(i for i, instr in enumerate(program.instructions)
+                 if instr.op is TGOp.IDLE)
+    instr = program.instructions[index]
+    program.instructions[index] = instr._replace(imm=instr.imm + 1)
+    return program
+
+
+def _crc(text):
+    return crc32_hex(text.encode("utf-8"))
+
+
+class TestProgramCrcGuard:
+    """A TG refuses a snapshot taken with a different program, whether
+    the platform was rebuilt by hand or from an edited recipe."""
+
+    @staticmethod
+    def _payload(source):
+        if source == "warmup":
+            return warmup_snapshot(_programs(), 2, 150, "ahb")
+        platform = _platform()
+        platform.run(until=150)
+        return platform.snapshot(_recipe())
+
+    @pytest.mark.parametrize("source", ["platform", "warmup"])
+    def test_rebuilt_with_a_changed_program(self, source):
+        payload = self._payload(source)
+        programs = _programs()
+        taken = _crc(programs[1].to_tgp())
+        _bump_first_idle(programs[1])
+        platform = build_tg_platform(programs, 2, "ahb")
+        with pytest.raises(SnapshotError) as excinfo:
+            platform.apply_snapshot(payload)
+        message = str(excinfo.value)
+        assert "tg1 was taken with a different program" in message
+        assert f"crc32 {taken} != {_crc(programs[1].to_tgp())}" in message
+
+    @pytest.mark.parametrize("source", ["platform", "warmup"])
+    def test_edited_recipe_text(self, source):
+        payload = self._payload(source)
+        text = payload["platform"]["programs"]["1"]
+        edited = _bump_first_idle(parse_tgp(text)).to_tgp()
+        assert edited != text
+        payload["platform"]["programs"]["1"] = edited
+        with pytest.raises(SnapshotError) as excinfo:
+            restore_platform(payload)
+        message = str(excinfo.value)
+        assert "tg1 was taken with a different program" in message
+        assert f"crc32 {_crc(text)} != {_crc(edited)}" in message
 
 
 class TestBranch:

@@ -80,9 +80,9 @@ class TestParallelMatchesSerial:
         ran = []
         real = parallel_module._execute_point
 
-        def spy(payload):
+        def spy(payload, *rest):
             ran.append(payload["n_cores"])
-            return real(payload)
+            return real(payload, *rest)
 
         monkeypatch.setattr(parallel_module, "_execute_point", spy)
         results = run_sweep_parallel(

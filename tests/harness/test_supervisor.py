@@ -158,11 +158,11 @@ class TestJournalledResume:
         executed_first = []
         real = parallel_module._execute_point
 
-        def first_run(payload):
+        def first_run(payload, *rest):
             executed_first.append(payload["interconnect"])
             if len(executed_first) == 2:
                 cancel.set()
-            return real(payload)
+            return real(payload, *rest)
 
         monkeypatch.setattr(parallel_module, "_execute_point", first_run)
         with pytest.raises(SweepInterrupted):
@@ -175,9 +175,9 @@ class TestJournalledResume:
         # resume: only the two unfinished points may simulate
         executed_second = []
 
-        def second_run(payload):
+        def second_run(payload, *rest):
             executed_second.append(payload["interconnect"])
-            return real(payload)
+            return real(payload, *rest)
 
         monkeypatch.setattr(parallel_module, "_execute_point", second_run)
         resumed = SweepJournal.resume(tmp_path, spec.to_dict())
@@ -199,11 +199,11 @@ class TestJournalledResume:
         count = [0]
         real = parallel_module._execute_point
 
-        def interrupt_after_two(payload):
+        def interrupt_after_two(payload, *rest):
             count[0] += 1
             if count[0] == 3:
                 raise KeyboardInterrupt
-            return real(payload)
+            return real(payload, *rest)
 
         monkeypatch.setattr(parallel_module, "_execute_point",
                             interrupt_after_two)
@@ -311,9 +311,9 @@ class TestJournalledResume:
         ran = []
         real = parallel_module._execute_point
 
-        def spy(payload):
+        def spy(payload, *rest):
             ran.append(payload["n_cores"])
-            return real(payload)
+            return real(payload, *rest)
 
         monkeypatch.setattr(parallel_module, "_execute_point", spy)
         resumed = SweepJournal.resume(tmp_path, spec.to_dict())

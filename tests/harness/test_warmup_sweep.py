@@ -13,8 +13,13 @@ from repro.harness import (
     run_sweep_parallel,
 )
 from repro.harness import parallel as parallel_module
+from repro.harness import supervisor as supervisor_module
 from repro.harness.cache import repro_version, warmup_digest
-from repro.harness.supervisor import SIMULATION_ERROR
+from repro.harness.supervisor import (
+    SIMULATION_ERROR,
+    WORKER_CRASH,
+    WorkerSupervisor,
+)
 
 pytestmark = pytest.mark.sweep
 
@@ -157,22 +162,26 @@ class TestJournalProvenance:
 
 
 class TestEngine:
+    """Warm-up sharing guarantees, run in-process (``jobs=1``)."""
+
+    jobs = 1
+
     def test_shared_equals_per_worker_warmup(self):
-        shared = run_sweep_parallel(warm_spec(), jobs=1)
+        shared = run_sweep_parallel(warm_spec(), jobs=self.jobs)
         report: dict = {}
-        cold = run_sweep_parallel(warm_spec(), jobs=1,
+        cold = run_sweep_parallel(warm_spec(), jobs=self.jobs,
                                   warmup_share=False,
                                   warmup_report=report)
         assert comparable(shared) == comparable(cold)
         assert all(r.status == "ok" for r in shared)
         assert all(r.warm_restored for r in shared)
-        # sharing off: no class warm-up ran driver-side
+        # sharing off: no class warm-up ran as a task of its own
         assert report["classes"] == []
         assert report["simulated"] == 0
 
     def test_one_warmup_simulation_per_class(self):
         report: dict = {}
-        results = run_sweep_parallel(warm_spec(), jobs=1,
+        results = run_sweep_parallel(warm_spec(), jobs=self.jobs,
                                      warmup_report=report)
         assert report["simulated"] == 1
         assert report["cached"] == 0
@@ -181,30 +190,127 @@ class TestEngine:
 
     def test_cached_snapshot_is_reused(self, tmp_path):
         cache = ResultCache(tmp_path)
-        run_sweep_parallel(warm_spec(), jobs=1, cache=cache)
+        run_sweep_parallel(warm_spec(), jobs=self.jobs, cache=cache)
         assert len(list(tmp_path.glob("*.snap"))) == 1
         # drop the cached *results* but keep the snapshot: the re-run
         # must re-simulate every point yet not the warm-up
         for entry in tmp_path.glob("*.json"):
             entry.unlink()
         report: dict = {}
-        run_sweep_parallel(warm_spec(), jobs=1, cache=cache,
+        run_sweep_parallel(warm_spec(), jobs=self.jobs, cache=cache,
                            warmup_report=report)
         assert report["simulated"] == 0
         assert report["cached"] == 1
 
     def test_class_failure_fails_every_member(self, monkeypatch):
-        def explode(point):
+        def explode(*args):
             raise RuntimeError("fabric melted")
 
+        # the warm-up task calls this; fork carries the patch into the
+        # pool's workers
         monkeypatch.setattr(parallel_module, "_shared_warmup_payload",
                             explode)
-        results = run_sweep_parallel(warm_spec(), jobs=1)
+        results = run_sweep_parallel(warm_spec(), jobs=self.jobs)
         assert [r.status for r in results] == ["failed", "failed"]
         for result in results:
             assert result.failure.kind == SIMULATION_ERROR
             assert "warm-up" in result.failure.message
             assert "fabric melted" in result.traceback
+
+
+class TestEngineOnPool(TestEngine):
+    """The same guarantees with class warm-ups as worker-pool tasks."""
+
+    jobs = 2
+
+
+class TestPoolWarmupSupervision:
+    """A warm-up task is supervised like a point: the first worker to
+    claim the crash marker is the one running the class warm-up."""
+
+    def test_crashed_warmup_fails_every_member(self, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setenv(supervisor_module._TEST_CRASH_ONCE_ENV,
+                           str(tmp_path / "crashed"))
+        journal = SweepJournal.create(tmp_path / "journal",
+                                      warm_spec().to_dict(), 2,
+                                      repro_version())
+        results = run_sweep_parallel(warm_spec(), jobs=2, journal=journal)
+        journal.close()
+        assert [r.status for r in results] == ["failed", "failed"]
+        for result in results:
+            assert result.failure.kind == WORKER_CRASH
+            assert "warm-up task" in result.failure.message
+            assert result.quarantined
+        state = SweepJournal.read_state(tmp_path / "journal")
+        assert state.quarantined == {0, 1}
+
+    def test_crashed_warmup_is_retried(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(supervisor_module._TEST_CRASH_ONCE_ENV,
+                           str(tmp_path / "crashed"))
+        report: dict = {}
+        results = run_sweep_parallel(warm_spec(), jobs=2, retries=1,
+                                     retry_backoff_s=0.05,
+                                     warmup_report=report)
+        assert all(r.status == "ok" and r.warm_restored for r in results)
+        assert report["simulated"] == 1
+        assert (tmp_path / "crashed").exists()
+
+
+class TestOneBuildPerClass:
+    def test_one_generation_and_formatting_per_class(self, monkeypatch):
+        from repro.apps import synthetic as synthetic_module
+        from repro.core.program import TGProgram
+        calls = {"generate": 0, "to_tgp": 0}
+        generate, to_tgp = synthetic_module.generate, TGProgram.to_tgp
+
+        def counting_generate(spec):
+            calls["generate"] += 1
+            return generate(spec)
+
+        def counting_to_tgp(program):
+            calls["to_tgp"] += 1
+            return to_tgp(program)
+
+        monkeypatch.setattr(synthetic_module, "generate", counting_generate)
+        monkeypatch.setattr(TGProgram, "to_tgp", counting_to_tgp)
+        spec = SweepSpec.from_dict({
+            "benchmark": "synthetic", "cores": [4],
+            "interconnects": ["ahb", "stbus", "tlm", "xpipes"],
+            "traffic": {"pattern": "uniform", "transactions": 250,
+                        "seed": 7},
+            "loads": [0.3, 0.6], "warmup_cycles": 2000})
+        report: dict = {}
+        results = run_sweep_parallel(spec, jobs=1, warmup_report=report)
+        assert all(r.status == "ok" and r.warm_restored for r in results)
+        assert report["simulated"] == 2
+        # one generation per class, one formatting per program per class
+        assert calls == {"generate": 2, "to_tgp": 8}
+
+    def test_pool_keeps_its_workers_while_members_wait(self, monkeypatch):
+        """1 class, 4 points, -j 2: 2 workers for the whole sweep."""
+        sizes, spawns = [], []
+        original_init = WorkerSupervisor.__init__
+        original_spawn = WorkerSupervisor._spawn
+
+        def recording_init(self, workers, **kwargs):
+            sizes.append(workers)
+            original_init(self, workers, **kwargs)
+
+        def recording_spawn(self):
+            spawns.append(self._next_id)
+            return original_spawn(self)
+
+        monkeypatch.setattr(parallel_module.WorkerSupervisor,
+                            "__init__", recording_init)
+        monkeypatch.setattr(parallel_module.WorkerSupervisor,
+                            "_spawn", recording_spawn)
+        results = run_sweep_parallel(
+            warm_spec(interconnects=["ahb", "stbus", "tlm", "xpipes"]),
+            jobs=2)
+        assert all(r.status == "ok" and r.warm_restored for r in results)
+        assert sizes == [2]
+        assert spawns == [0, 1]           # no replacement worker forked
 
 
 class TestCLIGuards:

@@ -4,21 +4,23 @@
 Exercises the mixed-fidelity fast-forward story end to end, outside
 pytest, the way an operator would hit it:
 
-1. run a warm-up-enabled synthetic sweep **cold** (``--no-warmup-share``:
-   every worker simulates its own warm-up prefix) — its CSV is the
-   reference ROI table;
-2. run the identical sweep **shared** (the default: the driver simulates
-   each warm-up equivalence class once and every worker restores from
-   the ``.snap``);
-3. the two CSVs must be bit-identical once the machine-dependent wall
-   columns are stripped — sharing is an execution strategy, never a
-   result change;
-4. the shared run's ``--diagnostics-json`` must report exactly one
+1. run a warm-up-enabled synthetic sweep **cold** at ``--jobs 1``
+   (``--no-warmup-share``: every point simulates its own warm-up
+   prefix) — its CSV is the reference ROI table;
+2. run the identical sweep **shared** at ``--jobs 1`` (the default:
+   each warm-up equivalence class is simulated once and every point
+   restores from the ``.snap``), then again at ``--jobs 2``, where the
+   class warm-up runs as a pool task and its members wait for it;
+3. each shared CSV must be bit-identical to the cold one once the
+   machine-dependent wall columns are stripped — sharing is an
+   execution strategy, never a result change;
+4. each shared run's ``--diagnostics-json`` must report exactly one
    warm-up simulation for the single equivalence class and classify
    every point ``warmup-restored``;
-5. the shared run must be at least MIN_SPEEDUP times faster wall-clock —
-   the warm-up dominates each point, so paying it once instead of once
-   per fabric is the whole point of the feature.
+5. the shared ``--jobs 1`` run must be at least MIN_SPEEDUP times faster
+   wall-clock than the cold one — the warm-up dominates each point, so
+   paying it once instead of once per fabric is the whole point of the
+   feature.
 
 Usage: PYTHONPATH=src python tests/harness/warmup_smoke.py WORKDIR
 Diagnostics files are left in WORKDIR for CI to upload on failure.
@@ -77,10 +79,10 @@ def stripped_rows(path):
             for row in rows]
 
 
-def run_sweep(env, spec_path, extra, label):
+def run_sweep(env, spec_path, extra, label, jobs=1):
     start = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-c", DRIVER, str(spec_path), "--jobs", "1",
+        [sys.executable, "-c", DRIVER, str(spec_path), "--jobs", str(jobs),
          "--no-cache", *extra],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=env, timeout=900)
@@ -90,6 +92,27 @@ def run_sweep(env, spec_path, extra, label):
         fail(f"{label} sweep exited {proc.returncode}")
     say(f"{label} sweep finished in {wall:.2f}s")
     return wall
+
+
+def check_diagnostics(path, label):
+    """One class, simulated once, covering every point, all restored."""
+    diagnostics = json.loads(path.read_text())
+    warmup = diagnostics.get("warmup") or {}
+    classes = warmup.get("classes") or []
+    if len(classes) != 1:
+        fail(f"{label}: expected 1 warm-up equivalence class, got "
+             f"{len(classes)}")
+    if warmup.get("simulated") != 1:
+        fail(f"{label}: expected exactly 1 warm-up simulation, got "
+             f"{warmup.get('simulated')}")
+    if classes[0]["points"] != len(SPEC["interconnects"]):
+        fail(f"{label}: class should cover every fabric, got "
+             f"{classes[0]['points']} point(s)")
+    provenance = diagnostics.get("provenance") or {}
+    if provenance.get("warmup-restored") != len(SPEC["interconnects"]):
+        fail(f"{label}: expected every point warmup-restored, got "
+             f"{provenance}")
+    say(f"{label}: provenance OK: {provenance}")
 
 
 def main():
@@ -102,43 +125,31 @@ def main():
     spec_path.write_text(json.dumps(SPEC, indent=2) + "\n")
 
     cold_csv = workdir / "cold.csv"
-    shared_csv = workdir / "shared.csv"
-    diag_path = workdir / "shared-diagnostics.json"
 
-    say("cold sweep: every worker simulates its own warm-up")
+    say("cold sweep: every point simulates its own warm-up")
     cold_wall = run_sweep(env, spec_path,
                           ["--no-warmup-share", "--csv", str(cold_csv)],
                           "cold")
 
-    say("shared sweep: one driver warm-up per equivalence class")
-    shared_wall = run_sweep(
-        env, spec_path,
-        ["--csv", str(shared_csv), "--diagnostics-json", str(diag_path)],
-        "shared")
+    walls = {}
+    for jobs in (1, 2):
+        label = f"shared -j {jobs}"
+        shared_csv = workdir / f"shared-j{jobs}.csv"
+        diag_path = workdir / f"shared-j{jobs}-diagnostics.json"
+        say(f"{label} sweep: one warm-up per equivalence class")
+        walls[jobs] = run_sweep(
+            env, spec_path,
+            ["--csv", str(shared_csv), "--diagnostics-json", str(diag_path)],
+            label, jobs=jobs)
+        if stripped_rows(cold_csv) != stripped_rows(shared_csv):
+            fail(f"ROI tables differ between cold and {label} runs")
+        say(f"{label}: ROI table identical to cold (wall columns stripped)")
+        check_diagnostics(diag_path, label)
 
-    if stripped_rows(cold_csv) != stripped_rows(shared_csv):
-        fail("ROI tables differ between cold and warm-up-shared runs")
-    say("ROI tables are identical (wall columns stripped)")
-
-    diagnostics = json.loads(diag_path.read_text())
-    warmup = diagnostics.get("warmup") or {}
-    classes = warmup.get("classes") or []
-    if len(classes) != 1:
-        fail(f"expected 1 warm-up equivalence class, got {len(classes)}")
-    if warmup.get("simulated") != 1:
-        fail(f"expected exactly 1 warm-up simulation, got "
-             f"{warmup.get('simulated')}")
-    if classes[0]["points"] != len(SPEC["interconnects"]):
-        fail(f"class should cover every fabric, got "
-             f"{classes[0]['points']} point(s)")
-    provenance = diagnostics.get("provenance") or {}
-    if provenance.get("warmup-restored") != len(SPEC["interconnects"]):
-        fail(f"expected every point warmup-restored, got {provenance}")
-    say(f"provenance OK: {provenance}")
-
+    shared_wall = walls[1]
     speedup = cold_wall / shared_wall if shared_wall > 0 else float("inf")
     say(f"speedup: cold {cold_wall:.2f}s / shared {shared_wall:.2f}s "
-        f"= {speedup:.2f}x")
+        f"= {speedup:.2f}x (both --jobs 1)")
     if speedup < MIN_SPEEDUP:
         fail(f"warm-up sharing must be >= {MIN_SPEEDUP:.1f}x faster, "
              f"measured {speedup:.2f}x")
