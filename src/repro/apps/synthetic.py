@@ -690,20 +690,18 @@ def synthetic_flow(spec: TrafficSpec, interconnect: str = "tlm",
 
     ``warmup_payload`` supplies an already-captured warm-up snapshot
     (the warm-up-shared sweep path); it is verified against this
-    workload's recipe before restoring.  ``program_set`` is ``spec``'s
-    :class:`ProgramSet` when the caller already built it.  See
-    docs/CHECKPOINT.md.
+    workload's recipe before restoring.  That restore runs ``spec``'s
+    :class:`ProgramSet` — ``program_set`` when the caller already built
+    it.  See docs/CHECKPOINT.md.
     """
     result = SyntheticResult(spec, interconnect)
     texts = None
-    if program_set is not None:
-        programs, report, texts = program_set
-    elif warmup_payload is not None:
+    if warmup_payload is not None:
         # restore path: the platform is rebuilt from the snapshot's
         # byte-compared recipe, so the assemble round-trip is skipped —
         # ``.tgp`` text is canonical across it, making the generated
         # programs' recipe byte-identical to the round-tripped one
-        programs, report = generate(spec)
+        programs, report, texts = program_set or ProgramSet.build(spec)
     else:
         programs, report = synthetic_programs(spec)
     result.generator_report = report

@@ -109,7 +109,11 @@ def save_snap(path, payload: dict) -> str:
     Plain write — the atomic write-then-rename used for auto-checkpoints
     lives in :class:`repro.harness.checkpoint.CheckpointManager`.
     """
-    text = dump_snap(payload)
+    return save_snap_text(path, dump_snap(payload))
+
+
+def save_snap_text(path, text: str) -> str:
+    """Write :func:`dump_snap` text as a file, like :func:`save_snap`."""
     with open(path, "w") as handle:
         handle.write(text)
     body = text.partition("\n")[2]
@@ -123,5 +127,6 @@ __all__ = [
     "load_snap",
     "load_snap_bytes",
     "save_snap",
+    "save_snap_text",
     "validate_snap_payload",
 ]

@@ -219,17 +219,15 @@ class ResultCache:
         except (OSError, ArtifactError):
             return None
 
-    def put_snap(self, digest: str, snap: Union[Dict, str]) -> Path:
+    def put_snap(self, digest: str, text: str) -> Path:
         """Store a warm-up snapshot atomically; returns its path.
 
-        ``snap`` is the payload, or its :func:`~repro.artifacts.snap.
-        dump_snap` text as a sweep's warm-up task returns it.  The path
-        is handed to sweep workers, which re-verify the artifact (header
-        CRC + recipe compatibility) before restoring.
+        ``text`` is the snapshot's :func:`~repro.artifacts.snap.dump_snap`
+        text, as a sweep's warm-up task returns it.  The path is handed
+        to sweep workers, which re-verify the artifact (header CRC +
+        recipe compatibility) before restoring.
         """
-        from repro.artifacts.snap import dump_snap
         self.directory.mkdir(parents=True, exist_ok=True)
-        text = snap if isinstance(snap, str) else dump_snap(snap)
         fd, tmp_path = tempfile.mkstemp(dir=str(self.directory),
                                         suffix=".tmp")
         try:

@@ -54,7 +54,7 @@ import time
 import traceback as traceback_module
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.modes import ReplayMode
 from repro.harness.cache import (
@@ -321,8 +321,11 @@ class PointResult(RunResult):
 
 
 #: Traffic classes whose :class:`~repro.apps.synthetic.ProgramSet` one
-#: sweep process keeps (see :func:`_class_programs`).
-_CLASS_PROGRAMS_LIMIT = 4
+#: sweep process keeps (see :func:`_class_programs`).  Both engines run a
+#: class's members back to back, so ``jobs=1`` needs one entry; a pool
+#: worker also keeps the class of the warm-up it ran while it runs the
+#: members of a class that landed earlier.
+_CLASS_PROGRAMS_LIMIT = 2
 
 
 def _class_programs(class_programs: Dict, digest: str, spec):
@@ -440,7 +443,7 @@ def _execute_task(payload: Dict, class_programs: Dict) -> Dict:
     return {"status": "ok", "snap": snap}
 
 
-def _retry_delay(attempt: int, backoff_s: float, index) -> float:
+def _retry_delay(attempt: int, backoff_s: float, index: int) -> float:
     """Exponential backoff with deterministic (seeded) jitter."""
     rng = random.Random(f"0:{index}:{attempt}")
     return backoff_s * (2 ** attempt) + rng.uniform(0.0, backoff_s)
@@ -474,17 +477,15 @@ class _Task:
 class _WarmupTask:
     """One warm-up equivalence class to simulate: a pool task whose
     grid-point ``members`` wait for its snapshot.  Not a grid point —
-    the journal, cache keys and results never see it."""
+    the journal, cache keys and results never see it, and its negative
+    ``index`` never collides with a grid index."""
 
+    index: int
     digest: str
     members: List[_Task]
     attempt: int = 0
     eligible_at: float = 0.0
     picked_up: Optional[float] = None
-
-    @property
-    def index(self) -> str:
-        return f"warmup:{self.digest}"
 
     def payload(self) -> Dict:
         point = self.members[0].point
@@ -508,6 +509,11 @@ class _WarmupClasses:
     is False, belong to no class and warm up in-worker.  Once the last
     class is settled the warm-up line is printed and ``report`` gets
     its ``classes``/``simulated``/``cached`` provenance.
+
+    ``groups`` lists every class as ``(warm-up task or None, members)``
+    in digest order, then ``(None, classless points)``.  Both engines
+    run a class's members one after another (see
+    :data:`_CLASS_PROGRAMS_LIMIT`).
     """
 
     def __init__(self, pending: List[_Task], cache: Optional[ResultCache],
@@ -522,18 +528,20 @@ class _WarmupClasses:
         self.temp_dir: Optional[str] = None
         self.info: Dict[str, Dict] = {}
         self.tasks: List[_WarmupTask] = []
-        #: grid indices of members whose class has no snapshot (yet)
-        self.held: set = set()
+        self.groups: List[Tuple[Optional[_WarmupTask], List[_Task]]] = []
         self.simulated = self.cached = 0
         classes: Dict[str, List[_Task]] = {}
-        if share:
-            for task in pending:
-                point = task.point
-                if point.warmup_cycles is not None \
-                        and point.traffic is not None:
-                    classes.setdefault(point.warmup_key(), []).append(task)
+        classless: List[_Task] = []
+        for task in pending:
+            point = task.point
+            if share and point.warmup_cycles is not None \
+                    and point.traffic is not None:
+                classes.setdefault(point.warmup_key(), []).append(task)
+            else:
+                classless.append(task)
         for digest in sorted(classes):
             members = classes[digest]
+            warmup = None
             source = None                 # set when the task settles
             if cache is not None and cache.get_snap(digest) is not None:
                 source = "cache"
@@ -541,10 +549,13 @@ class _WarmupClasses:
                 for task in members:
                     task.snap_path = str(cache.snap_path_for(digest))
             else:
-                self.tasks.append(_WarmupTask(digest, members))
-                self.held.update(task.index for task in members)
+                warmup = _WarmupTask(-1 - len(self.tasks), digest, members)
+                self.tasks.append(warmup)
+            self.groups.append((warmup, members))
             self.info[digest] = {"digest": digest, "points": len(members),
                                  "source": source}
+        if classless:
+            self.groups.append((None, classless))
         self.unsettled = len(self.tasks)
         if not self.unsettled:
             self._settled()
@@ -560,14 +571,13 @@ class _WarmupClasses:
         if self.cache is not None:
             path = str(self.cache.put_snap(task.digest, summary["snap"]))
         else:
+            from repro.artifacts.snap import save_snap_text
             if self.temp_dir is None:
                 self.temp_dir = tempfile.mkdtemp(prefix="repro-warmup-")
             path = os.path.join(self.temp_dir, f"{task.digest}.snap")
-            with open(path, "w") as handle:
-                handle.write(summary["snap"])
+            save_snap_text(path, summary["snap"])
         for member in task.members:
             member.snap_path = path
-            self.held.discard(member.index)
         self.simulated += 1
         self._settle(task, "simulated")
         return task.members
@@ -827,10 +837,10 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
                              warmup_report, finish_failed)
     try:
         if jobs == 1:
-            _run_in_process(pending, warmups, journal, cancel, finish_ok,
-                            interrupt)
+            _run_in_process(warmups, journal, cancel, finish_ok, interrupt)
         else:
-            _run_pool(pending, warmups, jobs=min(jobs, len(pending)),
+            _run_pool(warmups, jobs=min(jobs, len(pending)),
+                      unfinished=lambda: total - counters["done"],
                       journal=journal, cancel=cancel,
                       point_timeout_s=point_timeout_s,
                       heartbeat_timeout_s=heartbeat_timeout_s,
@@ -842,38 +852,39 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
         warmups.cleanup()
 
 
-def _run_in_process(pending: List[_Task], warmups: _WarmupClasses,
+def _run_in_process(warmups: _WarmupClasses,
                     journal: Optional[SweepJournal],
                     cancel: threading.Event, finish_ok, interrupt) -> None:
-    """``jobs=1``: the pool's steps in order, in-process (and with no
-    crash/hang protection) — every class warm-up, then every point."""
+    """``jobs=1``: the pool's steps in-process (and with no crash/hang
+    protection) — class by class, its warm-up, then its members."""
     class_programs: Dict = {}
-    for warmup in warmups.tasks:
-        if cancel.is_set():
-            interrupt()
-        try:
-            summary = _execute_task(warmup.payload(), class_programs)
-        except KeyboardInterrupt:
-            interrupt()
-        warmups.finish(warmup, summary)
-    for task in pending:
-        if task.index in warmups.held:
-            continue                   # its class warm-up failed
-        if cancel.is_set():
-            interrupt()
-        if journal is not None:
-            journal.record_started(task.index, task.attempt, key=task.key)
-        start = time.perf_counter()
-        try:
-            summary = _execute_task(task.payload(), class_programs)
-        except KeyboardInterrupt:
+    for warmup, members in warmups.groups:
+        if warmup is not None:
+            if cancel.is_set():
+                interrupt()
+            try:
+                summary = _execute_task(warmup.payload(), class_programs)
+            except KeyboardInterrupt:
+                interrupt()
+            members = warmups.finish(warmup, summary)
+        for task in members:
+            if cancel.is_set():
+                interrupt()
             if journal is not None:
-                journal.record_interrupted(task.index, task.attempt)
-            interrupt()
-        finish_ok(task, summary, wall=time.perf_counter() - start)
+                journal.record_started(task.index, task.attempt,
+                                       key=task.key)
+            start = time.perf_counter()
+            try:
+                summary = _execute_task(task.payload(), class_programs)
+            except KeyboardInterrupt:
+                if journal is not None:
+                    journal.record_interrupted(task.index, task.attempt)
+                interrupt()
+            finish_ok(task, summary, wall=time.perf_counter() - start)
 
 
-def _run_pool(pending: List[_Task], warmups: _WarmupClasses, jobs: int,
+def _run_pool(warmups: _WarmupClasses, jobs: int,
+              unfinished: Callable[[], int],
               journal: Optional[SweepJournal], cancel: threading.Event,
               point_timeout_s: Optional[float],
               heartbeat_timeout_s: Optional[float], retries: int,
@@ -882,32 +893,37 @@ def _run_pool(pending: List[_Task], warmups: _WarmupClasses, jobs: int,
     """Fan the pending tasks over a supervised worker pool.
 
     Class warm-ups go first; a class's members wait until its snapshot
-    lands.  A warm-up task is supervised like a point — timeout from
-    pickup, heartbeat, crash isolation, retries — and a warm-up that
-    cannot land fails its members with the warm-up's failure kind.
+    lands, then queue together.  A warm-up task is supervised like a
+    point — timeout from pickup, heartbeat, crash isolation, retries —
+    and a warm-up that cannot land fails its members with the warm-up's
+    failure kind.  ``unfinished`` counts the grid points without a row
+    yet, held members included: the pool is sized for them, never for
+    the warm-up tasks alone.
     """
-    tasks: Dict = {task.index: task for task in warmups.tasks}
-    tasks.update((task.index, task) for task in pending)
-    ready = deque([task.index for task in warmups.tasks] +
-                  [task.index for task in pending
-                   if task.index not in warmups.held])
-    deferred: List = []            # waiting out a retry backoff
-    in_flight: Dict = {}
-    # grid points not yet finished, held class members included: the
-    # pool is sized for them, never for the warm-up tasks alone
-    remaining = len(pending)
+    tasks: Dict[int, Union[_Task, _WarmupTask]] = {}
+    ready: deque = deque()
+    for warmup in warmups.tasks:
+        tasks[warmup.index] = warmup
+        ready.append(warmup.index)
+    for warmup, members in warmups.groups:
+        for task in members:
+            tasks[task.index] = task
+            if warmup is None:
+                ready.append(task.index)
+    deferred: List[int] = []       # waiting out a retry backoff
+    in_flight: Dict[int, Union[_Task, _WarmupTask]] = {}
     supervisor = WorkerSupervisor(
-        min(jobs, remaining), heartbeat_timeout_s=heartbeat_timeout_s)
+        min(jobs, unfinished()), heartbeat_timeout_s=heartbeat_timeout_s)
     interrupted = False
     try:
-        while remaining > 0:
+        while unfinished() > 0:
             if cancel.is_set():
                 interrupted = True
                 break
             # the pool tracks the outstanding work: a long sweep's last
             # few points (or a mostly-cached resume) must not keep a
             # full complement of idle workers alive
-            supervisor.resize(min(jobs, remaining))
+            supervisor.resize(min(jobs, unfinished()))
             now = time.monotonic()
             for index in list(deferred):
                 if tasks[index].eligible_at <= now:
@@ -925,30 +941,27 @@ def _run_pool(pending: List[_Task], warmups: _WarmupClasses, jobs: int,
                 task = in_flight.get(event.index)
                 if task is None:
                     continue
-                warmup = isinstance(task, _WarmupTask)
+                point = isinstance(task, _Task)   # else a class warm-up
                 if event.kind == "started":
                     task.picked_up = time.monotonic()
-                    if journal is not None and not warmup:
+                    if journal is not None and point:
                         journal.record_started(event.index, task.attempt,
                                                key=task.key)
                     continue
                 del in_flight[event.index]
                 if event.kind == "result":
-                    if warmup:
-                        released = warmups.finish(task, event.summary)
-                        ready.extend(member.index for member in released)
-                        if not released:
-                            remaining -= len(task.members)
-                        continue
-                    wall = None if task.picked_up is None \
-                        else time.monotonic() - task.picked_up
-                    finish_ok(task, event.summary, wall=wall)
-                    remaining -= 1
+                    if point:
+                        wall = None if task.picked_up is None \
+                            else time.monotonic() - task.picked_up
+                        finish_ok(task, event.summary, wall=wall)
+                    else:
+                        ready.extend(member.index for member in
+                                     warmups.finish(task, event.summary))
                     continue
                 # "crashed" / "timeout" — transient machinery failures
                 kind = TIMEOUT if event.kind == "timeout" else WORKER_CRASH
                 if task.attempt < retries:
-                    if journal is not None and not warmup:
+                    if journal is not None and point:
                         journal.record_failed(event.index, task.attempt,
                                               kind, event.detail,
                                               final=False)
@@ -957,28 +970,25 @@ def _run_pool(pending: List[_Task], warmups: _WarmupClasses, jobs: int,
                     task.attempt += 1
                     task.eligible_at = time.monotonic() + delay
                     deferred.append(event.index)
-                elif warmup:
-                    warmups.fail(
-                        task, kind,
-                        f"warm-up task for this point's equivalence class "
-                        f"failed after {task.attempt + 1} attempt(s): "
-                        f"{event.detail}", quarantined=True)
-                    remaining -= len(task.members)
-                else:
+                elif point:
                     finish_failed(
                         task,
                         SweepPointFailure(kind, event.detail,
                                           attempts=task.attempt + 1),
                         quarantined=True)
-                    remaining -= 1
+                else:
+                    warmups.fail(
+                        task, kind,
+                        f"warm-up task for this point's equivalence class "
+                        f"failed after {task.attempt + 1} attempt(s): "
+                        f"{event.detail}", quarantined=True)
     except KeyboardInterrupt:
         interrupted = True
     finally:
         if interrupted and journal is not None:
-            for task in sorted((t for t in in_flight.values()
-                                if isinstance(t, _Task)),
-                               key=lambda t: t.index):
-                journal.record_interrupted(task.index, task.attempt)
+            for index, task in sorted(in_flight.items()):
+                if isinstance(task, _Task):   # warm-ups are not journalled
+                    journal.record_interrupted(index, task.attempt)
         supervisor.shutdown(graceful=not interrupted)
     if interrupted:
         interrupt()

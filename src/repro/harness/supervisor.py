@@ -214,7 +214,7 @@ class WorkerEvent(NamedTuple):
     """One supervision event, surfaced to the execution engine."""
 
     kind: str                 # "started" | "result" | "crashed" | "timeout"
-    index: object             # task key: grid-point index or warm-up key
+    index: int                # grid-point index the event is about
     summary: Optional[Dict]   # for "result": the worker's summary dict
     detail: str = ""          # human-readable cause for crash/timeout
 
@@ -226,7 +226,7 @@ class _WorkerHandle:
     worker_id: int
     process: multiprocessing.Process
     task_queue: object
-    index: Optional[object] = None       # key of the task held
+    index: Optional[int] = None          # grid point currently held
     dispatched_at: Optional[float] = None
     started_at: Optional[float] = None   # set on the "started" message
     last_heartbeat: float = field(default_factory=time.monotonic)
@@ -337,7 +337,7 @@ class WorkerSupervisor:
 
     # --------------------------------------------------------- dispatch
 
-    def dispatch(self, index, payload: Dict) -> None:
+    def dispatch(self, index: int, payload: Dict) -> None:
         """Hand one task to an idle worker (caller checks idle_count)."""
         for handle in list(self._workers.values()):
             if handle.busy:

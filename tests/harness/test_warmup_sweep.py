@@ -3,8 +3,12 @@ classes, the snapshot cache, journal provenance and the engine's
 class-failure/identity guarantees (the end-to-end byte-compare plus
 speedup gate lives in ``tests/harness/warmup_smoke.py``)."""
 
+import os
+from collections import Counter
+
 import pytest
 
+from repro.artifacts.snap import dump_snap
 from repro.harness import (
     ResultCache,
     SweepJournal,
@@ -126,13 +130,13 @@ class TestSnapCache:
     def test_put_then_get_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
         payload = self.payload()
-        path = cache.put_snap("d" * 16, payload)
+        path = cache.put_snap("d" * 16, dump_snap(payload))
         assert path.name == "dddddddddddddddd.snap"
         assert cache.get_snap("d" * 16) == payload
 
     def test_damage_is_a_miss_and_a_verify_finding(self, tmp_path):
         cache = ResultCache(tmp_path)
-        path = cache.put_snap("e" * 16, self.payload())
+        path = cache.put_snap("e" * 16, dump_snap(self.payload()))
         path.write_text(path.read_text()[:-40])
         assert cache.get_snap("e" * 16) is None
         assert any("snapshot" in issue.detail
@@ -140,7 +144,7 @@ class TestSnapCache:
 
     def test_clear_removes_snapshots(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put_snap("f" * 16, self.payload())
+        cache.put_snap("f" * 16, dump_snap(self.payload()))
         cache.clear()
         assert not list(tmp_path.glob("*.snap"))
 
@@ -257,23 +261,47 @@ class TestPoolWarmupSupervision:
         assert (tmp_path / "crashed").exists()
 
 
+@pytest.fixture
+def build_calls(tmp_path, monkeypatch):
+    """Count ``generate`` and ``TGProgram.to_tgp`` calls per process.
+
+    Each call appends a line to a file, so pool workers (which fork
+    the patch in) are counted too.  Returns a function giving
+    ``{(name, pid): calls}``.
+    """
+    from repro.apps import synthetic as synthetic_module
+    from repro.core.program import TGProgram
+    log = tmp_path / "build-calls.log"
+    generate, to_tgp = synthetic_module.generate, TGProgram.to_tgp
+
+    def record(name):
+        with open(log, "a") as handle:
+            handle.write(f"{name} {os.getpid()}\n")
+
+    def counting_generate(spec):
+        record("generate")
+        return generate(spec)
+
+    def counting_to_tgp(program):
+        record("to_tgp")
+        return to_tgp(program)
+
+    monkeypatch.setattr(synthetic_module, "generate", counting_generate)
+    monkeypatch.setattr(TGProgram, "to_tgp", counting_to_tgp)
+
+    def calls():
+        text = log.read_text() if log.exists() else ""
+        return Counter(tuple(line.split()) for line in text.splitlines())
+    return calls
+
+
+def totals(calls):
+    return {name: sum(n for (kind, _), n in calls.items() if kind == name)
+            for name in ("generate", "to_tgp")}
+
+
 class TestOneBuildPerClass:
-    def test_one_generation_and_formatting_per_class(self, monkeypatch):
-        from repro.apps import synthetic as synthetic_module
-        from repro.core.program import TGProgram
-        calls = {"generate": 0, "to_tgp": 0}
-        generate, to_tgp = synthetic_module.generate, TGProgram.to_tgp
-
-        def counting_generate(spec):
-            calls["generate"] += 1
-            return generate(spec)
-
-        def counting_to_tgp(program):
-            calls["to_tgp"] += 1
-            return to_tgp(program)
-
-        monkeypatch.setattr(synthetic_module, "generate", counting_generate)
-        monkeypatch.setattr(TGProgram, "to_tgp", counting_to_tgp)
+    def test_one_generation_and_formatting_per_class(self, build_calls):
         spec = SweepSpec.from_dict({
             "benchmark": "synthetic", "cores": [4],
             "interconnects": ["ahb", "stbus", "tlm", "xpipes"],
@@ -285,7 +313,32 @@ class TestOneBuildPerClass:
         assert all(r.status == "ok" and r.warm_restored for r in results)
         assert report["simulated"] == 2
         # one generation per class, one formatting per program per class
-        assert calls == {"generate": 2, "to_tgp": 8}
+        assert totals(build_calls()) == {"generate": 2, "to_tgp": 8}
+
+    def test_more_classes_than_the_limit(self, build_calls):
+        """jobs=1 runs each class's members right after its warm-up, so
+        the grid's fabric-major order never evicts a class it needs."""
+        classes = parallel_module._CLASS_PROGRAMS_LIMIT + 1
+        spec = warm_spec(loads=[0.1 * (k + 1) for k in range(classes)])
+        report: dict = {}
+        results = run_sweep_parallel(spec, jobs=1, warmup_report=report)
+        assert all(r.status == "ok" and r.warm_restored for r in results)
+        assert report["simulated"] == classes
+        assert totals(build_calls()) == {"generate": classes,
+                                         "to_tgp": 2 * classes}
+
+    def test_pool_worker_generates_a_class_once(self, build_calls):
+        """1 class, 4 points, -j 2: the driver generates nothing and
+        each worker at most once, warm-up included."""
+        results = run_sweep_parallel(
+            warm_spec(interconnects=["ahb", "stbus", "tlm", "xpipes"]),
+            jobs=2)
+        assert all(r.status == "ok" and r.warm_restored for r in results)
+        generated = {pid: n for (name, pid), n in build_calls().items()
+                     if name == "generate"}
+        assert str(os.getpid()) not in generated
+        assert 1 <= len(generated) <= 2
+        assert set(generated.values()) == {1}
 
     def test_pool_keeps_its_workers_while_members_wait(self, monkeypatch):
         """1 class, 4 points, -j 2: 2 workers for the whole sweep."""
