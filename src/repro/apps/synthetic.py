@@ -619,9 +619,10 @@ class ProgramSet(NamedTuple):
 
     A warm-up-shared sweep process builds a class's set once with
     :meth:`build` and reuses it for the class's warm-up and for every
-    member it restores: the texts feed the snapshot recipe, the
-    recipe byte-compare and the TGs' ``program_crc32`` (see
-    :func:`repro.harness.checkpoint.fast_forward`).
+    member it restores: the texts are the class recipe's programs,
+    which the recipe byte-compare checks and every TG built from the
+    recipe takes as its program identity (see
+    :func:`repro.harness.checkpoint.restore_platform`).
     """
 
     programs: Dict[int, TGProgram]

@@ -60,9 +60,11 @@ class TGMaster(Component):
       :class:`~repro.kernel.WatchdogTimeout` instead of hanging the
       simulation (e.g. a response packet lost by a broken fabric).
 
-    ``tgp_text`` is the program's canonical ``.tgp`` text when the
-    caller already holds it; the snapshot's ``program_crc32`` is then
-    the CRC of that string instead of a fresh formatting of the program.
+    ``tgp_text`` is the program's canonical ``.tgp`` text.  A platform
+    built from a recipe (:mod:`repro.harness.checkpoint`) passes the
+    recipe's text, and the snapshot's ``program_crc32`` is that text's
+    CRC; only a TG built without it, on a platform built by hand,
+    formats its program for the CRC.
     """
 
     def __init__(self, sim: Simulator, name: str, program: TGProgram,

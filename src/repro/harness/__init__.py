@@ -42,7 +42,6 @@ from repro.harness.checkpoint import (
     checkpointed_run,
     comparable_summary,
     ensure_recipe_compatible,
-    fast_forward,
     load_snapshot,
     platform_recipe,
     rebuild_platform,
@@ -94,7 +93,6 @@ __all__ = [
     "checkpointed_run",
     "comparable_summary",
     "ensure_recipe_compatible",
-    "fast_forward",
     "load_snapshot",
     "platform_recipe",
     "rebuild_platform",

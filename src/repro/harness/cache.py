@@ -140,16 +140,12 @@ class ResultCache:
     def snap_path_for(self, digest: str) -> Path:
         return self.directory / f"{digest}.snap"
 
-    def get(self, key: str,
-            artifact_checksums: Optional[Dict[str, str]] = None,
-            ) -> Optional[Dict]:
+    def get(self, key: str) -> Optional[Dict]:
         """The cached result summary for ``key``, or None on a miss.
 
         An entry is a miss — never an error, never a wrong answer — when
         it is unreadable, malformed, recorded under a different package
-        version, fails its own embedded result checksum, or disagrees
-        with any caller-supplied ``artifact_checksums`` (``{name: crc32
-        hex}`` of the artifacts the result was computed from).
+        version, or fails its own embedded result checksum.
         """
         try:
             with open(self.path_for(key)) as handle:
@@ -163,24 +159,16 @@ class ResultCache:
             return None
         if entry.get("result_crc32") != _result_crc32(entry["result"]):
             return None
-        if artifact_checksums:
-            recorded = entry.get("artifact_checksums") or {}
-            for name, checksum in artifact_checksums.items():
-                if name in recorded and recorded[name] != checksum:
-                    return None
         return entry["result"]
 
     def put(self, key: str, result: Dict,
-            provenance: Optional[Dict] = None,
-            artifact_checksums: Optional[Dict[str, str]] = None) -> None:
+            provenance: Optional[Dict] = None) -> None:
         """Store a result summary atomically under ``key``.
 
         ``provenance`` (the pre-hash key material) is stored alongside the
-        result so a human can read *what* an entry describes;
-        ``artifact_checksums`` records the CRC32 of any artifacts the
-        result depends on.  The entry embeds the package version and its
-        own result checksum, so :meth:`get` can tell corruption and
-        staleness from a valid hit.
+        result so a human can read *what* an entry describes.  The entry
+        embeds the package version and its own result checksum, so
+        :meth:`get` can tell corruption and staleness from a valid hit.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
         entry = {"key": key, "result": result,
@@ -188,8 +176,6 @@ class ResultCache:
                  "result_crc32": _result_crc32(result)}
         if provenance is not None:
             entry["provenance"] = provenance
-        if artifact_checksums is not None:
-            entry["artifact_checksums"] = dict(artifact_checksums)
         fd, tmp_path = tempfile.mkstemp(dir=str(self.directory),
                                         suffix=".tmp")
         try:

@@ -14,12 +14,14 @@ simulation state; this module makes that *self-contained on disk*:
   never a torn file;
 * :func:`checkpointed_run` drives a platform to completion, snapshotting
   at the first quiescent cycle at or after every cadence boundary;
-* :func:`restore_platform` rebuilds a platform from a payload's embedded
-  recipe and applies the snapshot — the continuation is bit-identical to
-  the uninterrupted run;
-* :func:`branch` is the fault-campaign primitive: restore the shared
-  warm-up state with a *fresh* fault injector (new spec/seed), so N
-  scenarios share one warm-up simulation.
+* :func:`restore_platform` is the one way from a snapshot to a running
+  platform: it rebuilds the payload's embedded recipe and applies the
+  snapshot — on the captured fabric the continuation is bit-identical to
+  the uninterrupted run; on another fabric it is the mixed-fidelity
+  fast-forward of a :func:`warmup_snapshot`;
+* :func:`branch` is the fault-campaign wrapper around it: restore the
+  shared warm-up state with a *fresh* fault injector (new spec/seed), so
+  N scenarios share one warm-up simulation.
 
 See docs/CHECKPOINT.md for the format and the quiescence rules.
 """
@@ -110,11 +112,11 @@ def rebuild_platform(recipe: dict,
     fast-forward path rebuilds the captured workload on a *different*
     interconnect.  ``programs`` skips the ``.tgp`` re-parse
     when the caller already holds the recipe's programs in memory; it is
-    only safe after the recipe has been byte-compared against a
-    :func:`platform_recipe` of those same programs (``.tgp`` text is
-    canonical, so equal text means equal programs).  The TGs then take
-    their ``program_crc32`` from the recipe text; a parsed rebuild
-    computes it from the parsed programs.
+    only safe when the recipe was built from those same programs, or
+    byte-compared against a :func:`platform_recipe` of them (``.tgp``
+    text is canonical, so equal text means equal programs).  Either way
+    each TG takes the recipe's text, and its ``program_crc32`` is that
+    text's CRC.
     """
     from repro.kernel.snapshot import state_get
     if not isinstance(recipe, dict) \
@@ -128,20 +130,18 @@ def rebuild_platform(recipe: dict,
     if not isinstance(raw_programs, dict) or not raw_programs:
         raise SnapshotError(
             "snapshot platform recipe carries no programs")
-    texts = None
-    if programs is None:
-        try:
-            programs = {int(master_id): parse_tgp(text)
-                        for master_id, text in raw_programs.items()}
-        except SnapshotError:
-            raise
-        except Exception as error:
-            raise SnapshotError(
-                f"snapshot platform recipe has an unparsable program "
-                f"({error})") from None
-    else:
+    try:
         texts = {int(master_id): text
                  for master_id, text in raw_programs.items()}
+        if programs is None:
+            programs = {master_id: parse_tgp(text)
+                        for master_id, text in texts.items()}
+    except SnapshotError:
+        raise
+    except Exception as error:
+        raise SnapshotError(
+            f"snapshot platform recipe has an unparsable program "
+            f"({error})") from None
     overrides = _recipe_overrides(recipe)
     overrides.update(config_overrides or {})
     retry = state_get(recipe, "retry_policy", "platform recipe")
@@ -226,26 +226,93 @@ def ensure_recipe_compatible(recipe: dict, expected: dict) -> None:
             mismatches=mismatches)
 
 
+def _check_masters(recipe: dict) -> None:
+    """Refuse a recipe whose programs are not keyed ``"0"`` to
+    ``"n_cores-1"`` — one program per master socket, no more, no less."""
+    programs = recipe.get("programs") if isinstance(recipe, dict) else None
+    if not isinstance(programs, dict) or not programs:
+        return                  # rebuild_platform names these cases
+    n_cores = recipe.get("n_cores")
+    masters = ({str(master) for master in range(n_cores)}
+               if isinstance(n_cores, int) else None)
+    if set(programs) != masters:
+        raise SnapshotError(
+            f"snapshot platform recipe has programs for masters "
+            f"[{', '.join(sorted(programs))}] but n_cores {n_cores!r}",
+            hint="a TG platform takes one program per master, keyed "
+                 "0 to n_cores-1")
+
+
 def restore_platform(payload: dict,
-                     interconnect: Optional[str] = None) -> MparmPlatform:
+                     interconnect: Optional[str] = None,
+                     config_overrides: Optional[dict] = None,
+                     expected_recipe: Optional[dict] = None,
+                     programs: Optional[Dict[int, TGProgram]] = None,
+                     ) -> MparmPlatform:
     """Rebuild the platform a snapshot embeds and apply the snapshot.
 
     The returned platform sits at the snapshot cycle, started, with the
     exact pending-event set of the captured run — ``platform.run()``
-    continues it to a bit-identical completion.  ``interconnect``
-    continues on a *different fabric*: the snapshot must have been taken
-    at a quiescent cycle (all are), so the fabric's internal state is
-    re-derived from quiescence while TG/OCP/memory/semaphore state
-    restores by component identity.
+    continues it.  Every path from a ``.snap`` to a running platform
+    comes through here: ``--restore``, fault-campaign :func:`branch`es
+    and the warm-up fast-forward of
+    :func:`~repro.harness.experiments.run_tg`.
+
+    * ``interconnect`` continues on a *different fabric*: the snapshot
+      was taken at a quiescent cycle (all are), so the fabric is
+      **re-derived** — its portable traffic statistics carry over, its
+      internal machinery is rebuilt from quiescence — while
+      TG/OCP/memory/semaphore state restores by component identity.
+    * ``config_overrides`` are layered on the recipe's own (fault
+      spec/seed), and a restore given them starts a **fresh** fault
+      injector at the restore point.  Without them the captured
+      injector continues, so a faulted checkpoint resumes
+      bit-identically.
+    * ``expected_recipe`` (a :func:`platform_recipe` of the workload the
+      caller *meant* to restore) guards against a stale or foreign
+      snapshot: any workload-identity difference raises
+      :class:`SnapshotRecipeMismatch` (see
+      :func:`ensure_recipe_compatible`).
+    * ``programs`` skips the recipe's ``.tgp`` re-parse with the
+      caller's in-memory programs.  It requires ``expected_recipe``
+      built from those same programs: the byte-compare proves the
+      recipe text *is* their canonical form.
+
+    A recipe no ``expected_recipe`` vouches for was read from outside
+    the program: its programs must be keyed ``"0"`` to ``"n_cores-1"``,
+    and any error building it is a :class:`SnapshotError` naming the
+    cause.
     """
     from repro.kernel.snapshot import _require, state_get
     recipe = _require(payload, "platform", "payload")
-    platform = rebuild_platform(recipe, interconnect=interconnect)
+    if expected_recipe is not None:
+        ensure_recipe_compatible(recipe, expected_recipe)
+        platform = rebuild_platform(recipe, config_overrides,
+                                    interconnect, programs)
+    elif programs is not None:
+        raise SnapshotError(
+            "restore_platform(programs=...) requires expected_recipe",
+            hint="the recipe byte-compare is what proves the in-memory "
+                 "programs match the snapshot; pass platform_recipe("
+                 "programs, ...) as expected_recipe")
+    else:
+        _check_masters(recipe)
+        try:
+            platform = rebuild_platform(recipe, config_overrides,
+                                        interconnect)
+        except SnapshotError:
+            raise
+        except Exception as error:
+            raise SnapshotError(
+                f"cannot rebuild the snapshot's platform "
+                f"({type(error).__name__}: {error})") from None
     rederive = None
     if interconnect is not None and interconnect != state_get(
             recipe, "interconnect", "platform recipe"):
         rederive = ["fabric"]
-    platform.apply_snapshot(payload, rederive=rederive)
+    platform.apply_snapshot(
+        payload, fresh=None if config_overrides is None else ["injector"],
+        rederive=rederive)
     return platform
 
 
@@ -255,12 +322,11 @@ def branch(payload: dict,
            interconnect: Optional[str] = None) -> MparmPlatform:
     """Branch a fault scenario off a shared warm-up snapshot.
 
-    Rebuilds the platform with the given fault spec/seed (and optionally
-    a different fabric), then applies the snapshot
-    with a **fresh** injector: all architectural state — TG registers,
-    memory contents, traffic counters — continues from the warm-up,
-    while the fault sequence is the new scenario's own.  Simulate the
-    warm-up once, branch N times.
+    Restores the snapshot (optionally onto a different fabric) with the
+    given fault spec/seed and a **fresh** injector: all architectural
+    state — TG registers, memory contents, traffic counters — continues
+    from the warm-up, while the fault sequence is the new scenario's
+    own.  Simulate the warm-up once, branch N times.
     """
     overrides: dict = {}
     if fault_spec is not None:
@@ -273,119 +339,42 @@ def branch(payload: dict,
             raise SnapshotError(
                 "branch got fault_seed without fault_spec",
                 hint="pass the scenario's fault spec as well")
-    from repro.kernel.snapshot import _require, state_get
-    recipe = _require(payload, "platform", "payload")
-    platform = rebuild_platform(recipe, overrides,
-                                interconnect=interconnect)
-    rederive = None
-    if interconnect is not None and interconnect != state_get(
-            recipe, "interconnect", "platform recipe"):
-        rederive = ["fabric"]
-    platform.apply_snapshot(payload, fresh=["injector"],
-                            rederive=rederive)
-    return platform
+    return restore_platform(payload, interconnect, overrides)
 
 
-def warmup_snapshot(programs: Dict[int, TGProgram], n_cores: int,
-                    warmup_cycles: int, warmup_fabric: str = "tlm",
-                    config_overrides: Optional[dict] = None,
-                    retry_policy: Optional[RetryPolicy] = None,
-                    watchdog_cycles: Optional[int] = None,
-                    scan_limit: Optional[int] = None,
-                    texts: Optional[Dict[int, str]] = None) -> dict:
-    """Simulate a warm-up prefix on a cheap fabric and snapshot it.
+def warmup_snapshot(recipe: dict, warmup_cycles: int,
+                    warmup_fabric: str = "tlm",
+                    programs: Optional[Dict[int, TGProgram]] = None,
+                    ) -> dict:
+    """Simulate a warm-up prefix of ``recipe`` on a cheap fabric and
+    snapshot it.
 
     Builds the workload on ``warmup_fabric`` (default: the contention-
     free TLM model), runs it for ``warmup_cycles`` and captures the
     first quiescent cycle at or after that boundary.  The warm-up is
-    always **healthy**: fault spec/seed overrides are stripped, so one
-    snapshot serves every fault scenario via the fresh-injector branch
-    at restore time (and the snapshot digest can ignore the fault axes).
+    always **healthy**: the recipe's fault spec/seed are stripped, so one
+    snapshot serves every fault scenario via the fresh-injector restore
+    (and the snapshot digest can ignore the fault axes).  The snapshot
+    embeds ``recipe`` with exactly those two changes.
+
+    ``programs`` are the recipe's programs in memory, when the caller
+    built the recipe from them; the re-parse is then skipped.
 
     A workload that finishes before ``warmup_cycles`` still snapshots
     cleanly — the queue is drained, the capture is trivially quiescent,
     and the restored run completes immediately.
-
-    The recipe and the TGs' ``program_crc32`` come from one dict of
-    ``.tgp`` texts: ``texts`` when the caller already formatted the
-    programs, else each program formatted once here.
     """
-    from repro.kernel.snapshot import DEFAULT_SCAN_LIMIT
+    from repro.kernel.snapshot import state_get
     if warmup_cycles < 1:
         raise SnapshotError(
             f"warm-up length must be >= 1 cycle, got {warmup_cycles}")
-    overrides = _serializable_overrides(config_overrides)
-    for key in ("fault_spec", "fault_seed"):
-        overrides.pop(key, None)
-    if texts is None:
-        texts = tgp_texts(programs)
-    platform = build_tg_platform(programs, n_cores, warmup_fabric,
-                                 overrides, retry_policy=retry_policy,
-                                 watchdog_cycles=watchdog_cycles,
-                                 texts=texts)
-    recipe = platform_recipe(programs, n_cores, warmup_fabric, overrides,
-                             retry_policy=retry_policy,
-                             watchdog_cycles=watchdog_cycles, texts=texts)
+    overrides = state_get(recipe, "config_overrides", "platform recipe")
+    recipe = dict(recipe, interconnect=warmup_fabric, config_overrides={
+        key: value for key, value in overrides.items()
+        if key not in _PORTABLE_OVERRIDES})
+    platform = rebuild_platform(recipe, programs=programs)
     platform.run(until=warmup_cycles)
-    return platform.snapshot(
-        recipe,
-        scan_limit if scan_limit is not None else DEFAULT_SCAN_LIMIT)
-
-
-def fast_forward(payload: dict,
-                 interconnect: Optional[str] = None,
-                 config_overrides: Optional[dict] = None,
-                 expected_recipe: Optional[dict] = None,
-                 programs: Optional[Dict[int, TGProgram]] = None,
-                 ) -> MparmPlatform:
-    """Restore a warm-up snapshot onto the cycle-true target platform.
-
-    The mixed-fidelity primitive: rebuild the snapshot's workload on
-    ``interconnect`` (possibly a different fabric than the warm-up ran
-    on), layer ``config_overrides`` (fault spec/seed) on top of
-    the recipe's own, and apply the snapshot with
-
-    * the fault **injector fresh** — the warm-up is healthy, so fault
-      injection arms exactly at the restore point, and
-    * the **fabric re-derived** when the target fabric differs — its
-      portable traffic statistics carry over, its internal machinery is
-      rebuilt from quiescence.
-
-    ``expected_recipe`` (a :func:`platform_recipe` of the workload the
-    caller *meant* to restore) guards against serving a stale or
-    foreign snapshot: any workload-identity difference raises
-    :class:`SnapshotRecipeMismatch` (see
-    :func:`ensure_recipe_compatible`).
-
-    ``programs`` short-circuits the recipe's ``.tgp`` re-parse with
-    the caller's in-memory programs — the hot path of a warm-up-shared
-    sweep, where the worker already holds the class's programs.
-    It requires ``expected_recipe`` built from those same programs: the
-    byte-compare then proves the recipe text *is* their canonical
-    ``.tgp`` form, so skipping the parse cannot change the workload,
-    and the TGs check the snapshot's ``program_crc32`` against the CRC
-    of that text instead of formatting the programs again.
-    """
-    from repro.kernel.snapshot import _require, state_get
-    recipe = _require(payload, "platform", "payload")
-    if expected_recipe is not None:
-        ensure_recipe_compatible(recipe, expected_recipe)
-    elif programs is not None:
-        raise SnapshotError(
-            "fast_forward(programs=...) requires expected_recipe",
-            hint="the recipe byte-compare is what proves the in-memory "
-                 "programs match the snapshot; pass platform_recipe("
-                 "programs, ...) as expected_recipe")
-    platform = rebuild_platform(recipe, config_overrides,
-                                interconnect=interconnect,
-                                programs=programs)
-    rederive = None
-    if interconnect is not None and interconnect != state_get(
-            recipe, "interconnect", "platform recipe"):
-        rederive = ["fabric"]
-    platform.apply_snapshot(payload, fresh=["injector"],
-                            rederive=rederive)
-    return platform
+    return platform.snapshot(recipe)
 
 
 class CheckpointManager:
@@ -439,7 +428,6 @@ class CheckpointManager:
 
 def checkpointed_run(platform: MparmPlatform, recipe: dict,
                      manager: CheckpointManager, every: int,
-                     scan_limit: Optional[int] = None,
                      progress_window: Optional[int] = None) -> int:
     """Run a platform to completion, checkpointing as it goes.
 
@@ -470,7 +458,7 @@ def checkpointed_run(platform: MparmPlatform, recipe: dict,
                          progress_window=progress_window)
         if sim._queue.peek_time() is None:
             break
-        manager.save(platform.snapshot(recipe, scan_limit))
+        manager.save(platform.snapshot(recipe))
     # drained (or finished): let the normal run path apply its
     # completion/deadlock checks
     return platform.run(progress_window=progress_window)
@@ -516,7 +504,6 @@ __all__ = [
     "checkpointed_run",
     "comparable_summary",
     "ensure_recipe_compatible",
-    "fast_forward",
     "load_snapshot",
     "platform_recipe",
     "rebuild_platform",

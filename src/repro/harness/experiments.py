@@ -270,13 +270,14 @@ def run_tg(programs: Dict[int, TGProgram], n_cores: int,
 
     The one run path of every flow: a plain run, an auto-checkpointed
     run, or a fast-forward through a warm-up — simulated here, or
-    handed in as ``warmup_payload`` (the warm-up-shared sweep path).  A
-    warm-up snapshot is always checked against the recipe of
-    ``programs`` before it is restored, so a stale or foreign snapshot
-    is a typed error, never a wrong result.  ``texts`` are the programs'
-    ``.tgp`` texts when the caller already formatted them; otherwise a
-    warm-up run formats each program once, for both the recipe and the
-    snapshot.
+    handed in as ``warmup_payload`` (the warm-up-shared sweep path).
+    Every run that can take a snapshot builds its platform from the
+    recipe of ``programs``, so each program is formatted at most once
+    and the recipe text is the TGs' program identity.  A warm-up
+    snapshot is always checked against that recipe before it is
+    restored, so a stale or foreign snapshot is a typed error, never a
+    wrong result.  ``texts`` are the programs' ``.tgp`` texts when the
+    caller already formatted them.
 
     The wall clock starts after the platform is built, or after the
     warm-up is captured: a shared warm-up runs once, as its own sweep
@@ -289,51 +290,44 @@ def run_tg(programs: Dict[int, TGProgram], n_cores: int,
         overrides["fault_seed"] = options.fault_seed
     resilience = {"retry_policy": options.retry_policy,
                   "watchdog_cycles": options.watchdog_cycles}
-    if warmup_payload is not None or options.warmup_cycles is not None:
-        from repro.harness.checkpoint import (
-            fast_forward,
-            platform_recipe,
-            tgp_texts,
-            warmup_snapshot,
-        )
+    warm = warmup_payload is not None or options.warmup_cycles is not None
+    if not warm and options.checkpoint_every is None:
+        platform = build_tg_platform(programs, n_cores, interconnect,
+                                     overrides, **resilience)
+        start = time.perf_counter()
+        platform.run(progress_window=options.progress_window)
+        return platform, time.perf_counter() - start, None
+    from repro.harness.checkpoint import (
+        DEFAULT_KEEP,
+        CheckpointManager,
+        checkpointed_run,
+        platform_recipe,
+        rebuild_platform,
+        restore_platform,
+        warmup_snapshot,
+    )
+    recipe = platform_recipe(programs, n_cores, interconnect, overrides,
+                             texts=texts, **resilience)
+    if warm:
         options.refuse_checkpointing()
-        if texts is None:
-            texts = tgp_texts(programs)
-        expected = platform_recipe(programs, n_cores, interconnect,
-                                   overrides, texts=texts, **resilience)
         payload = warmup_payload
         if payload is None:
-            payload = warmup_snapshot(programs, n_cores,
-                                      options.warmup_cycles,
-                                      options.warmup_fabric, overrides,
-                                      texts=texts, **resilience)
+            payload = warmup_snapshot(recipe, options.warmup_cycles,
+                                      options.warmup_fabric, programs)
         start = time.perf_counter()
-        platform = fast_forward(
-            payload, interconnect=interconnect, config_overrides=overrides,
-            expected_recipe=expected,
-            programs=programs if warmup_payload is not None else None)
+        platform = restore_platform(payload, interconnect, overrides,
+                                    expected_recipe=recipe,
+                                    programs=programs)
         platform.run(progress_window=options.progress_window)
         return platform, time.perf_counter() - start, payload
-    platform = build_tg_platform(programs, n_cores, interconnect, overrides,
-                                 **resilience)
+    platform = rebuild_platform(recipe, programs=programs)
     start = time.perf_counter()
-    if options.checkpoint_every is None:
-        platform.run(progress_window=options.progress_window)
-    else:
-        from repro.harness.checkpoint import (
-            DEFAULT_KEEP,
-            CheckpointManager,
-            checkpointed_run,
-            platform_recipe,
-        )
-        recipe = platform_recipe(programs, n_cores, interconnect, overrides,
-                                 **resilience)
-        keep = DEFAULT_KEEP if options.checkpoint_keep is None \
-            else options.checkpoint_keep
-        checkpointed_run(platform, recipe,
-                         CheckpointManager(options.checkpoint_dir, keep=keep),
-                         options.checkpoint_every,
-                         progress_window=options.progress_window)
+    keep = DEFAULT_KEEP if options.checkpoint_keep is None \
+        else options.checkpoint_keep
+    checkpointed_run(platform, recipe,
+                     CheckpointManager(options.checkpoint_dir, keep=keep),
+                     options.checkpoint_every,
+                     progress_window=options.progress_window)
     return platform, time.perf_counter() - start, None
 
 

@@ -408,20 +408,22 @@ def _shared_warmup_payload(task: Dict, class_programs: Dict) -> Dict:
     the class's :class:`~repro.apps.synthetic.ProgramSet` from
     ``class_programs``, built with
     :func:`~repro.apps.synthetic.generate` exactly as every restoring
-    member builds them, so the snapshot's embedded recipe byte-matches
-    the recipe each member derives (and
+    member builds them, and the class recipe takes the set's texts, so
+    the snapshot's embedded recipe byte-matches the recipe each member
+    derives (and
     :func:`~repro.harness.checkpoint.ensure_recipe_compatible` accepts
     the restore), and members restored in this process reuse the set.
     The warm-up is healthy and fabric-agnostic by construction (see
     :meth:`SweepPoint.warmup_material`).
     """
     from repro.apps.synthetic import TrafficSpec
-    from repro.harness.checkpoint import warmup_snapshot
+    from repro.harness.checkpoint import platform_recipe, warmup_snapshot
     programs = _class_programs(class_programs, task["digest"],
                                TrafficSpec.from_dict(task["traffic"]))
-    return warmup_snapshot(programs.programs, task["n_cores"],
-                           task["cycles"], task["fabric"],
-                           texts=programs.texts)
+    recipe = platform_recipe(programs.programs, task["n_cores"],
+                             task["fabric"], texts=programs.texts)
+    return warmup_snapshot(recipe, task["cycles"], task["fabric"],
+                           programs.programs)
 
 
 def _execute_task(payload: Dict, class_programs: Dict) -> Dict:

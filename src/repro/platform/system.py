@@ -215,8 +215,7 @@ class MparmPlatform:
             components["injector"] = self.fault_injector
         return components
 
-    def snapshot(self, platform_recipe: Optional[dict] = None,
-                 scan_limit: Optional[int] = None) -> dict:
+    def snapshot(self, platform_recipe: Optional[dict] = None) -> dict:
         """Capture a snapshot at the first quiescent cycle >= now.
 
         May advance simulation time (see
@@ -224,11 +223,10 @@ class MparmPlatform:
         ``platform_recipe`` is stored verbatim for self-contained
         restores (see :mod:`repro.harness.checkpoint`).
         """
-        from repro.kernel.snapshot import DEFAULT_SCAN_LIMIT, capture
+        from repro.kernel.snapshot import capture
         return capture(
             self.sim, self.checkpoint_components(),
-            platform_recipe if platform_recipe is not None else {},
-            scan_limit if scan_limit is not None else DEFAULT_SCAN_LIMIT)
+            platform_recipe if platform_recipe is not None else {})
 
     def apply_snapshot(self, payload: dict,
                        fresh: Optional[List[str]] = None,

@@ -1,6 +1,9 @@
 """CLI failure-path contract: distinct exit codes, one-line messages,
 no tracebacks, machine-readable --diagnostics-json (docs/ARTIFACTS.md)."""
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
@@ -9,9 +12,12 @@ from repro.artifacts import (
     EXIT_CHECKSUM,
     EXIT_MISSING_FILE,
     EXIT_PARSE,
+    EXIT_SNAPSHOT,
     EXIT_TRUNCATED,
     EXIT_VERSION,
     dump_bin,
+    load_snap,
+    save_snap,
     save_tgp,
     save_trc,
 )
@@ -125,6 +131,60 @@ class TestIntegrityErrors:
         image.write_bytes(image.read_bytes()[:40])
         assert tgdump_main([str(image)]) == EXIT_TRUNCATED
         _assert_one_line_error(capsys, "repro-tgdump")
+
+
+def _rekey(*keys):
+    def edit(recipe):
+        recipe["programs"] = dict(zip(keys, recipe["programs"].values()))
+    return edit
+
+
+#: One edit of a checkpoint's embedded recipe per case; each used to end
+#: in a traceback from the platform build.
+MALFORMED_RECIPES = {
+    "program keys 0 and 5": _rekey("0", "5"),
+    "program key x": _rekey("0", "x"),
+    "n_cores 3 with two programs": lambda recipe: recipe.update(n_cores=3),
+    "n_cores two": lambda recipe: recipe.update(n_cores="two"),
+    "n_cores 0": lambda recipe: recipe.update(n_cores=0),
+    "unknown interconnect":
+        lambda recipe: recipe.update(interconnect="bogus"),
+    "retry_policy max_attempts x":
+        lambda recipe: recipe.update(retry_policy={"max_attempts": "x"}),
+    "retry_policy list": lambda recipe: recipe.update(retry_policy=[4, 2]),
+    "config_overrides unknown key":
+        lambda recipe: recipe.update(config_overrides={"bogus": 1}),
+    "config_overrides list":
+        lambda recipe: recipe.update(config_overrides=[1, 2]),
+    "watchdog_cycles -1": lambda recipe: recipe.update(watchdog_cycles=-1),
+}
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """The newest checkpoint of a small 2-core run, as a payload."""
+    directory = tmp_path_factory.mktemp("ckpt")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert experiment_main([
+            "cacheloop", "-n", "2", "--param", "iters=40",
+            "--checkpoint-every", "300",
+            "--checkpoint-dir", str(directory)]) == 0
+    return load_snap(sorted(directory.glob("*.snap"))[-1]).value
+
+
+class TestMalformedRestoreRecipe:
+    """A recipe edited and re-dumped so its header verifies is still
+    read from outside the program: ``--restore`` refuses it with exit 9
+    and one line, never a traceback."""
+
+    @pytest.mark.parametrize("edit", list(MALFORMED_RECIPES))
+    def test_exit_9(self, edit, checkpoint, tmp_path, capsys):
+        payload = copy.deepcopy(checkpoint)
+        MALFORMED_RECIPES[edit](payload["platform"])
+        path = tmp_path / "edited.snap"
+        save_snap(path, payload)
+        assert experiment_main(["--restore", str(path)]) == EXIT_SNAPSHOT
+        _assert_one_line_error(capsys, "repro-experiment")
 
 
 # ------------------------------------------------------ diagnostics JSON

@@ -17,6 +17,13 @@ way an operator would hit it:
    its queue high-water mark differently on a bounded, checkpointed
    run).
 
+The four steps run twice: on a healthy platform, and on a faulted one
+(probabilistic shared-slave errors plus link jitter, absorbed by
+retrying TGs).  A restore takes no fault flags, so the faulted case
+checks that it continues the captured fault injector: its
+``tg_summary`` carries ``fault_seed`` and the ``resilience`` counters,
+and both must match the uninterrupted run.
+
 Usage: PYTHONPATH=src python tests/harness/checkpoint_smoke.py WORKDIR
 Snapshots are left in WORKDIR for CI to upload on failure.
 """
@@ -42,6 +49,9 @@ sys.exit(experiment_main(sys.argv[1:]))
 RUN_ARGS = ["mp_matrix", "--cores", "2", "--interconnect", "ahb",
             "--checkpoint-every", "400", "--json"]
 
+FAULT_SPEC = {"slave_errors": [{"slave": "shared", "probability": 0.05}],
+              "link_faults": [{"jitter": 2}]}
+
 
 def say(message):
     print(f"[smoke] {message}", flush=True)
@@ -63,16 +73,12 @@ def snapshots(directory):
     return sorted(directory.glob("*.snap"))
 
 
-def main():
-    workdir = Path(sys.argv[1] if len(sys.argv) > 1 else "ckpt-work")
-    workdir.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
-
+def crash_then_restore(workdir, env, run_args):
+    """Steps 1-4 in ``workdir``; returns the restored ``tg_summary``."""
     say("reference: checkpointed run to completion")
     reference_dir = workdir / "reference"
     reference = subprocess.run(
-        [sys.executable, "-c", DRIVER, *RUN_ARGS,
+        [sys.executable, "-c", DRIVER, *run_args,
          "--checkpoint-dir", str(reference_dir)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=env, timeout=600)
@@ -87,7 +93,7 @@ def main():
     say("crash run: SIGKILL as soon as a checkpoint lands")
     crash_dir = workdir / "crash"
     victim = subprocess.Popen(
-        [sys.executable, "-c", DRIVER, *RUN_ARGS,
+        [sys.executable, "-c", DRIVER, *run_args,
          "--checkpoint-dir", str(crash_dir)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env=env)
@@ -139,6 +145,35 @@ def main():
         fail("restored end state differs from the uninterrupted run")
     say(f"restored from cycle {out['restore_cycle']}: comparable "
         f"tg_summary is byte-identical to the uninterrupted run")
+    return out["tg_summary"]
+
+
+def main():
+    workdir = Path(sys.argv[1] if len(sys.argv) > 1 else "ckpt-work")
+    workdir.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+
+    say("healthy platform")
+    crash_then_restore(workdir, env, RUN_ARGS)
+
+    say("faulted platform: slave errors + link jitter, retrying TGs")
+    faulted_dir = workdir / "faulted"
+    faulted_dir.mkdir(exist_ok=True)
+    spec_path = faulted_dir / "faults.json"
+    spec_path.write_text(json.dumps(FAULT_SPEC))
+    summary = crash_then_restore(faulted_dir, env, RUN_ARGS + [
+        "--fault-spec", str(spec_path), "--fault-seed", "7",
+        "--retry-attempts", "4"])
+    resilience = summary.get("resilience") or {}
+    if summary.get("fault_seed") != 7 \
+            or not resilience.get("slave_errors_injected") \
+            or not resilience.get("hop_faults_injected"):
+        fail(f"the faulted restore ran no faults: {summary}")
+    say(f"faulted restore continued the injector: "
+        f"{resilience['slave_errors_injected']} slave error(s), "
+        f"{resilience['hop_faults_injected']} hop fault(s), "
+        f"{resilience['retries']} retries")
     say("PASS")
 
 

@@ -41,20 +41,6 @@ class TestIntegrityMiss:
         _tamper(cache.path_for(KEY), repro_version(), "0.0.1")
         assert cache.get(KEY) is None
 
-    def test_artifact_checksum_conflict_is_a_miss(self, cache):
-        cache.put(KEY, RESULT,
-                  artifact_checksums={"core0.trc": "deadbeef"})
-        assert cache.get(KEY) == RESULT
-        assert cache.get(KEY, artifact_checksums={
-            "core0.trc": "deadbeef"}) == RESULT
-        assert cache.get(KEY, artifact_checksums={
-            "core0.trc": "00000000"}) is None
-
-    def test_unknown_artifact_checksum_still_hits(self, cache):
-        cache.put(KEY, RESULT)
-        assert cache.get(KEY, artifact_checksums={
-            "core9.trc": "cafebabe"}) == RESULT
-
 
 class TestVerify:
     def test_clean_cache(self, cache):

@@ -256,6 +256,21 @@ class TestRestorePlatform:
         assert "fault spec" in str(excinfo.value)
 
 
+class TestWarmupSnapshot:
+
+    def test_embeds_the_healthy_recipe_on_the_warmup_fabric(self):
+        """The snapshot carries the input recipe with the warm-up fabric
+        and without the fault keys — resilience fields included."""
+        recipe = platform_recipe(
+            _programs(), 2, "ahb", {"fault_spec": FAULTS, "fault_seed": 3},
+            retry_policy=RETRY, watchdog_cycles=5000)
+        payload = warmup_snapshot(recipe, 150, "tlm")
+        assert payload["platform"] == platform_recipe(
+            _programs(), 2, "tlm", None, retry_policy=RETRY,
+            watchdog_cycles=5000)
+        assert recipe["config_overrides"]["fault_seed"] == 3
+
+
 def _bump_first_idle(program):
     """The program with its first ``Idle`` one cycle longer (same
     instruction count, different ``.tgp`` text)."""
@@ -277,7 +292,7 @@ class TestProgramCrcGuard:
     @staticmethod
     def _payload(source):
         if source == "warmup":
-            return warmup_snapshot(_programs(), 2, 150, "ahb")
+            return warmup_snapshot(_recipe(), 150, "ahb")
         platform = _platform()
         platform.run(until=150)
         return platform.snapshot(_recipe())

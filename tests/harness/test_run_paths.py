@@ -16,13 +16,18 @@ from pathlib import Path
 
 import pytest
 
+from repro.apps.synthetic import TrafficSpec, synthetic_programs
 from repro.cli import experiment_main, traffic_main
 from repro.harness import (
     PointResult,
+    RunOptions,
     SweepPoint,
     SweepSpec,
     comparable_summary,
+    load_snapshot,
+    restore_platform,
     run_sweep_parallel,
+    run_tg,
     sweep_csv,
     sweep_table,
 )
@@ -152,6 +157,46 @@ class TestSingleRun:
         assert row.status == "ok" and row.warm_restored
         assert {field: getattr(row, field) for field in fields} \
             == {field: golden[field] for field in fields}
+
+
+class TestOneFormattingPerProgram:
+    """A run formats each program's ``.tgp`` text at most once: every
+    platform built from a recipe hands its TGs the recipe's text, which
+    is also what each snapshot's ``program_crc32`` is taken from."""
+
+    SPEC = TrafficSpec.from_dict({"n_cores": 4, "transactions": 30,
+                                  "pattern": "uniform", "load": 0.4,
+                                  "seed": 3})
+
+    @staticmethod
+    def formatted(build_calls):
+        return sum(n for (name, _), n in build_calls().items()
+                   if name == "to_tgp")
+
+    def test_checkpointed_run_and_its_restore(self, build_calls, tmp_path):
+        programs = synthetic_programs(self.SPEC)[0]
+        plain = run_tg(programs, 4, "tlm")[0]
+        assert self.formatted(build_calls) == 0
+        directory = tmp_path / "ckpt"
+        platform = run_tg(programs, 4, "tlm", options=RunOptions(
+            checkpoint_every=10, checkpoint_dir=directory,
+            checkpoint_keep=100))[0]
+        snaps = sorted(directory.glob("*.snap"))
+        assert len(snaps) >= 10
+        assert self.formatted(build_calls) == 4
+        end = comparable_summary(plain.stats_summary())
+        assert comparable_summary(platform.stats_summary()) == end
+        restored = restore_platform(load_snapshot(snaps[len(snaps) // 2]))
+        restored.run()
+        assert comparable_summary(restored.stats_summary()) == end
+        assert self.formatted(build_calls) == 4
+
+    def test_cold_warmup_run(self, build_calls):
+        programs = synthetic_programs(self.SPEC)[0]
+        _, _, payload = run_tg(programs, 4, "ahb", options=RunOptions(
+            warmup_cycles=150))
+        assert payload["platform"]["interconnect"] == "tlm"
+        assert self.formatted(build_calls) == 4
 
 
 # ------------------------------------------------------ renderer goldens

@@ -4,7 +4,6 @@ class-failure/identity guarantees (the end-to-end byte-compare plus
 speedup gate lives in ``tests/harness/warmup_smoke.py``)."""
 
 import os
-from collections import Counter
 
 import pytest
 
@@ -123,9 +122,10 @@ class TestEquivalenceClasses:
 class TestSnapCache:
     def payload(self):
         from repro.apps.synthetic import TrafficSpec, synthetic_programs
-        from repro.harness import warmup_snapshot
+        from repro.harness import platform_recipe, warmup_snapshot
         spec = TrafficSpec.from_dict({"n_cores": 2, **TRAFFIC})
-        return warmup_snapshot(synthetic_programs(spec)[0], 2, 60, "tlm")
+        recipe = platform_recipe(synthetic_programs(spec)[0], 2, "tlm")
+        return warmup_snapshot(recipe, 60, "tlm")
 
     def test_put_then_get_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -259,40 +259,6 @@ class TestPoolWarmupSupervision:
         assert all(r.status == "ok" and r.warm_restored for r in results)
         assert report["simulated"] == 1
         assert (tmp_path / "crashed").exists()
-
-
-@pytest.fixture
-def build_calls(tmp_path, monkeypatch):
-    """Count ``generate`` and ``TGProgram.to_tgp`` calls per process.
-
-    Each call appends a line to a file, so pool workers (which fork
-    the patch in) are counted too.  Returns a function giving
-    ``{(name, pid): calls}``.
-    """
-    from repro.apps import synthetic as synthetic_module
-    from repro.core.program import TGProgram
-    log = tmp_path / "build-calls.log"
-    generate, to_tgp = synthetic_module.generate, TGProgram.to_tgp
-
-    def record(name):
-        with open(log, "a") as handle:
-            handle.write(f"{name} {os.getpid()}\n")
-
-    def counting_generate(spec):
-        record("generate")
-        return generate(spec)
-
-    def counting_to_tgp(program):
-        record("to_tgp")
-        return to_tgp(program)
-
-    monkeypatch.setattr(synthetic_module, "generate", counting_generate)
-    monkeypatch.setattr(TGProgram, "to_tgp", counting_to_tgp)
-
-    def calls():
-        text = log.read_text() if log.exists() else ""
-        return Counter(tuple(line.split()) for line in text.splitlines())
-    return calls
 
 
 def totals(calls):

@@ -24,8 +24,8 @@ from repro.artifacts.snap import dump_snap, load_snap_bytes
 from repro.harness import (
     build_tg_platform,
     comparable_summary,
-    fast_forward,
     platform_recipe,
+    restore_platform,
     warmup_snapshot,
 )
 
@@ -47,6 +47,12 @@ def _programs():
     if _PROGRAMS is None:
         _PROGRAMS = synthetic_programs(SPEC)[0]
     return _PROGRAMS
+
+
+def _warmup(cycle, fabric):
+    """A warm-up of the round-tripped programs, captured on ``fabric``."""
+    return warmup_snapshot(platform_recipe(_programs(), 2, fabric), cycle,
+                           fabric)
 
 
 def _end_state(platform):
@@ -74,10 +80,10 @@ def test_same_fabric_warmup_is_invisible(queue, cycle, fabric):
     # sim.now at the warm-up boundary instead of the final event time
     cycle = min(cycle, _cold_end(queue, fabric)[0] - 1)
     with kernel(queue):
-        payload = warmup_snapshot(_programs(), 2, cycle, fabric)
+        payload = _warmup(cycle, fabric)
         expected = platform_recipe(_programs(), 2, fabric)
-        warm = fast_forward(payload, interconnect=fabric,
-                            expected_recipe=expected)
+        warm = restore_platform(payload, interconnect=fabric,
+                                expected_recipe=expected)
         warm.run()
     assert _end_state(warm) == _cold_end(queue, fabric)
 
@@ -95,7 +101,7 @@ def test_cross_fabric_fast_forward_is_deterministic(cycle, target,
     arms at the restore point.  All four continuations must agree byte-for-byte
     (including the resilience counters when faults are armed).
     """
-    payload = warmup_snapshot(_programs(), 2, cycle, "tlm")
+    payload = _warmup(cycle, "tlm")
     ends = []
     overrides = {}
     if faulted:
@@ -108,9 +114,9 @@ def test_cross_fabric_fast_forward_is_deterministic(cycle, target,
                 restored = load_snap_bytes(
                     dump_snap(payload).encode("utf-8")).value
             with kernel(queue):
-                platform = fast_forward(restored, interconnect=target,
-                                        config_overrides=overrides,
-                                        expected_recipe=expected)
+                platform = restore_platform(restored, interconnect=target,
+                                            config_overrides=overrides,
+                                            expected_recipe=expected)
                 platform.run()
             end = _end_state(platform)
             if faulted:
@@ -130,13 +136,13 @@ def test_programs_shortcut_is_execution_invisible(cycle, target):
     the shortcut must reach the identical end state.
     """
     raw = generate(SPEC)[0]
-    payload = warmup_snapshot(_programs(), 2, cycle, "tlm")
+    payload = _warmup(cycle, "tlm")
     expected = platform_recipe(raw, 2, target, None)
-    parsed = fast_forward(payload, interconnect=target,
-                          expected_recipe=expected)
+    parsed = restore_platform(payload, interconnect=target,
+                              expected_recipe=expected)
     parsed.run()
-    shortcut = fast_forward(payload, interconnect=target,
-                            expected_recipe=expected, programs=raw)
+    shortcut = restore_platform(payload, interconnect=target,
+                                expected_recipe=expected, programs=raw)
     shortcut.run()
     assert _end_state(shortcut) == _end_state(parsed)
 
@@ -145,15 +151,15 @@ def test_foreign_snapshot_is_a_typed_mismatch():
     other = TrafficSpec.from_dict({"n_cores": 2, "transactions": 25,
                                    "pattern": "uniform", "load": 0.4,
                                    "seed": 6})
-    payload = warmup_snapshot(_programs(), 2, 100, "tlm")
+    payload = _warmup(100, "tlm")
     expected = platform_recipe(synthetic_programs(other)[0], 2, "ahb",
                                None)
     with pytest.raises(SnapshotRecipeMismatch):
-        fast_forward(payload, interconnect="ahb",
-                     expected_recipe=expected)
+        restore_platform(payload, interconnect="ahb",
+                         expected_recipe=expected)
 
 
 def test_programs_shortcut_requires_recipe_validation():
-    payload = warmup_snapshot(_programs(), 2, 100, "tlm")
+    payload = _warmup(100, "tlm")
     with pytest.raises(SnapshotError):
-        fast_forward(payload, interconnect="ahb", programs=_programs())
+        restore_platform(payload, interconnect="ahb", programs=_programs())
