@@ -12,11 +12,18 @@ Strict vs. permissive (``.trc`` only, the record-oriented format):
 * **permissive** skips recoverably-bad records and reports every skip in
   the returned :class:`~repro.artifacts.errors.DiagnosticReport`.
 
+Savers write the path the caller names with a plain write, because it
+may be a pipe or a device.  The package's own store directories
+(checkpoints, the sweep result cache and its warm-up snapshots) write
+through :func:`atomic_write_text` instead, the one durable-write
+protocol.
+
 Imports of the codec modules are deferred into the functions: the codecs
 themselves import :mod:`repro.artifacts.errors` for the diagnostic
 types, and eager imports here would close that cycle.
 """
 
+import os
 import re
 import warnings
 import zlib
@@ -104,6 +111,55 @@ def _wrap_codec_error(error: Exception, kind: str, path) -> ArtifactError:
                            hint=f"fix the .{kind} input or regenerate it")
 
 
+#: Suffix of an :func:`atomic_write_text` temp file, which is named
+#: ``<path>.<random hex>.tmp`` and sits beside ``path`` until renamed.
+TEMP_SUFFIX = ".tmp"
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Durably replace ``path`` with ``text``, all or nothing.
+
+    The text goes to a temp file in the same directory, which is
+    fsynced, renamed over ``path`` and made durable by an fsync of the
+    directory.  A reader sees the old file or the whole new one, never a
+    torn one.  An exception before the rename removes the temp file; a
+    SIGKILL before the rename can leave it behind, for the store that
+    owns the directory to remove or report.  The temp file is created
+    with mode ``0o666`` less the umask, as ``open(path, "w")`` would.
+
+    Only for directories the package owns: renaming over a path the
+    caller named would replace a device or pipe entry such as
+    ``/dev/stdout``.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(6).hex()}{TEMP_SUFFIX}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+
+
+def _save_text(path, text: str) -> str:
+    """Plain-write headered artifact text; returns the payload CRC32."""
+    with open(path, "w") as handle:
+        handle.write(text)
+    return crc32_hex(text.partition("\n")[2].encode("utf-8"))
+
+
 def file_crc32(path) -> str:
     """CRC32 (hex) of a file's raw bytes, for cache/manifest audits."""
     crc = 0
@@ -152,12 +208,8 @@ def dump_trc(events, master_id: int = 0,
 def save_trc(path, events, master_id: int = 0,
              header_comment: Optional[str] = None) -> str:
     """Write a headered ``.trc`` file; returns the payload CRC32 (hex)."""
-    text = dump_trc(events, master_id=master_id,
-                    header_comment=header_comment)
-    with open(path, "w") as handle:
-        handle.write(text)
-    payload = text.partition("\n")[2]
-    return crc32_hex(payload.encode("utf-8"))
+    return _save_text(path, dump_trc(events, master_id=master_id,
+                                     header_comment=header_comment))
 
 
 # ------------------------------------------------------------------- tgp
@@ -188,11 +240,7 @@ def dump_tgp(program) -> str:
 
 def save_tgp(path, program) -> str:
     """Write a headered ``.tgp`` file; returns the payload CRC32 (hex)."""
-    text = dump_tgp(program)
-    with open(path, "w") as handle:
-        handle.write(text)
-    payload = text.partition("\n")[2]
-    return crc32_hex(payload.encode("utf-8"))
+    return _save_text(path, dump_tgp(program))
 
 
 # ------------------------------------------------------------------- bin
@@ -274,6 +322,8 @@ def reserialize(artifact: Artifact) -> object:
 
 __all__ = [
     "Artifact",
+    "TEMP_SUFFIX",
+    "atomic_write_text",
     "dump_bin",
     "dump_tgp",
     "dump_trc",

@@ -14,15 +14,20 @@ Unlike the trace/program formats there is no legacy headerless
 generation of ``.snap`` files: a snapshot without a verified header is
 either damaged or forged, and restoring simulation state from it would
 be unsafe, so the loader refuses it outright.
+
+:func:`save_snap` plain-writes the path its caller names.  Checkpoints
+and cached warm-up snapshots live in directories the package owns and
+are written there through :func:`~repro.artifacts.io.atomic_write_text`
+by :class:`~repro.harness.checkpoint.CheckpointManager` and
+:class:`~repro.harness.cache.ResultCache`.
 """
 
 import json
 
 from repro.artifacts.errors import DiagnosticReport, ParseDiagnostic, \
     SnapshotError
-from repro.artifacts.header import add_text_header, crc32_hex, \
-    split_text_header
-from repro.artifacts.io import Artifact
+from repro.artifacts.header import add_text_header, split_text_header
+from repro.artifacts.io import Artifact, _save_text
 
 #: Payload keys every well-formed snapshot carries.
 SNAP_REQUIRED_KEYS = ("cycle", "kernel", "components", "pending",
@@ -106,18 +111,10 @@ def dump_snap(payload: dict) -> str:
 def save_snap(path, payload: dict) -> str:
     """Write a headered ``.snap`` file; returns the payload CRC32 (hex).
 
-    Plain write — the atomic write-then-rename used for auto-checkpoints
-    lives in :class:`repro.harness.checkpoint.CheckpointManager`.
+    Plain write to the path the caller names; checkpoints and cached
+    warm-ups go through :func:`~repro.artifacts.io.atomic_write_text`.
     """
-    return save_snap_text(path, dump_snap(payload))
-
-
-def save_snap_text(path, text: str) -> str:
-    """Write :func:`dump_snap` text as a file, like :func:`save_snap`."""
-    with open(path, "w") as handle:
-        handle.write(text)
-    body = text.partition("\n")[2]
-    return crc32_hex(body.encode("utf-8"))
+    return _save_text(path, dump_snap(payload))
 
 
 __all__ = [
@@ -127,6 +124,5 @@ __all__ = [
     "load_snap",
     "load_snap_bytes",
     "save_snap",
-    "save_snap_text",
     "validate_snap_payload",
 ]

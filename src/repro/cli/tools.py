@@ -566,7 +566,7 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
     if args.cache_verify:
         cache = ResultCache(args.cache_dir or default_cache_dir())
         issues = cache.verify()
-        clean = len(cache) - len(issues)
+        clean = len(cache.files()) - len(issues)
         for issue in issues:
             print(issue, file=sys.stderr)
         print(f"[cache-verify] {cache.directory}: {clean} ok, "

@@ -22,17 +22,25 @@ Because the simulator is fully deterministic, two runs with equal keys
 produce equal cycle counts — only the wall-time columns of a cached row
 are historical (they report the run that populated the cache).
 
-Entries are written atomically (temp file + ``os.replace``), and any
-unreadable or malformed entry is treated as a miss, never an error.
+Entries and warm-up snapshots are written with
+:func:`~repro.artifacts.io.atomic_write_text`: durable and all or
+nothing.  :meth:`ResultCache.get` serves an entry exactly when
+:meth:`ResultCache.verify` finds nothing wrong with its file, so an
+unreadable, malformed, misnamed or stale entry is a miss, never an
+error and never a wrong answer.  Concurrent sweeps may share one cache
+directory, so opening it deletes nothing: a temp file an interrupted
+write left behind is reported by :meth:`~ResultCache.verify` and
+removed by :meth:`~ResultCache.clear`.
 """
 
 import hashlib
 import json
 import os
-import tempfile
 import zlib
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+
+from repro.artifacts.io import TEMP_SUFFIX, atomic_write_text
 
 __all__ = ["CacheIssue", "ResultCache", "default_cache_dir",
            "point_cache_key", "repro_version", "warmup_digest"]
@@ -49,10 +57,19 @@ class CacheIssue(NamedTuple):
         return f"{self.kind:7s} {self.path}: {self.detail}"
 
 
+def _canonical_json(value) -> bytes:
+    return json.dumps(value, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
+def _content_hash(material: Dict) -> str:
+    """SHA-256 (hex) of the canonical JSON of key material."""
+    return hashlib.sha256(_canonical_json(material)).hexdigest()
+
+
 def _result_crc32(result: Dict) -> str:
     """CRC32 (hex) of the canonical JSON of a stored result payload."""
-    blob = json.dumps(result, sort_keys=True, separators=(",", ":"))
-    return f"{zlib.crc32(blob.encode('utf-8')) & 0xFFFFFFFF:08x}"
+    return f"{zlib.crc32(_canonical_json(result)) & 0xFFFFFFFF:08x}"
 
 
 def repro_version() -> str:
@@ -91,8 +108,7 @@ def point_cache_key(benchmark: str, n_cores: int, interconnect: str,
         provenance["traffic"] = traffic
     if warmup is not None:
         provenance["warmup"] = warmup
-    blob = json.dumps(provenance, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _content_hash(provenance)
 
 
 def warmup_digest(material: Dict) -> str:
@@ -107,10 +123,7 @@ def warmup_digest(material: Dict) -> str:
     cache directory, joins :func:`point_cache_key` and is recorded as
     ``warmup=<digest>`` provenance in the sweep journal.
     """
-    provenance = dict(material)
-    provenance["version"] = repro_version()
-    blob = json.dumps(provenance, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _content_hash(dict(material, version=repro_version()))
 
 
 def default_cache_dir() -> Path:
@@ -121,6 +134,57 @@ def default_cache_dir() -> Path:
     xdg = os.environ.get("XDG_CACHE_HOME")
     root = Path(xdg) if xdg else Path.home() / ".cache"
     return root / "repro" / "sweeps"
+
+
+def _audit(path: Path) -> Tuple[Optional[Dict], Optional[CacheIssue]]:
+    """Judge one cache file: ``(value, None)`` when it may be served,
+    else ``(None, issue)``.
+
+    A ``<key>.json`` entry is ``corrupt`` when it is unreadable, not
+    JSON, has no result payload, names another key than its filename,
+    fails its result checksum, or carries provenance that does not hash
+    to its key, and ``stale`` when recorded under another package
+    version.  A ``.snap`` must load as a verified snapshot.  A temp file
+    is an interrupted write.
+    """
+    def issue(kind: str, detail: str):
+        return None, CacheIssue(str(path), kind, detail)
+
+    if path.suffix == TEMP_SUFFIX:
+        return issue("corrupt", "temporary file of an interrupted write")
+    if path.suffix == ".snap":
+        from repro.artifacts.errors import ArtifactError
+        from repro.artifacts.snap import load_snap
+        try:
+            return load_snap(path).value, None
+        except OSError as error:
+            return issue("corrupt", f"unreadable: {error}")
+        except ArtifactError as error:
+            return issue("corrupt", f"invalid snapshot: {error.message}")
+    try:
+        with open(path) as handle:
+            entry = json.load(handle)
+    except OSError as error:
+        return issue("corrupt", f"unreadable: {error}")
+    except ValueError as error:
+        return issue("corrupt", f"not valid JSON: {error}")
+    if not isinstance(entry, dict) or \
+            not isinstance(entry.get("result"), dict):
+        return issue("corrupt", "missing result payload")
+    if entry.get("key") != path.stem:
+        return issue("corrupt", f"entry key {entry.get('key')!r} does "
+                                f"not match filename")
+    if entry.get("result_crc32") != _result_crc32(entry["result"]):
+        return issue("corrupt", "result fails its checksum")
+    provenance = entry.get("provenance")
+    if isinstance(provenance, dict) and \
+            _content_hash(provenance) != path.stem:
+        return issue("corrupt", "provenance does not hash to the entry key")
+    version = entry.get("version")
+    if version != repro_version():
+        return issue("stale", f"recorded by version {version or 'unknown'}"
+                              f", current is {repro_version()}")
+    return entry["result"], None
 
 
 class ResultCache:
@@ -143,23 +207,9 @@ class ResultCache:
     def get(self, key: str) -> Optional[Dict]:
         """The cached result summary for ``key``, or None on a miss.
 
-        An entry is a miss — never an error, never a wrong answer — when
-        it is unreadable, malformed, recorded under a different package
-        version, or fails its own embedded result checksum.
+        Any entry :meth:`verify` would report is a miss.
         """
-        try:
-            with open(self.path_for(key)) as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(entry, dict) or \
-                not isinstance(entry.get("result"), dict):
-            return None
-        if entry.get("version") != repro_version():
-            return None
-        if entry.get("result_crc32") != _result_crc32(entry["result"]):
-            return None
-        return entry["result"]
+        return _audit(self.path_for(key))[0]
 
     def put(self, key: str, result: Dict,
             provenance: Optional[Dict] = None) -> None:
@@ -176,18 +226,8 @@ class ResultCache:
                  "result_crc32": _result_crc32(result)}
         if provenance is not None:
             entry["provenance"] = provenance
-        fd, tmp_path = tempfile.mkstemp(dir=str(self.directory),
-                                        suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle, sort_keys=True, indent=1)
-            os.replace(tmp_path, self.path_for(key))
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(self.path_for(key),
+                          json.dumps(entry, sort_keys=True, indent=1))
 
     def get_snap(self, digest: str) -> Optional[Dict]:
         """The cached warm-up snapshot payload for ``digest``, or None.
@@ -197,13 +237,7 @@ class ResultCache:
         version needs no separate check — it is part of the digest, so a
         stale snapshot is simply never looked up.
         """
-        from repro.artifacts.errors import ArtifactError
-        from repro.artifacts.snap import load_snap
-        path = self.snap_path_for(digest)
-        try:
-            return load_snap(path).value
-        except (OSError, ArtifactError):
-            return None
+        return _audit(self.snap_path_for(digest))[0]
 
     def put_snap(self, digest: str, text: str) -> Path:
         """Store a warm-up snapshot atomically; returns its path.
@@ -214,105 +248,39 @@ class ResultCache:
         recipe compatibility) before restoring.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=str(self.directory),
-                                        suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            path = self.snap_path_for(digest)
-            os.replace(tmp_path, path)
-            return path
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        path = self.snap_path_for(digest)
+        atomic_write_text(path, text)
+        return path
+
+    def files(self) -> List[Path]:
+        """Every file the cache owns, sorted: result entries, warm-up
+        snapshots and temp files of interrupted writes."""
+        if not self.directory.is_dir():
+            return []
+        return sorted(path for path in self.directory.iterdir()
+                      if path.suffix in (".json", ".snap", TEMP_SUFFIX))
 
     def verify(self) -> List[CacheIssue]:
-        """Audit every entry; returns the corrupt/stale ones.
+        """Audit every file; returns the corrupt/stale ones.
 
-        ``corrupt`` — unreadable JSON, malformed structure, a key that
-        does not match the filename or the provenance hash, or a result
-        that fails its embedded checksum.  ``stale`` — recorded under a
-        different package version (valid once, obsolete now).  A clean
-        cache returns an empty list.
+        ``corrupt`` — an entry or snapshot that cannot be served (see
+        :func:`_audit`), or a temp file of an interrupted write.
+        ``stale`` — recorded under a different package version (valid
+        once, obsolete now).  A clean cache returns an empty list.
         """
-        issues: List[CacheIssue] = []
-        if not self.directory.is_dir():
-            return issues
-        for path in sorted(self.directory.glob("*.json")):
-            name = str(path)
-            try:
-                with open(path) as handle:
-                    entry = json.load(handle)
-            except OSError as error:
-                issues.append(CacheIssue(name, "corrupt",
-                                         f"unreadable: {error}"))
-                continue
-            except ValueError as error:
-                issues.append(CacheIssue(name, "corrupt",
-                                         f"not valid JSON: {error}"))
-                continue
-            if not isinstance(entry, dict) or \
-                    not isinstance(entry.get("result"), dict):
-                issues.append(CacheIssue(name, "corrupt",
-                                         "missing result payload"))
-                continue
-            if entry.get("key") != path.stem:
-                issues.append(CacheIssue(
-                    name, "corrupt",
-                    f"entry key {entry.get('key')!r} does not match "
-                    f"filename"))
-                continue
-            if "result_crc32" in entry and \
-                    entry["result_crc32"] != _result_crc32(entry["result"]):
-                issues.append(CacheIssue(name, "corrupt",
-                                         "result fails its checksum"))
-                continue
-            provenance = entry.get("provenance")
-            if isinstance(provenance, dict):
-                blob = json.dumps(provenance, sort_keys=True,
-                                  separators=(",", ":"))
-                digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-                if digest != path.stem:
-                    issues.append(CacheIssue(
-                        name, "corrupt",
-                        "provenance does not hash to the entry key"))
-                    continue
-            version = entry.get("version")
-            if version != repro_version():
-                issues.append(CacheIssue(
-                    name, "stale",
-                    f"recorded by version {version or 'unknown'}, "
-                    f"current is {repro_version()}"))
-        from repro.artifacts.errors import ArtifactError
-        from repro.artifacts.snap import load_snap
-        for path in sorted(self.directory.glob("*.snap")):
-            try:
-                load_snap(path)
-            except OSError as error:
-                issues.append(CacheIssue(str(path), "corrupt",
-                                         f"unreadable: {error}"))
-            except ArtifactError as error:
-                issues.append(CacheIssue(str(path), "corrupt",
-                                         f"invalid snapshot: "
-                                         f"{error.message}"))
-        return issues
+        audits = (_audit(path)[1] for path in self.files())
+        return [issue for issue in audits if issue is not None]
 
     def clear(self) -> int:
-        """Delete every entry (results and snapshots); returns the
-        number removed."""
+        """Delete every file the cache owns, temp files included;
+        returns the number removed."""
         removed = 0
-        if not self.directory.is_dir():
-            return removed
-        for pattern in ("*.json", "*.snap"):
-            for path in self.directory.glob(pattern):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
+        for path in self.files():
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
         return removed
 
     def __len__(self) -> int:

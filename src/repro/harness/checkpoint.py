@@ -8,10 +8,12 @@ simulation state; this module makes that *self-contained on disk*:
   config overrides, resilience knobs) into the snapshot payload, so
   ``repro-experiment --restore run.snap`` needs no reference re-run and
   no other files;
-* :class:`CheckpointManager` writes ``.snap`` artifacts atomically
-  (write-then-rename) and retains only the newest K — a SIGKILL at any
-  instant leaves either the previous snapshot or the complete new one,
-  never a torn file;
+* :class:`CheckpointManager` writes ``.snap`` artifacts through the
+  durable write-then-rename of
+  :func:`~repro.artifacts.io.atomic_write_text` and retains only the
+  newest K — after a SIGKILL at any instant every ``.snap`` verifies,
+  and the only other file that can be left is a temp file of an
+  interrupted save, which the next manager on the directory removes;
 * :func:`checkpointed_run` drives a platform to completion, snapshotting
   at the first quiescent cycle at or after every cadence boundary;
 * :func:`restore_platform` is the one way from a snapshot to a running
@@ -30,6 +32,7 @@ import os
 from typing import Dict, List, Optional, Union
 
 from repro.artifacts.errors import SnapshotError, SnapshotRecipeMismatch
+from repro.artifacts.io import TEMP_SUFFIX, atomic_write_text
 from repro.artifacts.snap import dump_snap, load_snap
 from repro.core.program import TGProgram, parse_tgp
 from repro.faults import FaultSpec, RetryPolicy
@@ -381,9 +384,11 @@ class CheckpointManager:
     """Atomic ``.snap`` writer with bounded retention.
 
     Snapshots are named ``<prefix>-<cycle padded to 12>.snap`` so
-    lexicographic order equals cycle order; :meth:`save` writes to a
-    ``.tmp`` sibling and ``os.replace``-renames it into place, then
-    prunes everything but the newest ``keep``.
+    lexicographic order equals cycle order; :meth:`save` writes one with
+    :func:`~repro.artifacts.io.atomic_write_text`, then prunes
+    everything but the newest ``keep``.  A checkpoint directory belongs
+    to one run at a time: opening it removes the ``<prefix>-*.tmp``
+    files an interrupted save left behind.
     """
 
     def __init__(self, directory, keep: int = DEFAULT_KEEP,
@@ -395,6 +400,9 @@ class CheckpointManager:
         self.keep = keep
         self.prefix = prefix
         os.makedirs(self.directory, exist_ok=True)
+        for name in os.listdir(self.directory):
+            if name.startswith(prefix + "-") and name.endswith(TEMP_SUFFIX):
+                os.unlink(os.path.join(self.directory, name))
 
     def _snapshots(self):
         names = [name for name in os.listdir(self.directory)
@@ -410,17 +418,11 @@ class CheckpointManager:
         return os.path.join(self.directory, names[-1])
 
     def save(self, payload: dict) -> str:
-        """Atomically write one snapshot; returns its path."""
+        """Atomically and durably write one snapshot; returns its path."""
         cycle = payload.get("cycle", 0)
         name = f"{self.prefix}-{cycle:012d}{_SNAP_SUFFIX}"
         path = os.path.join(self.directory, name)
-        tmp = path + ".tmp"
-        text = dump_snap(payload)
-        with open(tmp, "w") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        atomic_write_text(path, dump_snap(payload))
         for stale in self._snapshots()[:-self.keep]:
             os.unlink(os.path.join(self.directory, stale))
         return path

@@ -505,12 +505,13 @@ class _WarmupClasses:
     classes.  A class the cache already holds a snapshot for releases
     its members at once; every other class becomes a
     :class:`_WarmupTask` and holds its members until :meth:`finish`
-    stores the snapshot the task returned — in the result cache, or a
-    temporary directory with ``--no-cache`` (the driver is their only
-    writer).  Classic-benchmark points, and everything when ``share``
-    is False, belong to no class and warm up in-worker.  Once the last
-    class is settled the warm-up line is printed and ``report`` gets
-    its ``classes``/``simulated``/``cached`` provenance.
+    stores the snapshot the task returned — in the result cache, or
+    with ``--no-cache`` in a throwaway cache over a temporary directory
+    (the driver is its only writer).  Classic-benchmark points, and
+    everything when ``share`` is False, belong to no class and warm up
+    in-worker.  Once the last class is settled the warm-up line is
+    printed and ``report`` gets its ``classes``/``simulated``/``cached``
+    provenance.
 
     ``groups`` lists every class as ``(warm-up task or None, members)``
     in digest order, then ``(None, classless points)``.  Both engines
@@ -570,14 +571,10 @@ class _WarmupClasses:
                       "warm-up simulation failed for this point's "
                       "equivalence class", summary.get("traceback"))
             return []
-        if self.cache is not None:
-            path = str(self.cache.put_snap(task.digest, summary["snap"]))
-        else:
-            from repro.artifacts.snap import save_snap_text
-            if self.temp_dir is None:
-                self.temp_dir = tempfile.mkdtemp(prefix="repro-warmup-")
-            path = os.path.join(self.temp_dir, f"{task.digest}.snap")
-            save_snap_text(path, summary["snap"])
+        if self.cache is None:          # --no-cache: a throwaway cache
+            self.temp_dir = tempfile.mkdtemp(prefix="repro-warmup-")
+            self.cache = ResultCache(self.temp_dir)
+        path = str(self.cache.put_snap(task.digest, summary["snap"]))
         for member in task.members:
             member.snap_path = path
         self.simulated += 1

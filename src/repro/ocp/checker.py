@@ -13,9 +13,10 @@ transaction layer.  Rules:
 5. timestamps never decrease;
 6. read responses carry data of the right beat count.
 
-Attach to any master port; all substrate test suites run their fabrics
-under a checker, so a protocol regression fails loudly rather than as a
-mysterious timing drift.
+Attach to any master port to make a protocol regression fail loudly
+rather than as a mysterious timing drift.  Only
+``tests/ocp/test_checker.py`` attaches one today; no platform, harness
+or other test suite does.
 """
 
 from typing import Dict

@@ -1,5 +1,7 @@
 """Unit tests for the hardened artifact loaders (repro.artifacts)."""
 
+import os
+import stat
 import struct
 
 import pytest
@@ -28,6 +30,7 @@ from repro.artifacts import (
     wrap_binary,
 )
 from repro.artifacts.header import BIN_HEADER_BYTES, BIN_MAGIC
+from repro.artifacts.io import TEMP_SUFFIX, atomic_write_text
 from repro.trace import Translator, TranslatorOptions
 from repro.trace.trc_format import (
     MAX_MASTER_ID,
@@ -311,3 +314,68 @@ def test_artifact_repr_and_checksum(events):
     assert isinstance(artifact, Artifact)
     assert "verified" in repr(artifact)
     assert artifact.header["crc32"] == artifact.checksum
+
+
+# ---------------------------------------------------------- atomic writes
+
+SNAP_PAYLOAD = {"cycle": 5, "kernel": {}, "components": {}, "pending": [],
+                "platform": {}}
+
+
+class TestAtomicWriteText:
+    def test_replaces_and_leaves_only_the_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("old")
+        atomic_write_text(path, "new")
+        assert path.read_text() == "new"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_failed_rename_keeps_old_bytes(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.json"
+        path.write_text("old")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write_text(path, "new")
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_temp_file_naming(self, tmp_path, monkeypatch):
+        seen = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            seen.append(os.path.basename(src))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        atomic_write_text(tmp_path / "ckpt-1.snap", "x")
+        (name,) = seen
+        assert name.startswith("ckpt-1.snap.")
+        assert name.endswith(TEMP_SUFFIX)
+
+    @pytest.fixture()
+    def umask_027(self):
+        old = os.umask(0o027)
+        yield
+        os.umask(old)
+
+    @pytest.mark.parametrize("store", ["checkpoint", "cache entry",
+                                       "cache snapshot"])
+    def test_store_files_take_the_umask_default_mode(self, tmp_path,
+                                                     umask_027, store):
+        from repro.artifacts.snap import dump_snap
+        from repro.harness import CheckpointManager, ResultCache
+        if store == "checkpoint":
+            path = CheckpointManager(tmp_path).save(SNAP_PAYLOAD)
+        elif store == "cache entry":
+            cache = ResultCache(tmp_path)
+            cache.put("k" * 64, {"cycles": 1})
+            path = cache.path_for("k" * 64)
+        else:
+            path = ResultCache(tmp_path).put_snap("d" * 64,
+                                                  dump_snap(SNAP_PAYLOAD))
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~0o027

@@ -259,6 +259,14 @@ class TestSweepCacheVerify:
         assert "corrupt" in err
         assert "Traceback" not in err
 
+    def test_ok_count_covers_snapshots(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / ("d" * 64 + ".snap")).write_text("not a snapshot\n")
+        assert sweep_main(["--cache-verify", "--cache-dir",
+                           str(cache_dir)]) == 1
+        assert "0 ok, 1 corrupt, 0 stale" in capsys.readouterr().err
+
     def test_spec_required_without_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             sweep_main([])

@@ -8,8 +8,11 @@ way an operator would hit it:
    the reference end state;
 2. start the same run again, SIGKILL the process as soon as a
    checkpoint lands on disk — a hard crash, no cleanup;
-3. the checkpoint directory must hold only verified ``.snap``
-   artifacts (no torn temp files);
+3. the crash must leave what the durable-write protocol guarantees:
+   every ``.snap`` loads as a verified artifact, and any other file is
+   a ``ckpt-`` temp file of an interrupted save (anything else is
+   foreign debris); once a ``CheckpointManager`` opens the directory,
+   only ``.snap`` files remain;
 4. ``--restore`` the newest snapshot — the continued run's
    ``tg_summary`` must be byte-identical (canonical JSON) to the
    uninterrupted run's, once both pass through ``comparable_summary``
@@ -38,7 +41,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
-from repro.harness import comparable_summary  # noqa: E402
+from repro.artifacts import ArtifactError, load_snap  # noqa: E402
+from repro.artifacts.io import TEMP_SUFFIX  # noqa: E402
+from repro.harness import CheckpointManager, comparable_summary  # noqa: E402
 
 DRIVER = """\
 import sys
@@ -122,9 +127,24 @@ def crash_then_restore(workdir, env, run_args):
     survivors = snapshots(crash_dir)
     if not survivors:
         fail("crash left no snapshot behind")
-    torn = [p for p in crash_dir.iterdir() if p.suffix != ".snap"]
-    if torn:
-        fail(f"crash left non-snapshot debris: {torn}")
+    for snap in survivors:
+        try:
+            load_snap(snap)
+        except ArtifactError as error:
+            fail(f"crash left a snapshot that does not load: {error}")
+    others = [p for p in crash_dir.iterdir() if p.suffix != ".snap"]
+    foreign = [p for p in others if not (p.name.startswith("ckpt-")
+                                         and p.name.endswith(TEMP_SUFFIX))]
+    if foreign:
+        fail(f"crash left foreign debris: {foreign}")
+    CheckpointManager(crash_dir)
+    remaining = [p for p in crash_dir.iterdir() if p.suffix != ".snap"]
+    if remaining:
+        fail(f"temp files survived the next CheckpointManager: "
+             f"{remaining}")
+    if others:
+        say(f"the next CheckpointManager removed {len(others)} temp "
+            f"file(s) of an interrupted save")
     newest = survivors[-1]
     say(f"restoring newest snapshot {newest.name}")
 

@@ -1,6 +1,7 @@
 """On-disk result cache: keys, hits/misses, invalidation, zero-sim warm
 re-runs."""
 
+import hashlib
 import json
 
 import pytest
@@ -62,10 +63,15 @@ class TestResultCache:
 
     def test_put_get_roundtrip(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        cache.put("k1", {"ref_cycles": 10}, provenance={"benchmark": "des"})
-        assert cache.get("k1") == {"ref_cycles": 10}
-        entry = json.loads(cache.path_for("k1").read_text())
-        assert entry["provenance"] == {"benchmark": "des"}
+        provenance = {"benchmark": "des"}
+        # an entry is served only under the key its provenance hashes to
+        key = hashlib.sha256(json.dumps(
+            provenance, sort_keys=True,
+            separators=(",", ":")).encode("utf-8")).hexdigest()
+        cache.put(key, {"ref_cycles": 10}, provenance=provenance)
+        assert cache.get(key) == {"ref_cycles": 10}
+        entry = json.loads(cache.path_for(key).read_text())
+        assert entry["provenance"] == provenance
 
     def test_corrupted_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")

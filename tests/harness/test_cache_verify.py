@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.artifacts.snap import dump_snap
 from repro.harness import CacheIssue, ResultCache
 from repro.harness.cache import repro_version
 
@@ -12,6 +13,8 @@ pytestmark = pytest.mark.artifacts
 
 KEY = "a" * 64
 RESULT = {"ref_cycles": 1000, "tg_cycles": 990}
+SNAP_PAYLOAD = {"cycle": 5, "kernel": {}, "components": {}, "pending": [],
+                "platform": {}}
 
 
 @pytest.fixture()
@@ -56,6 +59,7 @@ class TestVerify:
         (issue,) = cache.verify()
         assert issue.kind == "corrupt"
         assert "JSON" in issue.detail
+        assert cache.get(KEY) is None
 
     def test_missing_result_is_corrupt(self, cache):
         cache.directory.mkdir(parents=True)
@@ -63,6 +67,7 @@ class TestVerify:
         (issue,) = cache.verify()
         assert issue.kind == "corrupt"
         assert "result" in issue.detail
+        assert cache.get(KEY) is None
 
     def test_renamed_entry_is_corrupt(self, cache):
         cache.put(KEY, RESULT)
@@ -70,6 +75,7 @@ class TestVerify:
         (issue,) = cache.verify()
         assert issue.kind == "corrupt"
         assert "does not match" in issue.detail
+        assert cache.get("b" * 64) is None
 
     def test_checksum_failure_is_corrupt(self, cache):
         cache.put(KEY, RESULT)
@@ -78,6 +84,7 @@ class TestVerify:
         (issue,) = cache.verify()
         assert issue.kind == "corrupt"
         assert "checksum" in issue.detail
+        assert cache.get(KEY) is None
 
     def test_provenance_hash_mismatch_is_corrupt(self, cache):
         provenance = {"benchmark": "des", "n_cores": 2}
@@ -91,6 +98,7 @@ class TestVerify:
         # provenance no longer hashes to the key (crc only covers result)
         kinds = [issue.kind for issue in cache.verify()]
         assert kinds == ["corrupt"]
+        assert cache.get(key) is None
 
     def test_version_skew_is_stale(self, cache):
         cache.put(KEY, RESULT)
@@ -98,6 +106,7 @@ class TestVerify:
         (issue,) = cache.verify()
         assert issue.kind == "stale"
         assert "0.0.1" in issue.detail
+        assert cache.get(KEY) is None
 
     def test_issue_renders_one_line(self, cache):
         issue = CacheIssue("/tmp/x.json", "stale", "old version")
@@ -113,3 +122,33 @@ class TestVerify:
         _tamper(cache.path_for("c" * 64), repro_version(), "0.0.1")
         issues = cache.verify()
         assert [issue.kind for issue in issues] == ["corrupt", "stale"]
+        # get() serves exactly the entries verify() does not report
+        assert [cache.get(key) for key in ("a" * 64, "b" * 64, "c" * 64)] \
+            == [None, RESULT, None]
+
+    def test_damaged_snapshot_is_corrupt_and_a_miss(self, cache):
+        digest = "d" * 64
+        cache.put_snap(digest, dump_snap(SNAP_PAYLOAD))
+        assert cache.verify() == []
+        assert cache.get_snap(digest) == SNAP_PAYLOAD
+        _tamper(cache.snap_path_for(digest), '"cycle":5', '"cycle":6')
+        (issue,) = cache.verify()
+        assert issue.kind == "corrupt"
+        assert cache.get_snap(digest) is None
+
+    def test_temp_file_is_corrupt_until_cleared(self, cache):
+        cache.put(KEY, RESULT)
+        leftovers = [cache.directory / f"{KEY}.json.0123456789ab.tmp",
+                     cache.directory / "tmpk2x9q7.tmp"]    # old naming
+        for path in leftovers:
+            path.write_text("{")
+        # opening a cache deletes nothing: a concurrent sweep may own it
+        cache = ResultCache(cache.directory)
+        issues = cache.verify()
+        assert [(issue.path, issue.kind, issue.detail) for issue in issues] \
+            == [(str(path), "corrupt",
+                 "temporary file of an interrupted write")
+                for path in sorted(leftovers)]
+        assert cache.get(KEY) == RESULT
+        assert cache.clear() == 3
+        assert list(cache.directory.iterdir()) == []

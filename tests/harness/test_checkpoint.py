@@ -91,6 +91,25 @@ class TestCheckpointManager:
         with pytest.raises(SnapshotError):
             CheckpointManager(tmp_path, keep=0)
 
+    def test_open_removes_own_temp_files(self, tmp_path):
+        leftovers = ["ckpt-000000000400.snap.tmp",             # old naming
+                     "ckpt-000000000800.snap.0123456789ab.tmp"]
+        foreign = "other-000000000400.snap.0123456789ab.tmp"
+        for name in leftovers + [foreign]:
+            (tmp_path / name).write_text("torn")
+        manager = CheckpointManager(tmp_path)
+        assert os.listdir(tmp_path) == [foreign]
+        assert manager.latest() is None
+
+    def test_latest_never_returns_a_temp_file(self, tmp_path):
+        manager = CheckpointManager(tmp_path)
+        platform = _platform()
+        platform.run(until=100)
+        path = manager.save(platform.snapshot(_recipe()))
+        (tmp_path / "ckpt-999999999999.snap.0123456789ab.tmp").write_text(
+            "torn")
+        assert manager.latest() == path
+
     def test_lexicographic_equals_cycle_order(self, tmp_path):
         manager = CheckpointManager(tmp_path, keep=10)
         platform = _platform()
