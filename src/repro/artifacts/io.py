@@ -12,17 +12,16 @@ Strict vs. permissive (``.trc`` only, the record-oriented format):
 * **permissive** skips recoverably-bad records and reports every skip in
   the returned :class:`~repro.artifacts.errors.DiagnosticReport`.
 
-Savers write the path the caller names with a plain write, because it
-may be a pipe or a device.  The package's own store directories
-(checkpoints, the sweep result cache and its warm-up snapshots) write
-through :func:`atomic_write_text` instead, the one durable-write
-protocol.
+Savers plain-write the path the caller names, which may be a pipe or a
+device; the package's own store directories write through
+:func:`atomic_write_text`, the one durable-write protocol.
 
 Imports of the codec modules are deferred into the functions: the codecs
 themselves import :mod:`repro.artifacts.errors` for the diagnostic
 types, and eager imports here would close that cycle.
 """
 
+import contextlib
 import os
 import re
 import warnings
@@ -111,25 +110,21 @@ def _wrap_codec_error(error: Exception, kind: str, path) -> ArtifactError:
                            hint=f"fix the .{kind} input or regenerate it")
 
 
-#: Suffix of an :func:`atomic_write_text` temp file, which is named
-#: ``<path>.<random hex>.tmp`` and sits beside ``path`` until renamed.
+#: Suffix of the ``<path>.<random hex>.tmp`` file
+#: :func:`atomic_write_text` writes before renaming it to ``path``.
 TEMP_SUFFIX = ".tmp"
 
 
 def atomic_write_text(path, text: str) -> None:
     """Durably replace ``path`` with ``text``, all or nothing.
 
-    The text goes to a temp file in the same directory, which is
-    fsynced, renamed over ``path`` and made durable by an fsync of the
-    directory.  A reader sees the old file or the whole new one, never a
-    torn one.  An exception before the rename removes the temp file; a
-    SIGKILL before the rename can leave it behind, for the store that
-    owns the directory to remove or report.  The temp file is created
-    with mode ``0o666`` less the umask, as ``open(path, "w")`` would.
-
-    Only for directories the package owns: renaming over a path the
-    caller named would replace a device or pipe entry such as
-    ``/dev/stdout``.
+    The text goes to a temp file beside ``path`` (mode ``0o666`` less
+    the umask, as ``open(path, "w")`` gives), which is fsynced, renamed
+    over ``path`` and made durable by an fsync of the directory.  An
+    exception before the rename removes the temp file; a SIGKILL can
+    leave it, for the store that owns the directory to remove or report.
+    Only for the package's own directories: a rename over a path the
+    caller named would replace a device entry such as ``/dev/stdout``.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.urandom(6).hex()}{TEMP_SUFFIX}"
@@ -141,10 +136,8 @@ def atomic_write_text(path, text: str) -> None:
             os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
     directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
     try:

@@ -15,11 +15,9 @@ generation of ``.snap`` files: a snapshot without a verified header is
 either damaged or forged, and restoring simulation state from it would
 be unsafe, so the loader refuses it outright.
 
-:func:`save_snap` plain-writes the path its caller names.  Checkpoints
-and cached warm-up snapshots live in directories the package owns and
-are written there through :func:`~repro.artifacts.io.atomic_write_text`
-by :class:`~repro.harness.checkpoint.CheckpointManager` and
-:class:`~repro.harness.cache.ResultCache`.
+:func:`save_snap` plain-writes the path its caller names; checkpoints
+and cached warm-ups are written by their stores through
+:func:`~repro.artifacts.io.atomic_write_text`.
 """
 
 import json
@@ -109,11 +107,7 @@ def dump_snap(payload: dict) -> str:
 
 
 def save_snap(path, payload: dict) -> str:
-    """Write a headered ``.snap`` file; returns the payload CRC32 (hex).
-
-    Plain write to the path the caller names; checkpoints and cached
-    warm-ups go through :func:`~repro.artifacts.io.atomic_write_text`.
-    """
+    """Write a headered ``.snap`` file; returns the payload CRC32 (hex)."""
     return _save_text(path, dump_snap(payload))
 
 

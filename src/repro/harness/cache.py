@@ -22,15 +22,13 @@ Because the simulator is fully deterministic, two runs with equal keys
 produce equal cycle counts — only the wall-time columns of a cached row
 are historical (they report the run that populated the cache).
 
-Entries and warm-up snapshots are written with
-:func:`~repro.artifacts.io.atomic_write_text`: durable and all or
-nothing.  :meth:`ResultCache.get` serves an entry exactly when
-:meth:`ResultCache.verify` finds nothing wrong with its file, so an
-unreadable, malformed, misnamed or stale entry is a miss, never an
-error and never a wrong answer.  Concurrent sweeps may share one cache
-directory, so opening it deletes nothing: a temp file an interrupted
-write left behind is reported by :meth:`~ResultCache.verify` and
-removed by :meth:`~ResultCache.clear`.
+Entries are written with :func:`~repro.artifacts.io.atomic_write_text`.
+:meth:`ResultCache.get` serves an entry exactly when
+:meth:`ResultCache.verify` reports nothing for its file; anything else
+is a miss, never an error.  Concurrent sweeps may share a cache
+directory, so opening one deletes nothing: :meth:`~ResultCache.verify`
+reports a temp file an interrupted write left, :meth:`~ResultCache.clear`
+removes it.
 """
 
 import hashlib
@@ -40,7 +38,9 @@ import zlib
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
+from repro.artifacts.errors import ArtifactError
 from repro.artifacts.io import TEMP_SUFFIX, atomic_write_text
+from repro.artifacts.snap import load_snap
 
 __all__ = ["CacheIssue", "ResultCache", "default_cache_dir",
            "point_cache_key", "repro_version", "warmup_digest"]
@@ -153,8 +153,6 @@ def _audit(path: Path) -> Tuple[Optional[Dict], Optional[CacheIssue]]:
     if path.suffix == TEMP_SUFFIX:
         return issue("corrupt", "temporary file of an interrupted write")
     if path.suffix == ".snap":
-        from repro.artifacts.errors import ArtifactError
-        from repro.artifacts.snap import load_snap
         try:
             return load_snap(path).value, None
         except OSError as error:
@@ -232,10 +230,9 @@ class ResultCache:
     def get_snap(self, digest: str) -> Optional[Dict]:
         """The cached warm-up snapshot payload for ``digest``, or None.
 
-        Like :meth:`get`, damage is a miss, never an error: the ``.snap``
-        header's CRC32 and structural validation must pass.  The package
-        version needs no separate check — it is part of the digest, so a
-        stale snapshot is simply never looked up.
+        Like :meth:`get`, any snapshot :meth:`verify` would report is a
+        miss.  The package version is part of the digest, so a stale
+        snapshot is never looked up.
         """
         return _audit(self.snap_path_for(digest))[0]
 
@@ -261,13 +258,8 @@ class ResultCache:
                       if path.suffix in (".json", ".snap", TEMP_SUFFIX))
 
     def verify(self) -> List[CacheIssue]:
-        """Audit every file; returns the corrupt/stale ones.
-
-        ``corrupt`` — an entry or snapshot that cannot be served (see
-        :func:`_audit`), or a temp file of an interrupted write.
-        ``stale`` — recorded under a different package version (valid
-        once, obsolete now).  A clean cache returns an empty list.
-        """
+        """Audit every file (see :func:`_audit`); returns the issues
+        found, an empty list for a clean cache."""
         audits = (_audit(path)[1] for path in self.files())
         return [issue for issue in audits if issue is not None]
 

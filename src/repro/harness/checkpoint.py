@@ -8,12 +8,10 @@ simulation state; this module makes that *self-contained on disk*:
   config overrides, resilience knobs) into the snapshot payload, so
   ``repro-experiment --restore run.snap`` needs no reference re-run and
   no other files;
-* :class:`CheckpointManager` writes ``.snap`` artifacts through the
-  durable write-then-rename of
+* :class:`CheckpointManager` writes ``.snap`` artifacts with
   :func:`~repro.artifacts.io.atomic_write_text` and retains only the
-  newest K — after a SIGKILL at any instant every ``.snap`` verifies,
-  and the only other file that can be left is a temp file of an
-  interrupted save, which the next manager on the directory removes;
+  newest K — after a SIGKILL every ``.snap`` verifies, and the next
+  manager on the directory removes the temp file of an interrupted save;
 * :func:`checkpointed_run` drives a platform to completion, snapshotting
   at the first quiescent cycle at or after every cadence boundary;
 * :func:`restore_platform` is the one way from a snapshot to a running
