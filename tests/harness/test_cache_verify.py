@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.artifacts.snap import dump_snap
 from repro.harness import CacheIssue, ResultCache
 from repro.harness.cache import repro_version
 
@@ -13,8 +12,6 @@ pytestmark = pytest.mark.artifacts
 
 KEY = "a" * 64
 RESULT = {"ref_cycles": 1000, "tg_cycles": 990}
-SNAP_PAYLOAD = {"cycle": 5, "kernel": {}, "components": {}, "pending": [],
-                "platform": {}}
 
 
 @pytest.fixture()
@@ -125,16 +122,6 @@ class TestVerify:
         # get() serves exactly the entries verify() does not report
         assert [cache.get(key) for key in ("a" * 64, "b" * 64, "c" * 64)] \
             == [None, RESULT, None]
-
-    def test_damaged_snapshot_is_corrupt_and_a_miss(self, cache):
-        digest = "d" * 64
-        cache.put_snap(digest, dump_snap(SNAP_PAYLOAD))
-        assert cache.verify() == []
-        assert cache.get_snap(digest) == SNAP_PAYLOAD
-        _tamper(cache.snap_path_for(digest), '"cycle":5', '"cycle":6')
-        (issue,) = cache.verify()
-        assert issue.kind == "corrupt"
-        assert cache.get_snap(digest) is None
 
     def test_temp_file_is_corrupt_until_cleared(self, cache):
         cache.put(KEY, RESULT)
