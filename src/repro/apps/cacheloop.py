@@ -7,7 +7,7 @@ the interconnect is not the bottleneck — the speedup keeps growing with
 the number of processors because the bus never saturates.
 """
 
-from repro.apps.common import app_header
+from repro.apps.common import app_header, require_positive
 from repro.ocp.types import WORD_MASK
 
 DEFAULT_ITERS = 2000
@@ -20,6 +20,7 @@ def expected_result(iters: int = DEFAULT_ITERS) -> int:
 
 def source(core_id: int, n_cores: int, iters: int = DEFAULT_ITERS) -> str:
     """Assembly for core ``core_id``; all cores run the same loop."""
+    require_positive("iters", iters)
     header = app_header(core_id, n_cores)
     return f"""\
 {header}

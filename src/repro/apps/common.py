@@ -22,6 +22,12 @@ TOTAL_SUM_OFF = 0x7100
 SP_RESULT_OFF = 0x7200
 
 
+def require_positive(name: str, value: int) -> None:
+    """Reject a benchmark parameter below 1 with a ValueError naming it."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def app_header(core_id: int, n_cores: int) -> str:
     """Standard ``.equ`` prologue giving a program its system constants."""
     return f"""\

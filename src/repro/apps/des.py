@@ -29,6 +29,7 @@ from repro.apps.common import (
     MBOX_DATA_OFF,
     MBOX_FLAGS_OFF,
     app_header,
+    require_positive,
 )
 from repro.ocp.types import WORD_MASK
 
@@ -112,6 +113,7 @@ def source(core_id: int, n_cores: int, blocks: int = DEFAULT_BLOCKS) -> str:
     """Assembly for pipeline stage ``core_id`` of ``n_cores``."""
     if n_cores < 2:
         raise ValueError("the DES pipeline needs at least 2 cores")
+    require_positive("blocks", blocks)
     header = app_header(core_id, n_cores)
     is_first = core_id == 0
     is_last = core_id == n_cores - 1

@@ -28,6 +28,7 @@ from repro.apps.common import (
     TOTAL_SUM_OFF,
     app_header,
     barrier_wait,
+    require_positive,
     sem_acquire,
     sem_release,
 )
@@ -82,6 +83,7 @@ def expected_total(n_cores: int, n: int = DEFAULT_N) -> int:
 
 def source(core_id: int, n_cores: int, n: int = DEFAULT_N) -> str:
     """Assembly for core ``core_id`` of ``n_cores``."""
+    require_positive("n", n)
     header = app_header(core_id, n_cores)
     init = _init_block(n) if core_id == 0 else ""
     reduce_block = _reduce_block(n_cores) if core_id == 0 else ""

@@ -9,7 +9,7 @@ accuracy and speedup.
 
 from typing import List
 
-from repro.apps.common import SP_RESULT_OFF, app_header
+from repro.apps.common import SP_RESULT_OFF, app_header, require_positive
 from repro.ocp.types import WORD_MASK
 
 DEFAULT_N = 8
@@ -51,9 +51,10 @@ def _words_directive(words: List[int]) -> str:
 
 
 def source(core_id: int = 0, n_cores: int = 1, n: int = DEFAULT_N) -> str:
-    """Assembly for the (single) core.  ``core_id`` must be 0."""
-    if core_id != 0:
+    """Assembly for the (single) core: ``core_id`` 0 of ``n_cores`` 1."""
+    if core_id != 0 or n_cores != 1:
         raise ValueError("sp_matrix is a single-processor benchmark")
+    require_positive("n", n)
     if n * 4 > 0xFFFF or n * n > 0xFFFF:
         raise ValueError(f"matrix size {n} too large for MOVI immediates")
     header = app_header(core_id, n_cores)

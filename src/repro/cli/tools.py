@@ -866,12 +866,13 @@ def experiment_main(argv: Optional[List[str]] = None) -> int:
                         default="degrade",
                         help="when retries run out: abort the run or "
                              "continue degraded (default degrade)")
-    parser.add_argument("--watchdog", type=int, default=None,
+    parser.add_argument("--watchdog", type=_positive_int, default=None,
                         metavar="CYCLES",
                         help="per-request TG watchdog: abort with "
                              "WatchdogTimeout if a transaction is still "
                              "outstanding after CYCLES cycles")
-    parser.add_argument("--progress-window", type=int, default=None,
+    parser.add_argument("--progress-window", type=_positive_int,
+                        default=None,
                         metavar="EVENTS",
                         help="kernel livelock watchdog: abort after EVENTS "
                              "events with no simulated-time progress")
@@ -889,6 +890,10 @@ def experiment_main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"unknown --param {', '.join(unknown)} for "
                          f"{args.benchmark.__name__.split('.')[-1]}; "
                          f"choose from {', '.join(accepted)}")
+        try:
+            args.benchmark.source(0, args.cores, **app_params)
+        except ValueError as error:
+            parser.error(str(error))
     retry_policy = None
     if args.retry_attempts is not None:
         from repro.faults import RetryPolicy

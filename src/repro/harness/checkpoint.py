@@ -469,10 +469,9 @@ def load_snapshot(path) -> dict:
     return load_snap(path).value
 
 
-#: Kernel diagnostics that describe how the event queue was *driven*
-#: (batched drain vs bounded stepping, calendar buckets vs the heap
-#: oracle), not the simulated behaviour.  Everything else in a summary is
-#: bit-stable.
+#: Kernel diagnostics that describe how the event queue stores its
+#: entries, not the simulated behaviour.  Everything else in a summary
+#: is bit-stable.
 STRUCTURAL_KERNEL_KEYS = ("heap_compactions", "peak_heap_size",
                           "queued_tombstones")
 
@@ -480,12 +479,14 @@ STRUCTURAL_KERNEL_KEYS = ("heap_compactions", "peak_heap_size",
 def comparable_summary(summary: dict) -> dict:
     """A stats summary without the :data:`STRUCTURAL_KERNEL_KEYS`.
 
-    The contract for "same simulation": a checkpointed or restored run
-    matches the uninterrupted one, and the engine matches the
+    The contract for "same simulation": a restored run matches the
+    uninterrupted one, and the engine matches the
     :class:`~repro.kernel.event.EventQueue` oracle, on every other key.
-    The dropped counters depend on the dispatch mode — the engine samples
-    ``peak_heap_size`` per batch on an unbounded run but per event on a
-    bounded one, and a checkpointed run is bounded.
+    The dropped counters count cancelled entries still resident: a
+    snapshot re-arms only live entries, so a restored queue sweeps fewer
+    tombstones and samples a smaller resident size than the original
+    did, and the oracle samples its peak per push and compacts by its own
+    rule.  A checkpointed run that is not restored matches on every key.
     """
     trimmed = dict(summary)
     kernel = trimmed.get("kernel")

@@ -56,6 +56,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from repro.artifacts.errors import ArtifactError, SnapshotRecipeMismatch
 from repro.core.modes import ReplayMode
 from repro.harness.cache import (
     ResultCache,
@@ -373,7 +374,6 @@ def _execute_point(payload: Dict, class_programs: Dict) -> Dict:
                 # a damaged or vanished shared snapshot is a cache-style
                 # miss, not a failure: the worker re-derives the same
                 # warm-up itself (deterministic, so same result)
-                from repro.artifacts.errors import ArtifactError
                 from repro.harness.checkpoint import load_snapshot
                 try:
                     warmup_payload = load_snapshot(warmup["snap_path"])
@@ -382,10 +382,18 @@ def _execute_point(payload: Dict, class_programs: Dict) -> Dict:
                 else:
                     program_set = _class_programs(
                         class_programs, warmup["digest"], spec)
-            result = synthetic_flow(spec, payload["interconnect"],
-                                    options=options,
-                                    warmup_payload=warmup_payload,
-                                    program_set=program_set)
+            try:
+                result = synthetic_flow(spec, payload["interconnect"],
+                                        options=options,
+                                        warmup_payload=warmup_payload,
+                                        program_set=program_set)
+            except SnapshotRecipeMismatch:
+                # a snapshot filed under another class's digest (the
+                # .snap does not carry the class material) is a miss too
+                if warmup_payload is None:
+                    raise
+                result = synthetic_flow(spec, payload["interconnect"],
+                                        options=options)
         else:
             result = tg_flow(_resolve_app(payload["benchmark"]),
                              payload["n_cores"],

@@ -23,32 +23,40 @@ lists walked by index, so zero-delay pushes made *during* the walk land in
 a fresh bucket for the same cycle and are drained immediately after —
 exactly insertion order, i.e. the oracle's ``(time, seq)`` order.
 Cancelled events are swept lazily as drains pass over them.
+:meth:`CalendarQueue.drain` is the only dispatch loop: a bounded
+``run(until=...)`` stops it before the first bucket past the bound.
 
 Counter semantics match the oracle's ``kernel_counters()`` keys:
 ``events_cancelled`` counts cancels of queued events, ``tombstones`` the
 cancelled entries still resident, ``compactions`` the bucket sweeps that
-dropped tombstones, and ``peak_size`` the resident high-water mark,
-sampled at multi-entry bucket boundaries by :meth:`CalendarQueue.drain`
-and before every :meth:`CalendarQueue.pop_entry` (the oracle samples per
-push).
+dropped tombstones, and ``peak_size`` the resident high-water mark.
+``peak_size`` is sampled whenever a multi-entry bucket is drained or
+swept, so it can miss a peak that single-entry buckets reach; the oracle
+samples per push, and the two can differ.
 """
 
 import heapq
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.kernel.errors import SimulationError
-from repro.kernel.event import Event, PendingEntry, _classify_entry
+from repro.kernel.event import Event, PendingEntry, _classify_entry, _livelock
 from repro.kernel.process import Process
 from repro.kernel.signal import Signal
 
 
 class CalendarQueue:
-    """Slot-indexed calendar queue — the simulator's event engine."""
+    """Slot-indexed calendar queue — the simulator's event engine.
+
+    Implements the queue interface the simulator drives (see
+    :class:`~repro.kernel.simulator.Simulator`): ``push``, ``push_fn``
+    and ``push_resume`` schedule, :meth:`drain` dispatches, and
+    :meth:`peek_time` and :meth:`pending_entries` serve checkpoints and
+    snapshots.
+    """
 
     def __init__(self) -> None:
         self._buckets = {}          # absolute cycle -> entry or entry list
-        self._times = []            # int heap of distinct bucket cycles
-        self._heads = {}            # cycle -> consumed prefix (pop_entry)
+        self._times = []            # int heap of the _buckets keys
         self._seq = 0               # Event seqs
         self._size = 0              # resident entries (live + tombstones)
         self._tombstones = 0        # resident cancelled entries
@@ -120,8 +128,15 @@ class CalendarQueue:
 
     # --------------------------------------------------------------- draining
 
-    def drain(self, sim) -> None:
-        """Run-to-empty batched dispatch (the unbounded ``run()`` path).
+    def drain(self, sim, until: Optional[int] = None,
+              progress_window: Optional[int] = None) -> None:
+        """The simulator's dispatch loop: fire entries in time order.
+
+        Stops before the first bucket later than ``until`` (None: run
+        until the queue is empty).  With ``progress_window`` set, raises
+        :class:`~repro.kernel.errors.LivelockError` at the first bucket
+        boundary after that many consecutive entries fired without the
+        clock advancing.
 
         Inlines the resume of process entries — generator ``send`` plus
         the ``yield <int>`` re-schedule or the ``yield <Signal>`` wait —
@@ -134,16 +149,26 @@ class CalendarQueue:
         """
         buckets = self._buckets
         times = self._times
-        heads = self._heads
         heappop = heapq.heappop
         heappush = heapq.heappush
+        window = progress_window
+        bounded = until is not None or window is not None
         fired = 0
+        calm = 0        # fired - calm: stagnant entries since the clock moved
         try:
             while times:
                 time = heappop(times)
-                bucket = buckets.pop(time, None)
-                if bucket is None:
-                    continue
+                if bounded:
+                    if until is not None and time > until:
+                        heappush(times, time)
+                        break
+                    if window is not None:
+                        if fired - calm >= window:
+                            heappush(times, time)
+                            raise _livelock(sim, fired - calm)
+                        if time > sim._now:
+                            calm = fired + 1
+                bucket = buckets.pop(time)
                 if bucket.__class__ is not list:
                     # singleton bucket: no walk, no cleanup bookkeeping —
                     # the entry is consumed before it runs, so an exception
@@ -201,8 +226,7 @@ class CalendarQueue:
                         fired += 1
                         entry()
                     continue
-                index = heads.pop(time, 0) if heads else 0
-                base = index
+                index = 0
                 swept = 0
                 size = self._size
                 if size > self.peak_size:
@@ -294,9 +318,8 @@ class CalendarQueue:
                             fired += 1
                             entry()
                 finally:
-                    consumed = index - base
-                    if consumed:
-                        self._size -= consumed
+                    if index:
+                        self._size -= index
                     if swept:
                         self._tombstones -= swept
                         self.compactions += 1
@@ -313,96 +336,24 @@ class CalendarQueue:
                             else:
                                 rest.append(existing)
                             buckets[time] = rest
+            if window is not None and fired - calm >= window:
+                raise _livelock(sim, fired - calm)
         finally:
             sim._events_fired += fired
-
-    # ------------------------------------------------------ incremental pops
-
-    def _fire_for(self, entry) -> Callable[[], None]:
-        """Wrap a bucket entry as the zero-arg callable step()/bounded
-        run() expect."""
-        cls = entry.__class__
-        if cls is Process:
-            return entry._resume
-        if cls is tuple:
-            process, payload = entry
-            return lambda: process._resume(payload)
-        return entry
-
-    def pop_entry(self) -> Optional[Tuple[int, Callable[[], None]]]:
-        """Remove the earliest live entry as ``(time, fire)``, or None."""
-        size = self._size
-        if size > self.peak_size:
-            self.peak_size = size
-        buckets = self._buckets
-        times = self._times
-        heads = self._heads
-        while times:
-            time = times[0]
-            bucket = buckets.get(time)
-            if bucket is not None and bucket.__class__ is not list:
-                entry = bucket
-                self._size -= 1
-                heapq.heappop(times)
-                del buckets[time]
-                if entry.__class__ is Event:
-                    if entry.cancelled:
-                        self._tombstones -= 1
-                        continue
-                    entry._queue = None
-                    return time, entry.fn
-                return time, self._fire_for(entry)
-            if bucket:
-                index = heads.get(time, 0)
-                length = len(bucket)
-                while index < length:
-                    entry = bucket[index]
-                    index += 1
-                    if entry.__class__ is Event:
-                        if entry.cancelled:
-                            self._size -= 1
-                            self._tombstones -= 1
-                            continue
-                        entry._queue = None
-                        fire = entry.fn
-                    else:
-                        fire = self._fire_for(entry)
-                    self._size -= 1
-                    if index < length:
-                        heads[time] = index
-                    else:
-                        heapq.heappop(times)
-                        del buckets[time]
-                        heads.pop(time, None)
-                    return time, fire
-            # bucket missing or fully consumed/tombstoned
-            heapq.heappop(times)
-            buckets.pop(time, None)
-            heads.pop(time, None)
-        return None
 
     def pending_entries(self):
         """Every live entry in firing order (snapshots).
 
-        Walks the distinct bucket cycles in ascending order (the
-        ``_times`` heap may carry cycles whose bucket was already
-        consumed — those are skipped, read-only), honouring the
-        consumed-prefix offsets pop_entry leaves in ``_heads``.  Buckets
-        are insertion-ordered, i.e. in the oracle's seq order.
+        Walks the buckets in ascending cycle order; each bucket is
+        insertion-ordered, i.e. in the oracle's seq order.  Read-only.
         Tombstoned events are dropped; classification matches the oracle
         exactly.
         """
         entries = []
-        for time in sorted(set(self._times)):
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                continue
-            if bucket.__class__ is not list:
-                items = [bucket]
-            else:
-                start = self._heads.get(time, 0)
-                items = bucket[start:] if start else list(bucket)
-            for entry in items:
+        buckets = self._buckets
+        for time in sorted(buckets):
+            bucket = buckets[time]
+            for entry in bucket if bucket.__class__ is list else (bucket,):
                 cls = entry.__class__
                 if cls is Event:
                     if entry.cancelled:
@@ -420,29 +371,28 @@ class CalendarQueue:
         return entries
 
     def peek_time(self) -> Optional[int]:
-        """Time of the earliest live entry, or None if the queue is empty."""
+        """Time of the earliest live entry, or None if the queue is empty.
+
+        Sweeps the all-tombstone buckets it passes, counting them exactly
+        as :meth:`drain` would, so peeking leaves every counter as a
+        drain over the same buckets does."""
         buckets = self._buckets
         times = self._times
-        heads = self._heads
         while times:
             time = times[0]
-            bucket = buckets.get(time)
-            if bucket is not None and bucket.__class__ is not list:
-                if not (bucket.__class__ is Event and bucket.cancelled):
+            bucket = buckets[time]
+            for entry in bucket if bucket.__class__ is list else (bucket,):
+                if not (entry.__class__ is Event and entry.cancelled):
                     return time
-                self._size -= 1
-                self._tombstones -= 1
-            elif bucket:
-                start = heads.get(time, 0)
-                for entry in bucket[start:] if start else bucket:
-                    if entry.__class__ is Event and entry.cancelled:
-                        continue
-                    return time
-                # every remaining entry is a tombstone: sweep the bucket
-                swept = len(bucket) - start
-                self._size -= swept
-                self._tombstones -= swept
+            if bucket.__class__ is list:
+                swept = len(bucket)
+                if self._size > self.peak_size:
+                    self.peak_size = self._size
+                self.compactions += 1
+            else:
+                swept = 1
+            self._size -= swept
+            self._tombstones -= swept
             heapq.heappop(times)
-            buckets.pop(time, None)
-            heads.pop(time, None)
+            del buckets[time]
         return None

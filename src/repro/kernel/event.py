@@ -24,6 +24,8 @@ carry thousands of dead entries through every heap operation.
 import heapq
 from typing import Callable, List, NamedTuple, Optional
 
+from repro.kernel.errors import LivelockError
+
 #: Compact only when the heap is at least this large; below it the
 #: tombstone overhead is noise and rebuilding would churn.
 _COMPACT_MIN_SIZE = 64
@@ -66,6 +68,13 @@ def _classify_entry(time: int, fn: Callable) -> PendingEntry:
         # the calendar queue's tuple entries)
         return PendingEntry(time, None)
     return PendingEntry(time, None, fn)
+
+
+def _livelock(sim, stagnant: int) -> LivelockError:
+    """The error a drain raises when ``progress_window`` is exceeded."""
+    return LivelockError(
+        f"no simulated-time progress after {stagnant} events at cycle "
+        f"{sim.now}; busy processes: {sim.blocked_report()}")
 
 
 class Event:
@@ -118,10 +127,11 @@ class EventQueue:
     :attr:`peak_size`) are cumulative over the queue's lifetime and feed
     the simulator's ``kernel_counters()``.
 
-    :meth:`push`, :meth:`push_fn`, :meth:`push_resume`, :meth:`pop_entry`,
+    :meth:`push`, :meth:`push_fn`, :meth:`push_resume`,
     :meth:`peek_time`, :meth:`pending_entries` and :meth:`drain` form the
     narrow interface the simulator drives (see
-    :class:`~repro.kernel.simulator.Simulator`).
+    :class:`~repro.kernel.simulator.Simulator`); :meth:`pop` serves the
+    queue's own tests.
     """
 
     def __init__(self) -> None:
@@ -203,13 +213,6 @@ class EventQueue:
                 return event
         return None
 
-    def pop_entry(self) -> Optional[tuple]:
-        """Earliest live entry as ``(time, fire)``, or None."""
-        event = self.pop()
-        if event is None:
-            return None
-        return event.time, event.fn
-
     def peek_time(self) -> Optional[int]:
         """Time of the earliest live event, or None if the queue is empty."""
         heap = self._heap
@@ -230,26 +233,42 @@ class EventQueue:
         return [_classify_entry(event.time, event.fn)
                 for event in sorted(self._heap) if not event.cancelled]
 
-    def drain(self, sim) -> None:
-        """Run-to-empty dispatch (the unbounded run() path).
+    def drain(self, sim, until: Optional[int] = None,
+              progress_window: Optional[int] = None) -> None:
+        """Fire events in ``(time, seq)`` order (the one dispatch loop).
 
-        The heap pop is inlined (the list identity is stable — compaction
-        rebuilds it in place), with the queue's live accounting kept exact
-        per event so callbacks that cancel events or read ``len(queue)``
-        see a consistent view.
+        The contract of :meth:`CalendarQueue.drain
+        <repro.kernel.calendar.CalendarQueue.drain>`, with every event a
+        batch of its own.  The heap pop is inlined (the list identity is
+        stable — compaction rebuilds it in place), with the queue's live
+        accounting kept exact per event so callbacks that cancel events
+        or read ``len(queue)`` see a consistent view.
         """
         heap = self._heap
         heappop = heapq.heappop
+        window = progress_window
         fired = 0
+        calm = 0        # fired - calm: stagnant events since the clock moved
         try:
             while heap:
-                event = heappop(heap)
+                event = heap[0]
+                if until is not None and event.time > until:
+                    break
+                heappop(heap)
                 if event.cancelled:
                     continue
+                if window is not None:
+                    if fired - calm >= window:
+                        heapq.heappush(heap, event)
+                        raise _livelock(sim, fired - calm)
+                    if event.time > sim._now:
+                        calm = fired + 1
                 event._queue = None
                 self._live -= 1
                 sim._now = event.time
                 event.fn()
                 fired += 1
+            if window is not None and fired - calm >= window:
+                raise _livelock(sim, fired - calm)
         finally:
             sim._events_fired += fired

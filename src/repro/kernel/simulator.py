@@ -3,7 +3,7 @@
 from typing import Callable, Dict, Generator, List, Optional
 
 from repro.kernel.calendar import CalendarQueue
-from repro.kernel.errors import DeadlockError, LivelockError, SimulationError
+from repro.kernel.errors import DeadlockError, SimulationError
 from repro.kernel.event import Event
 from repro.kernel.process import Process
 from repro.kernel.signal import Fifo, Signal, TimeoutSignal
@@ -30,8 +30,9 @@ class Simulator:
     :class:`~repro.kernel.event.EventQueue` oracle, or an instrumented
     queue) to drive the same model through it.  A queue implements
     ``push(time, fn)`` (returns a cancellable ``Event``), ``push_fn``,
-    ``push_resume(time, process, payload)``, ``pop_entry()``,
-    ``peek_time()``, ``pending_entries()`` and ``drain(sim)``, plus
+    ``push_resume(time, process, payload)``, ``peek_time()``,
+    ``pending_entries()`` and ``drain(sim, until, progress_window)`` —
+    the one dispatch loop every :meth:`run` goes through — plus
     ``__len__`` and the ``tombstones``/``events_cancelled``/
     ``compactions``/``peak_size`` counters.
     """
@@ -55,21 +56,6 @@ class Simulator:
     def now(self) -> int:
         """Current simulation time in cycles."""
         return self._now
-
-    def _advance_clock(self, time: int) -> None:
-        """Advance the clock to ``time`` — monotonically, never backwards.
-
-        Every clock movement outside the queue's drain loop goes through
-        this single helper (event fire, early-drain catch-up to ``until``,
-        and the ``next_time > until`` stop), so no path can reintroduce
-        the PR 2 clock-rewind bug: a ``run(until=earlier)`` after a later
-        stop is a no-op, and queue invariants (events never scheduled in
-        the past) make the event-fire case equivalent to plain assignment.
-        The queue's run-to-drain loop assigns ``_now`` directly but pops
-        times in non-decreasing order, preserving the same invariant.
-        """
-        if time > self._now:
-            self._now = time
 
     @property
     def now_ns(self) -> int:
@@ -96,9 +82,8 @@ class Simulator:
     def peak_heap_size(self) -> int:
         """High-water mark of resident entries (live + tombstones).
 
-        Sampled at dispatch-batch boundaries on the unbounded ``run()``
-        and before every event of a bounded ``run()``/``step()``, so the
-        value can lag the true peak by one batch.
+        The engine samples it when a dispatch batch starts, so it can
+        read below the true peak; the oracle samples per push.
         """
         return self._queue.peak_size
 
@@ -135,6 +120,8 @@ class Simulator:
     def spawn(self, generator: Generator, name: str = "process",
               delay: int = 0) -> Process:
         """Create a process from a generator and start it after ``delay``."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay} cycles in the past")
         process = Process(self, generator, name=name)
         processes = self._processes
         processes.append(process)
@@ -143,8 +130,6 @@ class Simulator:
             # spawns don't grow the list (and live_processes scans) forever
             self._processes = [p for p in processes if p.alive]
             self._prune_at = max(self._PRUNE_START, 2 * len(self._processes))
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay} cycles in the past")
         self._queue.push_resume(self._now + delay, process, None)
         return process
 
@@ -163,26 +148,24 @@ class Simulator:
 
     # --------------------------------------------------------------- running
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None,
-            check_deadlock: bool = False,
+    def run(self, until: Optional[int] = None, check_deadlock: bool = False,
             progress_window: Optional[int] = None) -> int:
-        """Run the event loop.
+        """Run the event loop (the queue's ``drain``).
 
         Args:
             until: Stop once simulation time would pass this cycle (events at
                 exactly ``until`` still fire).  Time always advances to
                 ``until`` — also when the queue drains earlier — but never
                 backwards (a later ``run(until=earlier)`` is a no-op).
-            max_events: Safety stop after this many events.
             check_deadlock: Raise :class:`DeadlockError` if the queue truly
                 drains while processes are still alive (blocked on signals
-                forever).  An early stop via ``until``/``max_events`` with
-                work still queued is *not* a deadlock and is never reported
-                as one.
-            progress_window: Raise :class:`LivelockError` after this many
-                consecutive events fire without simulated time advancing
-                (zero-cycle notify storms, spinning processes).  ``None``
-                disables the watchdog.
+                forever).  An early stop via ``until`` with work still
+                queued is *not* a deadlock and is never reported as one.
+            progress_window: Raise :class:`LivelockError` once this many
+                consecutive events fired without simulated time advancing
+                (zero-cycle notify storms, spinning processes), checked at
+                the queue's batch boundaries.  ``None`` disables the
+                watchdog.
 
         Returns:
             The simulation time when the loop stopped.
@@ -193,19 +176,13 @@ class Simulator:
             raise SimulationError(
                 f"progress_window must be >= 1, got {progress_window}")
         self._running = True
-        drained = False
         try:
-            if until is None and max_events is None and progress_window is None:
-                # Fast path: run-to-drain with no per-event bound checks,
-                # delegated to the queue's batched dispatch loop.
-                self._queue.drain(self)
-                drained = True
-            else:
-                drained = self._run_bounded(until, max_events,
-                                            progress_window)
+            self._queue.drain(self, until, progress_window)
         finally:
             self._running = False
-        if check_deadlock and drained:
+        if until is not None and until > self._now:
+            self._now = until
+        if check_deadlock and len(self._queue) == 0:
             stuck = self.live_processes
             if stuck:
                 raise DeadlockError(
@@ -213,49 +190,6 @@ class Simulator:
                     f"{self._now}: {self.blocked_report()}"
                 )
         return self._now
-
-    def _run_bounded(self, until: Optional[int], max_events: Optional[int],
-                     progress_window: Optional[int]) -> bool:
-        """The guarded event loop (any of the run() bounds set)."""
-        queue = self._queue
-        fired = 0
-        stagnant = 0
-        drained = False
-        try:
-            while True:
-                next_time = queue.peek_time()
-                if next_time is None:
-                    drained = True
-                    # the queue drained before `until`: the caller asked
-                    # for time to pass to that cycle, so advance the clock
-                    # there (monotonically — see _advance_clock)
-                    if until is not None:
-                        self._advance_clock(until)
-                    break
-                if until is not None and next_time > until:
-                    # stop short of the next event; a later
-                    # run(until=earlier) call must not rewind the clock
-                    self._advance_clock(until)
-                    break
-                if max_events is not None and fired >= max_events:
-                    break
-                time, fire = queue.pop_entry()
-                if progress_window is not None:
-                    if time > self._now:
-                        stagnant = 0
-                    else:
-                        stagnant += 1
-                        if stagnant >= progress_window:
-                            raise LivelockError(
-                                f"no simulated-time progress after "
-                                f"{stagnant} events at cycle {time}; "
-                                f"busy processes: {self.blocked_report()}")
-                self._advance_clock(time)
-                fire()
-                fired += 1
-        finally:
-            self._events_fired += fired
-        return drained
 
     def blocked_report(self, limit: int = 8) -> str:
         """Human-readable list of live processes and what each waits on."""
@@ -270,24 +204,6 @@ class Simulator:
         if len(live) > limit:
             parts.append(f"... {len(live) - limit} more")
         return ", ".join(parts) if parts else "(none)"
-
-    def step(self) -> bool:
-        """Fire exactly one event; returns False when the queue is empty.
-
-        Like :meth:`run`, stepping is not re-entrant: calling it from inside
-        an event callback while ``run()`` is active would pop events behind
-        the loop's back and corrupt ``now`` and the livelock accounting.
-        """
-        if self._running:
-            raise SimulationError("cannot step() while run() is active")
-        entry = self._queue.pop_entry()
-        if entry is None:
-            return False
-        time, fire = entry
-        self._advance_clock(time)
-        fire()
-        self._events_fired += 1
-        return True
 
     def __repr__(self) -> str:
         live = sum(1 for p in self._processes if p.alive)

@@ -155,13 +155,12 @@ class MparmPlatform:
         self._started = True
 
     def run(self, until: Optional[int] = None,
-            max_events: Optional[int] = None,
             progress_window: Optional[int] = None) -> int:
         """Start (if needed) and run until all masters halt.
 
         Returns the final simulation time.  Raises if the event queue
         drains with unfinished masters (a deadlocked system) unless a
-        ``until``/``max_events`` bound stopped the run first.
+        ``until`` bound stopped the run first.
         ``progress_window`` arms the kernel livelock watchdog
         (:class:`~repro.kernel.LivelockError` after that many events with
         no simulated-time progress — e.g. every poller spinning on a
@@ -169,9 +168,8 @@ class MparmPlatform:
         """
         if not self._started:
             self.start()
-        end = self.sim.run(until=until, max_events=max_events,
-                           progress_window=progress_window)
-        if until is None and max_events is None:
+        end = self.sim.run(until=until, progress_window=progress_window)
+        if until is None:
             stuck = [m for m in self.masters if not m.finished]
             if stuck:
                 names = ", ".join(getattr(m, "name", "?") for m in stuck)

@@ -360,3 +360,39 @@ class TestRunFlagUsageErrors:
         assert len(errors) == 1
         assert message in errors[0]
         assert not list(tmp_path.iterdir())
+
+    #: out-of-range experiment input, each once a traceback or a run that
+    #: never ended; the app's own source() check names the parameter
+    _OUT_OF_RANGE = {
+        "sp_matrix -n 2": (["sp_matrix"], "single-processor benchmark"),
+        "des -n 1": (["des", "-n", "1"], "at least 2 cores"),
+        "sp_matrix n=0": (["sp_matrix", "-n", "1", "--param", "n=0"],
+                          "n must be >= 1, got 0"),
+        "mp_matrix n=0": (["mp_matrix", "--param", "n=0"],
+                          "n must be >= 1, got 0"),
+        "des blocks=0": (["des", "--param", "blocks=0"],
+                         "blocks must be >= 1, got 0"),
+        "des blocks=-2": (["des", "--param", "blocks=-2"],
+                          "blocks must be >= 1, got -2"),
+        "cacheloop iters=0": (["cacheloop", "--param", "iters=0"],
+                              "iters must be >= 1, got 0"),
+        "cacheloop iters=-1": (["cacheloop", "--param", "iters=-1"],
+                               "iters must be >= 1, got -1"),
+        "watchdog 0": (["cacheloop", "--watchdog", "0"],
+                       "argument --watchdog: expected a positive integer"),
+        "watchdog -5": (["cacheloop", "--watchdog", "-5"],
+                        "argument --watchdog: expected a positive integer"),
+        "progress-window 0": (["cacheloop", "--progress-window", "0"],
+                              "argument --progress-window: expected a "
+                              "positive integer"),
+        "progress-window -3": (["cacheloop", "--progress-window", "-3"],
+                               "argument --progress-window: expected a "
+                               "positive integer"),
+    }
+
+    @pytest.mark.parametrize("case", list(_OUT_OF_RANGE))
+    def test_experiment_out_of_range_exit_2(self, case, capsys, tmp_path,
+                                            monkeypatch):
+        argv, message = self._OUT_OF_RANGE[case]
+        self.test_exit_2(experiment_main, argv, "repro-experiment",
+                         message, capsys, tmp_path, monkeypatch)

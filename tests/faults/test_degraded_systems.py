@@ -150,6 +150,6 @@ class TestLivelockWatchdog:
         platform = MparmPlatform(PlatformConfig(n_masters=1))
         platform.add_master(TGMaster(platform.sim, "tg0", prog))
         # the loop advances time, so the livelock watchdog stays quiet and
-        # the run is stopped by the event bound instead
-        platform.run(max_events=500, progress_window=50)
-        assert platform.sim.events_fired == 500
+        # the run is stopped by the cycle bound instead
+        assert platform.run(until=500, progress_window=50) == 500
+        assert platform.sim.events_fired == 501  # one per cycle 0..500

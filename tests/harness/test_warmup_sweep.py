@@ -18,6 +18,7 @@ from repro.harness import (
 from repro.harness import parallel as parallel_module
 from repro.harness import supervisor as supervisor_module
 from repro.harness.cache import repro_version, warmup_digest
+from repro.harness.sweep import sweep_csv
 from repro.harness.supervisor import (
     SIMULATION_ERROR,
     WORKER_CRASH,
@@ -43,6 +44,14 @@ def warm_spec(**extra):
         "interconnects": ["ahb", "tlm"], "modes": ["reactive"],
         "traffic": dict(TRAFFIC), "warmup_cycles": 60,
         "warmup_fabric": "tlm", **extra})
+
+
+def masked_csv(results):
+    """The sweep CSV with its wall-time columns masked."""
+    rows = [line.split(",") for line in sweep_csv(results).splitlines()]
+    walls = [rows[0].index(name) for name in ("ref_wall", "tg_wall", "gain")]
+    return [[("-" if index in walls else cell)
+             for index, cell in enumerate(row)] for row in rows]
 
 
 def comparable(results):
@@ -205,6 +214,24 @@ class TestEngine:
                            warmup_report=report)
         assert report["simulated"] == 0
         assert report["cached"] == 1
+
+    def test_foreign_cached_warmup_is_a_miss(self, tmp_path):
+        """A cached warm-up under another class's digest loads and
+        verifies (the ``.snap`` does not carry the class material), but
+        its recipe does not match: each member runs its own warm-up and
+        the sweep's results do not change."""
+        spec = warm_spec(loads=[0.2, 0.4])
+        cache = ResultCache(tmp_path)
+        first = run_sweep_parallel(spec, jobs=self.jobs, cache=cache)
+        snap_a, snap_b = sorted(tmp_path.glob("*.snap"))
+        snap_a.rename(tmp_path / "swap")
+        snap_b.rename(snap_a)
+        (tmp_path / "swap").rename(snap_b)
+        for entry in tmp_path.glob("*.json"):
+            entry.unlink()
+        again = run_sweep_parallel(spec, jobs=self.jobs, cache=cache)
+        assert [r.status for r in again] == ["ok"] * 4
+        assert masked_csv(again) == masked_csv(first)
 
     def test_class_failure_fails_every_member(self, monkeypatch):
         def explode(*args):

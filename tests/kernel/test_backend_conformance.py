@@ -4,7 +4,7 @@ The simulator drives its event queue through a narrow interface (see
 :class:`~repro.kernel.simulator.Simulator`).  This suite runs the same
 operation sequences against the :class:`CalendarQueue` engine and the
 :class:`EventQueue` oracle and asserts identical observable behaviour —
-firing order, peek/len/pop semantics, counter meanings, and the
+firing order, peek/len semantics, counter meanings, and the
 ``pending_entries`` snapshot hook (kind classification and global firing
 order), so the engine cannot silently diverge from the contract
 checkpointing depends on.  The parameter ids are the names the two had
@@ -12,9 +12,11 @@ when the engine was selectable.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.kernel import CalendarQueue, Simulator
+from repro.kernel import CalendarQueue, LivelockError, Simulator
 from repro.kernel.event import EventQueue, PendingEntry
+from repro.kernel.simulator import timeout
 
 
 pytestmark = pytest.mark.parametrize("make_queue",
@@ -76,23 +78,6 @@ class TestQueuePrimitives:
 
     def test_peek_time_empty_is_none(self, make_queue):
         assert make_queue().peek_time() is None
-
-    def test_pop_entry_returns_time_and_fires(self, make_queue):
-        queue = make_queue()
-        fired = []
-        queue.push(9, lambda: fired.append("a"))
-        queue.push(2, lambda: fired.append("b"))
-        entries = []
-        while True:
-            popped = queue.pop_entry()
-            if popped is None:
-                break
-            time, fire = popped
-            fire()
-            entries.append(time)
-        assert entries == [2, 9]
-        assert fired == ["b", "a"]
-        assert len(queue) == 0
 
     def test_drain_dispatches_everything(self, make_queue):
         sim = Simulator(queue=make_queue())
@@ -283,3 +268,94 @@ class TestCrossBackendParity:
 
 def _marker():
     pass
+
+
+# ------------------------------------------------------ one dispatch loop
+
+#: one step of a random process program: a sleep (0 included), a wait on
+#: a shared signal, a notify of one, or a ``timeout()`` wait whose owner
+#: gives up after ``patience`` cycles, cancelling it when still pending
+_STEP = st.one_of(
+    st.tuples(st.just("sleep"), st.integers(0, 4)),
+    st.tuples(st.just("wait"), st.integers(0, 1)),
+    st.tuples(st.just("notify"), st.integers(0, 1)),
+    st.tuples(st.just("timeout"), st.integers(1, 6), st.integers(0, 8)),
+)
+_PROGRAMS = st.lists(st.lists(_STEP, max_size=10), min_size=1, max_size=4)
+
+
+def _run_program(make_queue, programs, cuts=()):
+    """Run ``programs`` to completion, first in ``run(until=cut)`` slices
+    when ``cuts`` are given; returns what a run must not change."""
+    sim = Simulator(queue=make_queue())
+    signals = [sim.signal("s0"), sim.signal("s1")]
+    log = []
+
+    def timed_wait(pid, step, sig):
+        yield sig
+        log.append((pid, step, "timed out", sim.now))
+
+    def body(pid, steps):
+        for step, (kind, *args) in enumerate(steps):
+            log.append((pid, step, kind, sim.now))
+            if kind == "sleep":
+                yield args[0]
+            elif kind == "wait":
+                log.append((pid, step, "woke", (yield signals[args[0]])))
+            elif kind == "notify":
+                log.append(signals[args[0]].notify((pid, step)))
+            else:
+                cycles, patience = args
+                waiter = sim.spawn(
+                    timed_wait(pid, step, timeout(sim, cycles)),
+                    name=f"t{pid}.{step}")
+                yield patience
+                waiter.kill()
+
+    for pid, steps in enumerate(programs):
+        sim.spawn(body(pid, steps), name=f"p{pid}")
+    for cut in cuts:
+        sim.run(until=cut, progress_window=10 ** 6)
+    sim.run()
+    return log, sim.now, sim.events_fired, sim.events_cancelled
+
+
+class TestOneDispatchLoop:
+    """Every ``run()`` goes through the queue's ``drain``: cutting a run
+    into ``run(until=...)`` slices changes nothing it computes."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(_PROGRAMS, st.lists(st.integers(0, 1000), max_size=6))
+    def test_sliced_run_equals_one_run(self, make_queue, programs, cuts):
+        whole = _run_program(make_queue, programs)
+        end = whole[1]
+        # cuts inside the run's span, so the final clock is comparable
+        sliced = _run_program(make_queue, programs,
+                              sorted(cut % (end + 1) for cut in cuts))
+        assert sliced == whole
+
+    def test_zero_delay_spinner_raises_livelock(self, make_queue):
+        sim = Simulator(queue=make_queue())
+
+        def spinner():
+            while True:
+                yield 0
+
+        sim.spawn(spinner(), name="spinner")
+        with pytest.raises(LivelockError, match="spinner"):
+            sim.run(until=10, progress_window=32)
+        # every resume is its own batch: the check fires at the boundary
+        # after the window's 32nd stagnant event
+        assert sim.events_fired == 32
+        assert sim.now == 0
+
+    def test_same_cycle_burst_raises_livelock(self, make_queue):
+        """A burst longer than the window raises even when time moves on
+        after it, at the first batch boundary past the window."""
+        sim = Simulator(queue=make_queue())
+        for _ in range(40):
+            sim.schedule_at(5, lambda: None)
+        sim.schedule_at(9, lambda: None)
+        with pytest.raises(LivelockError):
+            sim.run(progress_window=32)
+        assert sim.now == 5

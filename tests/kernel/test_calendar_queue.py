@@ -2,7 +2,7 @@
 
 The queue's contract is *bit-identical simulation* with the binary-heap
 EventQueue oracle: the same total order of firings for any mix of
-pushes, cancels and incremental pops, the same counter semantics, the
+pushes, cancels and bounded drains, the same counter semantics, the
 same exception behaviour.  These tests exercise the queue both directly
 (with a minimal stand-in sim for ``drain``) and through two full
 Simulators running the same program, one on each queue.
@@ -31,7 +31,6 @@ def record(order, label):
 class TestCalendarBasics:
     def test_empty_queue(self):
         queue = CalendarQueue()
-        assert queue.pop_entry() is None
         assert queue.peek_time() is None
         assert len(queue) == 0
 
@@ -116,28 +115,6 @@ class TestCalendarBasics:
         assert queue.peek_time() == 4
         assert queue.tombstones == 0  # the peek swept them
 
-    def test_pop_entry_consumes_in_order(self):
-        queue, order = CalendarQueue(), []
-        queue.push(5, record(order, "a"))
-        queue.push(5, record(order, "b"))
-        queue.push(9, record(order, "c"))
-        for _ in range(3):
-            time, fire = queue.pop_entry()
-            fire()
-        assert order == ["a", "b", "c"]
-        assert queue.pop_entry() is None
-
-    def test_pop_entry_then_drain_resumes_mid_bucket(self):
-        """Incremental pops (step()) interleave with a later run()."""
-        queue, order = CalendarQueue(), []
-        for label in ("a", "b", "c"):
-            queue.push(5, record(order, label))
-        _, fire = queue.pop_entry()
-        fire()
-        queue.drain(FakeSim())
-        assert order == ["a", "b", "c"]
-        assert len(queue) == 0
-
     def test_process_negative_yield_raises(self):
         sim = Simulator()
 
@@ -160,8 +137,8 @@ class TestPeakSize:
             sim.spawn(sleeper(), name=f"p{pid}")
 
     def test_drain_and_bounded_run_report_the_same_peak(self):
-        """A bounded run pops through pop_entry, which used to leave the
-        high-water mark at 0."""
+        """A bounded run goes through the same drain as an unbounded
+        one, so it samples the high-water mark the same way."""
         drained = Simulator()
         self._sleepers(drained)
         drained.run()
@@ -170,12 +147,6 @@ class TestPeakSize:
         bounded.run(until=10 ** 9)
         assert bounded.events_fired == drained.events_fired == 408
         assert bounded.peak_heap_size == drained.peak_heap_size == 8
-
-    def test_step_samples_the_peak(self):
-        sim = Simulator()
-        self._sleepers(sim)
-        sim.step()
-        assert sim.peak_heap_size == 8
 
 
 class TestExceptionSafety:
@@ -305,6 +276,8 @@ class TestClassicEquivalence:
         assert run(EventQueue()) == run(CalendarQueue())
 
     def test_run_until_and_step_match_classic(self):
+        """Bounded runs, including a one-cycle step, stop at the same
+        place on both queues."""
         def run(queue):
             sim = Simulator(queue=queue)
 
@@ -314,8 +287,7 @@ class TestClassicEquivalence:
 
             sim.spawn(ticker(), name="t")
             checkpoints = [sim.run(until=7)]
-            sim.step()
-            checkpoints.append(sim.now)
+            checkpoints.append(sim.run(until=sim.now + 1))
             checkpoints.append(sim.run(until=20))
             return checkpoints, sim.events_fired
 

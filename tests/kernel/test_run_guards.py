@@ -38,12 +38,18 @@ class TestDeadlockGating:
         sim.schedule_at(100, lambda: None)
         assert sim.run(until=50, check_deadlock=True) == 50
 
-    def test_max_events_stop_is_not_a_deadlock(self):
+    def test_refused_spawn_leaves_no_process(self):
+        """A spawn refused for its negative delay must not leave a
+        process behind for the deadlock check to name."""
         sim = Simulator()
-        waiter_on(sim, sim.signal("pending"))
-        for t in range(5):
-            sim.schedule_at(t, lambda: None)
-        sim.run(max_events=2, check_deadlock=True)  # must not raise
+
+        def body():
+            yield 1
+
+        with pytest.raises(SimulationError):
+            sim.spawn(body(), name="bad", delay=-1)
+        assert sim.live_processes == []
+        assert sim.run(check_deadlock=True) == 0
 
     def test_drain_without_processes_is_clean(self):
         sim = Simulator()
@@ -59,23 +65,19 @@ class TestDeadlockGating:
         assert Simulator().blocked_report() == "(none)"
 
 
-class TestStepReentrancyGuard:
-    def test_step_inside_run_raises(self):
-        """Regression: step() used to bypass the _running guard, popping
-        events behind the loop's back and corrupting _now."""
-        sim = Simulator()
-        sim.schedule_at(5, sim.step)
-        sim.schedule_at(7, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_step_outside_run_still_works(self):
+class TestReentrancyGuard:
+    def test_run_inside_run_raises(self):
+        """A run() fired from inside run() would drain the queue behind
+        the outer loop's back; it is refused and the outer run goes on."""
         sim = Simulator()
         fired = []
-        sim.schedule_at(3, lambda: fired.append(sim.now))
-        assert sim.step() is True
-        assert fired == [3]
-        assert sim.step() is False
+        sim.schedule_at(5, sim.run)
+        sim.schedule_at(7, lambda: fired.append(sim.now))
+        with pytest.raises(SimulationError, match="already running"):
+            sim.run()
+        assert sim.now == 5
+        assert sim.run() == 7
+        assert fired == [7]
 
 
 class TestSequentialRuns:
@@ -150,13 +152,6 @@ class TestUntilAdvancesOnDrain:
         assert sim.run() == 60
         assert sim.run(until=30) == 60  # empty queue, earlier until: no-op
         assert sim.now == 60
-
-    def test_max_events_stop_does_not_advance_to_until(self):
-        """An event-budget stop leaves work pending; time must not jump."""
-        sim = Simulator()
-        for t in (1, 2, 3):
-            sim.schedule_at(t, lambda: None)
-        assert sim.run(until=100, max_events=2) == 2
 
     def test_drained_advance_then_new_event_before_until(self):
         sim = Simulator()
@@ -267,13 +262,11 @@ class TestCancellableTimeout:
 
 
 class TestClockMonotonicityProperty:
-    """Property form of the single-helper clock rule (``_advance_clock``).
+    """Property form of the clock rule of ``run(until=T)``.
 
-    ``run()``, ``run(until=T)`` and ``step()`` historically advanced
-    ``_now`` at three separate sites; a unit mismatch between them could
-    rewind the clock or overshoot an ``until`` bound.  Any interleaving
-    must keep time monotonic, never pass a pending event, and land a
-    drained ``run(until=T)`` exactly on ``max(T, last event)``.
+    Any interleaving of ``run()`` and ``run(until=T)`` must keep time
+    monotonic, never pass a pending event, and land a drained
+    ``run(until=T)`` exactly on ``max(T, last event)``.
     """
 
     from hypothesis import given as _given, strategies as _st
@@ -281,7 +274,6 @@ class TestClockMonotonicityProperty:
     _CALLS = _st.lists(
         _st.one_of(
             _st.tuples(_st.just("run_until"), _st.integers(0, 120)),
-            _st.tuples(_st.just("step")),
             _st.tuples(_st.just("run"),),
         ),
         min_size=1, max_size=20,
@@ -312,8 +304,6 @@ class TestClockMonotonicityProperty:
                     assert now == max(call[1], before, observed[-1])
                 else:
                     assert now <= call[1] or now == before
-            elif call[0] == "step":
-                sim.step()
             else:
                 sim.run()
             assert sim.now >= before, "clock went backward"

@@ -72,30 +72,12 @@ class TestScheduling:
         sim.run()
         assert seen == [50]
 
-    def test_max_events_cap(self):
-        sim = Simulator()
-        count = []
-        for _ in range(10):
-            sim.schedule_after(1, lambda: count.append(1))
-        sim.run(max_events=3)
-        assert len(count) == 3
-
     def test_events_fired_counter(self):
         sim = Simulator()
         for i in range(4):
             sim.schedule_after(i, lambda: None)
         sim.run()
         assert sim.events_fired == 4
-
-    def test_step_single_event(self):
-        sim = Simulator()
-        seen = []
-        sim.schedule_after(1, lambda: seen.append(1))
-        sim.schedule_after(2, lambda: seen.append(2))
-        assert sim.step() is True
-        assert seen == [1]
-        assert sim.step() is True
-        assert sim.step() is False
 
 
 class TestProcesses:
