@@ -266,8 +266,8 @@ class EventQueue:
                 event._queue = None
                 self._live -= 1
                 sim._now = event.time
-                event.fn()
                 fired += 1
+                event.fn()
             if window is not None and fired - calm >= window:
                 raise _livelock(sim, fired - calm)
         finally:

@@ -88,6 +88,20 @@ class TestQueuePrimitives:
         assert fired == [1, 3, 6]
         assert len(sim._queue) == 0
 
+    def test_events_fired_counts_a_raising_event(self, make_queue):
+        sim = Simulator(queue=make_queue())
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule_at(3, boom)
+        sim.schedule_at(5, lambda: None)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert (sim.events_fired, sim.now) == (1, 3)
+        assert sim.run() == 5
+        assert sim.events_fired == 2
+
     def test_counter_surface(self, make_queue):
         queue = make_queue()
         for name in ("tombstones", "events_cancelled", "compactions",

@@ -68,7 +68,8 @@ class TestDeadlockGating:
 class TestReentrancyGuard:
     def test_run_inside_run_raises(self):
         """A run() fired from inside run() would drain the queue behind
-        the outer loop's back; it is refused and the outer run goes on."""
+        the outer loop's back: it is refused, and a later run() resumes
+        where the outer one stopped."""
         sim = Simulator()
         fired = []
         sim.schedule_at(5, sim.run)
