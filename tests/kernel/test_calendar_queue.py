@@ -17,7 +17,7 @@ from repro.kernel.event import EventQueue
 
 
 class FakeSim:
-    """The two attributes ``drain`` touches on a real Simulator."""
+    """The two attributes an unguarded ``drain`` touches on a Simulator."""
 
     def __init__(self):
         self._now = 0
