@@ -1,18 +1,18 @@
 """Kernel perf profile: measure event-loop throughput, write BENCH_kernel.json.
 
-Unlike the pytest-benchmark suite (``bench_simulator_performance.py``),
-this is a plain script so CI can run it, archive the numbers, and fail on
+A plain script, so CI can run it, archive the numbers, and fail on
 regression against the committed baseline::
 
     python benchmarks/kernel_perf.py --quick --out BENCH_kernel.json
     python benchmarks/kernel_perf.py --quick \
         --check BENCH_kernel.json --gate-speedup 3.0
 
-Every workload runs twice: on the simulator's calendar-queue engine and
-on the binary-heap ``EventQueue`` oracle (through ``Simulator(queue=...)``).
-The script verifies both fired identical event counts and records the
-engine's ``speedup`` over the oracle.  Workloads (all deterministic —
-same event sequence every run, on either queue):
+Every workload runs on the simulator's calendar-queue engine and on the
+binary-heap ``EventQueue`` oracle (through ``Simulator(queue=...)``),
+alternately, ``--repeats`` times each.  The script verifies both fired
+identical event counts and records the engine's ``speedup`` over the
+oracle: the oracle's best wall time over the engine's.  Workloads (all
+deterministic — same event sequence every run, on either queue):
 
 * ``event_chain``      — one process sleeping 1 cycle at a time: the bare
   cost of schedule + dispatch + generator resume.
@@ -146,24 +146,26 @@ WORKLOADS = {
 
 
 def run_profile(quick: bool = False, repeats: int = 3) -> dict:
+    """Best-of-``repeats`` wall time per workload and queue.  The queues
+    alternate inside each workload (engine, oracle, engine, ...), so a
+    noisy stretch of the host slows both sides of a speedup, not one."""
     results = {}
     for name, (factory, quick_params) in WORKLOADS.items():
         kwargs = quick_params if quick else {}
-        per_queue = {}
-        for label, make_queue in QUEUES.items():
-            best = float("inf")
-            sim = None
-            for _ in range(repeats):
+        best = dict.fromkeys(QUEUES, float("inf"))
+        sims = {}
+        for _ in range(repeats):
+            for label, make_queue in QUEUES.items():
                 start = time.perf_counter()
-                sim = factory(queue=make_queue(), **kwargs)
-                best = min(best, time.perf_counter() - start)
-            per_queue[label] = {
-                "events": sim.events_fired,
-                "sim_cycles": sim.now,
-                "wall_s": round(best, 6),
-                "events_per_sec": round(sim.events_fired / best, 1),
-                "counters": sim.kernel_counters(),
-            }
+                sims[label] = factory(queue=make_queue(), **kwargs)
+                best[label] = min(best[label], time.perf_counter() - start)
+        per_queue = {label: {
+            "events": sim.events_fired,
+            "sim_cycles": sim.now,
+            "wall_s": round(best[label], 6),
+            "events_per_sec": round(sim.events_fired / best[label], 1),
+            "counters": sim.kernel_counters(),
+        } for label, sim in sims.items()}
         engine, oracle = per_queue["engine"], per_queue["oracle"]
         # both queues must simulate the *same* run before their
         # wall-clocks are comparable at all

@@ -9,15 +9,16 @@ writes a machine-readable report (``-`` for stdout); ``--permissive``
 """
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import List, Optional
 
 from repro.artifacts import (
     EXIT_MISSING_FILE,
-    EXIT_PARSE,
     ArtifactError,
     DiagnosticReport,
+    ParseDiagnostic,
 )
 from repro.core import ReplayMode
 from repro.trace import Translator, TranslatorOptions, group_events
@@ -395,67 +396,36 @@ def trace_stats_main(argv: Optional[List[str]] = None) -> int:
 
 # ----------------------------------------------------------------- sweep
 
-def _point_provenance(result) -> str:
-    """How this row's numbers were obtained, for diagnostics.
-
-    ``journal`` (terminal record replayed from a resumed journal),
-    ``cache`` (content-addressed result-cache hit), ``warmup-restored``
-    (simulated this run, fast-forwarded from a warm-up snapshot) or
-    ``simulated`` (cold simulation this run).
-    """
-    if getattr(result, "journaled", False):
-        return "journal"
-    if getattr(result, "cached", False):
-        return "cache"
-    if getattr(result, "warm_restored", False):
-        return "warmup-restored"
-    return "simulated"
-
-
-def _sweep_diagnostics(results, interrupted: bool, journal_dir,
+def _sweep_diagnostics(results, tally, interrupted: bool, journal_dir,
                        exit_code: int, warmup=None) -> dict:
     """Machine-readable sweep report (per-point failure taxonomy)."""
     points = []
-    provenance = {"simulated": 0, "cache": 0, "journal": 0,
-                  "warmup-restored": 0}
     for result in results:
-        failure = getattr(result, "failure", None)
-        source = _point_provenance(result)
-        if result.status == "ok":
-            provenance[source] += 1
-        points.append({
-            "benchmark": result.benchmark,
-            "n_cores": result.n_cores,
-            "interconnect": result.interconnect,
-            "mode": result.mode.value,
-            "status": result.status,
-            "failure": failure.as_dict() if failure is not None else None,
-            "attempts": getattr(result, "attempts", 1),
-            "quarantined": getattr(result, "quarantined", False),
-            "cached": getattr(result, "cached", False),
-            "journaled": getattr(result, "journaled", False),
-            "warm_restored": getattr(result, "warm_restored", False),
-            "provenance": source,
-        })
+        point = {name: getattr(result, name) for name in (
+            "benchmark", "n_cores", "interconnect", "status", "attempts",
+            "quarantined", "cached", "journaled", "warm_restored")}
+        failure = result.failure
+        point.update(mode=result.mode.value, provenance=result.source,
+                     failure=failure.as_dict() if failure else None)
+        points.append(point)
     return {"tool": "repro-sweep",
             "ok": exit_code == 0,
             "interrupted": interrupted,
             "journal": journal_dir,
             "exit_code": exit_code,
-            "provenance": provenance,
+            "provenance": dict(tally.ok),
             "warmup": warmup,
             "points": points}
 
 
-def _unusable_directory(flag: str, path, error: OSError,
-                        diagnostics: Optional[str]) -> int:
-    """One ``repro-sweep: error:`` line for a directory the sweep cannot
-    create or use (exit 3, like any unusable path)."""
-    print(f"repro-sweep: error: {flag} {path}: "
-          f"{error.strerror or error}", file=sys.stderr)
-    _write_diagnostics(diagnostics, _diagnostics_payload(
-        "repro-sweep", False, error=error))
-    return EXIT_MISSING_FILE
+@contextlib.contextmanager
+def _naming(flag: str, path):
+    """Re-raise an OSError as one naming ``flag`` and its ``path``."""
+    try:
+        yield
+    except OSError as error:
+        raise type(error)(f"{flag} {path}: {error.strerror or error}") \
+            from None
 
 
 def sweep_main(argv: Optional[List[str]] = None) -> int:
@@ -557,213 +527,184 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
         SweepInterrupted,
         SweepJournal,
         SweepSpec,
+        SweepTally,
         default_cache_dir,
+        journal_path,
         run_sweep_parallel,
         sweep_csv,
         sweep_table,
     )
     from repro.harness.cache import repro_version
-    if args.cache_verify:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-        issues = cache.verify()
-        clean = len(cache.files()) - len(issues)
-        for issue in issues:
-            print(issue, file=sys.stderr)
-        print(f"[cache-verify] {cache.directory}: {clean} ok, "
-              f"{sum(1 for i in issues if i.kind == 'corrupt')} corrupt, "
-              f"{sum(1 for i in issues if i.kind == 'stale')} stale",
-              file=sys.stderr)
-        return 1 if issues else 0
-    if args.resume and args.journal:
-        parser.error("--resume and --journal are mutually exclusive "
-                     "(--resume reopens the existing journal)")
-    if not args.spec and not args.resume:
-        parser.error("spec is required unless --cache-verify or "
-                     "--resume DIR is given")
-    if args.resume and (args.warmup_cycles is not None
-                        or args.warmup_fabric is not None):
-        # the journal pins the spec (and with it every cache key); a
-        # different warm-up would mix incompatible rows into one sweep
-        parser.error("--warmup-cycles/--warmup-fabric cannot be changed "
-                     "on --resume")
 
-    def _apply_overrides(spec):
-        """Fold --warmup-* overrides into a parsed spec."""
-        if spec is None:
-            return spec
-        data = spec.to_dict()
-        changed = False
-        if args.warmup_cycles is not None \
-                and spec.warmup_cycles != args.warmup_cycles:
-            data["warmup_cycles"] = args.warmup_cycles
-            changed = True
-        if args.warmup_fabric is not None \
-                and spec.warmup_fabric != args.warmup_fabric:
-            data["warmup_fabric"] = args.warmup_fabric
-            changed = True
-        return SweepSpec.from_dict(data) if changed else spec
+    def body() -> int:
+        if args.cache_verify:
+            cache = ResultCache(args.cache_dir or default_cache_dir())
+            issues = cache.verify()
+            kinds = [issue.kind for issue in issues]
+            for issue in issues:
+                print(issue, file=sys.stderr)
+            print(f"[cache-verify] {cache.directory}: "
+                  f"{len(cache.files()) - len(issues)} ok, "
+                  f"{kinds.count('corrupt')} corrupt, "
+                  f"{kinds.count('stale')} stale", file=sys.stderr)
+            return 1 if issues else 0
+        if args.resume and args.journal:
+            parser.error("--resume and --journal are mutually exclusive "
+                         "(--resume reopens the existing journal)")
+        if not args.spec and not args.resume:
+            parser.error("spec is required unless --cache-verify or "
+                         "--resume DIR is given")
+        if args.resume and (args.warmup_cycles is not None
+                            or args.warmup_fabric is not None):
+            # the journal pins the spec (and with it every cache key); a
+            # different warm-up would mix incompatible rows into one sweep
+            parser.error("--warmup-cycles/--warmup-fabric cannot be "
+                         "changed on --resume")
 
-    spec = None
-    if args.spec:
-        try:
-            with open(args.spec) as handle:
-                spec = _apply_overrides(
-                    SweepSpec.from_dict(json.load(handle)))
-        except OSError as error:
-            print(f"repro-sweep: error: {error}", file=sys.stderr)
-            return EXIT_MISSING_FILE
-        except ArtifactError as error:
-            print(f"repro-sweep: error: {error}", file=sys.stderr)
-            return error.exit_code
-        except ValueError as error:
-            # invalid JSON or a spec that fails validation — a defect in
-            # the input file, not a crash
-            print(f"repro-sweep: error: {args.spec}: {error}",
-                  file=sys.stderr)
-            return EXIT_PARSE
-
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-        # create it now: a cache that cannot take a result must stop
-        # the sweep before the first point is simulated
-        try:
-            cache.directory.mkdir(parents=True, exist_ok=True)
-        except OSError as error:
-            return _unusable_directory("--cache-dir", cache.directory,
-                                       error, args.diagnostics_json)
-
-    journal = None
-    journal_dir = args.resume or args.journal
-    try:
-        if args.resume:
-            journal = SweepJournal.resume(
-                args.resume, spec.to_dict() if spec is not None else None)
+        spec = None
+        if args.spec:
             try:
-                spec = SweepSpec.from_dict(journal.state.spec)
+                with open(args.spec) as handle:
+                    data = json.load(handle)
+                if isinstance(data, dict):
+                    for key in ("warmup_cycles", "warmup_fabric"):
+                        if getattr(args, key) is not None:
+                            data[key] = getattr(args, key)
+                spec = SweepSpec.from_dict(data)
             except ValueError as error:
-                # e.g. a key this version no longer has: the journal's
-                # rows cannot be trusted as this run's results
-                journal.close()
-                from repro.artifacts.errors import ParseDiagnostic
-                raise ParseDiagnostic(
-                    f"journal spec is not valid for this version: {error}",
-                    path=journal.path,
-                    hint="start a fresh sweep from the spec file") from None
-            done = journal.state.records
-            print(f"[sweep] resuming {journal.path}: {done} of "
-                  f"{journal.state.total} point(s) already journalled",
+                # invalid JSON or a spec that fails validation — a defect
+                # in the input file, not a crash
+                raise ParseDiagnostic(str(error), path=args.spec) from None
+
+        # a cache or CSV that cannot take the results must stop the
+        # sweep before the first point is simulated
+        cache = None
+        if not args.no_cache:
+            cache = ResultCache(args.cache_dir or default_cache_dir())
+            with _naming("--cache-dir", cache.directory):
+                cache.directory.mkdir(parents=True, exist_ok=True)
+        if args.csv:
+            with _naming("--csv", args.csv):
+                open(args.csv, "a").close()
+
+        journal = None
+        journal_dir = args.resume or args.journal
+        with _naming("--resume" if args.resume else "--journal",
+                     journal_dir):
+            if args.resume:
+                journal = SweepJournal.resume(
+                    args.resume,
+                    spec.to_dict() if spec is not None else None)
+                try:
+                    spec = SweepSpec.from_dict(journal.state.spec)
+                except ValueError as error:
+                    # e.g. a key this version no longer has: the
+                    # journal's rows cannot be trusted as this run's
+                    journal.close()
+                    raise ParseDiagnostic(
+                        f"journal spec is not valid for this version: "
+                        f"{error}", path=journal.path,
+                        hint="start a fresh sweep from the spec file") \
+                        from None
+                print(f"[sweep] resuming {journal.path}: "
+                      f"{journal.state.records} of {journal.state.total} "
+                      f"point(s) already journalled", file=sys.stderr)
+            elif args.journal:
+                if journal_path(args.journal).exists():
+                    journal = SweepJournal.resume(args.journal,
+                                                  spec.to_dict())
+                    print(f"[sweep] journal matches this spec — resuming "
+                          f"{journal.path}", file=sys.stderr)
+                else:
+                    journal = SweepJournal.create(
+                        args.journal, spec.to_dict(), spec.points,
+                        repro_version())
+
+        # graceful shutdown: first SIGINT/SIGTERM finishes the journal and
+        # terminates the workers; a second one force-raises
+        cancel = threading.Event()
+
+        def _interrupt_handler(signum, frame):
+            if cancel.is_set():
+                raise KeyboardInterrupt
+            print("[sweep] interrupt received — journalling in-flight "
+                  "points and stopping workers (interrupt again to force)",
                   file=sys.stderr)
-        elif args.journal:
-            from repro.harness import journal_path
-            if journal_path(args.journal).exists():
-                journal = SweepJournal.resume(args.journal, spec.to_dict())
-                print(f"[sweep] journal matches this spec — resuming "
-                      f"{journal.path}", file=sys.stderr)
-            else:
-                journal = SweepJournal.create(
-                    args.journal, spec.to_dict(), spec.points,
-                    repro_version())
-    except ArtifactError as error:
-        print(f"repro-sweep: error: {error}", file=sys.stderr)
-        _write_diagnostics(args.diagnostics_json, _diagnostics_payload(
-            "repro-sweep", False, error=error))
-        return error.exit_code
-    except OSError as error:
-        return _unusable_directory(
-            "--resume" if args.resume else "--journal", journal_dir,
-            error, args.diagnostics_json)
+            cancel.set()
 
-    # graceful shutdown: first SIGINT/SIGTERM finishes the journal and
-    # terminates the workers; a second one force-raises
-    cancel = threading.Event()
+        previous_handlers = {}
+        try:
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                previous_handlers[signum] = signal.signal(
+                    signum, _interrupt_handler)
+        except ValueError:
+            pass                       # not the main thread (tests)
 
-    def _interrupt_handler(signum, frame):
-        if cancel.is_set():
-            raise KeyboardInterrupt
-        print("[sweep] interrupt received — journalling in-flight points "
-              "and stopping workers (interrupt again to force)",
-              file=sys.stderr)
-        cancel.set()
+        interrupted = False
+        warmup_report: dict = {}
+        print(f"running {spec.points} grid point(s)...", file=sys.stderr)
+        start = time_module.perf_counter()
+        try:
+            results = run_sweep_parallel(
+                spec, jobs=args.jobs, cache=cache,
+                point_timeout_s=args.timeout,
+                progress=lambda line: print(line, file=sys.stderr),
+                retries=args.retries, retry_backoff_s=args.retry_backoff,
+                journal=journal,
+                heartbeat_timeout_s=args.heartbeat_timeout or None,
+                requeue_failed=args.retry_quarantined,
+                warmup_share=not args.no_warmup_share,
+                warmup_report=warmup_report, cancel=cancel)
+        except SweepInterrupted as stop:
+            results = stop.results
+            interrupted = True
+        finally:
+            for signum, handler in previous_handlers.items():
+                signal.signal(signum, handler)
+            if journal is not None:
+                journal.close()
+        wall = time_module.perf_counter() - start
 
-    previous_handlers = {}
-    try:
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            previous_handlers[signum] = signal.signal(
-                signum, _interrupt_handler)
-    except ValueError:
-        pass                       # not the main thread (tests)
-
-    interrupted = False
-    warmup_report: dict = {}
-    print(f"running {spec.points} grid point(s)...", file=sys.stderr)
-    start = time_module.perf_counter()
-    try:
-        results = run_sweep_parallel(
-            spec, jobs=args.jobs, cache=cache,
-            point_timeout_s=args.timeout,
-            progress=lambda line: print(line, file=sys.stderr),
-            retries=args.retries, retry_backoff_s=args.retry_backoff,
-            journal=journal,
-            heartbeat_timeout_s=args.heartbeat_timeout or None,
-            requeue_failed=args.retry_quarantined,
-            warmup_share=not args.no_warmup_share,
-            warmup_report=warmup_report, cancel=cancel)
-    except SweepInterrupted as stop:
-        results = stop.results
-        interrupted = True
-    finally:
-        for signum, handler in previous_handlers.items():
-            signal.signal(signum, handler)
+        print(sweep_table(results, title=f"Sweep: {spec.benchmark}"))
+        tally = SweepTally(results)
+        segments = [f"{tally.simulated} simulated",
+                    f"{tally.rows['cache']} cached"]
         if journal is not None:
-            journal.close()
-    wall = time_module.perf_counter() - start
+            segments.append(f"{tally.rows['journal']} journaled")
+        segments.append(f"{tally.failed} failed")
+        if spec.warmup_cycles is not None:
+            segments.append(f"{tally.ok['warmup-restored']} warmup-restored")
+        print(f"[sweep] {len(results)} point(s): {', '.join(segments)} "
+              f"in {wall:.1f}s", file=sys.stderr)
+        for result in results:
+            failure = result.failure
+            if result.status != "ok" and result.traceback and (
+                    failure is None or failure.kind != "interrupted"):
+                kind = f" ({failure.kind})" if failure is not None else ""
+                print(f"--- FAILED{kind} {result.benchmark} "
+                      f"{result.n_cores}P "
+                      f"{result.interconnect}/{result.mode.value} ---\n"
+                      f"{result.traceback}", file=sys.stderr)
+        if args.csv:
+            with open(args.csv, "w") as handle:
+                handle.write(sweep_csv(results))
+            print(f"wrote {args.csv}", file=sys.stderr)
 
-    print(sweep_table(results, title=f"Sweep: {spec.benchmark}"))
-    simulated = sum(1 for r in results
-                    if not r.cached and not getattr(r, "journaled", False)
-                    and r.status == "ok")
-    cached = sum(1 for r in results if r.cached)
-    journaled = sum(1 for r in results
-                    if getattr(r, "journaled", False))
-    failed = sum(1 for r in results if r.status != "ok")
-    warm = sum(1 for r in results
-               if getattr(r, "warm_restored", False))
-    segments = [f"{simulated} simulated", f"{cached} cached"]
-    if journal is not None:
-        segments.append(f"{journaled} journaled")
-    segments.append(f"{failed} failed")
-    if spec.warmup_cycles is not None:
-        segments.append(f"{warm} warmup-restored")
-    print(f"[sweep] {len(results)} point(s): {', '.join(segments)} "
-          f"in {wall:.1f}s", file=sys.stderr)
-    for result in results:
-        failure = getattr(result, "failure", None)
-        if result.status != "ok" and result.traceback and (
-                failure is None or failure.kind != "interrupted"):
-            kind = f" ({failure.kind})" if failure is not None else ""
-            print(f"--- FAILED{kind} {result.benchmark} "
-                  f"{result.n_cores}P "
-                  f"{result.interconnect}/{result.mode.value} ---\n"
-                  f"{result.traceback}", file=sys.stderr)
-    if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write(sweep_csv(results))
-        print(f"wrote {args.csv}", file=sys.stderr)
+        exit_code = EXIT_INTERRUPTED if interrupted \
+            else (1 if tally.failed else 0)
+        _write_diagnostics(args.diagnostics_json, _sweep_diagnostics(
+            results, tally, interrupted, journal_dir, exit_code,
+            warmup=warmup_report or None))
+        if interrupted:
+            if journal is not None:
+                print(f"[sweep] interrupted — resume with: "
+                      f"repro-sweep --resume {journal_dir}", file=sys.stderr)
+            else:
+                print("[sweep] interrupted — re-run with --journal DIR to "
+                      "make sweeps resumable", file=sys.stderr)
+        return exit_code
 
-    exit_code = EXIT_INTERRUPTED if interrupted else (1 if failed else 0)
-    _write_diagnostics(args.diagnostics_json, _sweep_diagnostics(
-        results, interrupted, journal_dir, exit_code,
-        warmup=warmup_report or None))
-    if interrupted:
-        hint = journal_dir if journal is not None else None
-        if hint:
-            print(f"[sweep] interrupted — resume with: "
-                  f"repro-sweep --resume {hint}", file=sys.stderr)
-        else:
-            print("[sweep] interrupted — re-run with --journal DIR to "
-                  "make sweeps resumable", file=sys.stderr)
-    return exit_code
+    return _guarded("repro-sweep", body, diagnostics=args.diagnostics_json)
 
 
 # -------------------------------------------------------------- traceset

@@ -64,6 +64,7 @@ from repro.harness.journal import (
 from repro.harness.parallel import (
     PointResult,
     SweepPoint,
+    SweepTally,
     expand_grid,
     run_sweep_parallel,
 )
@@ -104,6 +105,7 @@ __all__ = [
     "SweepPoint",
     "SweepPointFailure",
     "SweepSpec",
+    "SweepTally",
     "WorkerSupervisor",
     "default_cache_dir",
     "expand_grid",

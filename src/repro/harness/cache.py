@@ -42,8 +42,9 @@ from repro.artifacts.errors import ArtifactError
 from repro.artifacts.io import TEMP_SUFFIX, atomic_write_text
 from repro.artifacts.snap import load_snap
 
-__all__ = ["CacheIssue", "ResultCache", "default_cache_dir",
-           "point_cache_key", "repro_version", "warmup_digest"]
+__all__ = ["CacheIssue", "ResultCache", "content_hash",
+           "default_cache_dir", "point_cache_key", "point_provenance",
+           "repro_version", "warmup_digest"]
 
 
 class CacheIssue(NamedTuple):
@@ -62,8 +63,9 @@ def _canonical_json(value) -> bytes:
                       separators=(",", ":")).encode("utf-8")
 
 
-def _content_hash(material: Dict) -> str:
-    """SHA-256 (hex) of the canonical JSON of key material."""
+def content_hash(material: Dict) -> str:
+    """SHA-256 (hex) of the canonical JSON of key material: a cache key
+    is the hash of the provenance its entry stores."""
     return hashlib.sha256(_canonical_json(material)).hexdigest()
 
 
@@ -78,13 +80,13 @@ def repro_version() -> str:
     return __version__
 
 
-def point_cache_key(benchmark: str, n_cores: int, interconnect: str,
-                    mode: str, app_params: Optional[Dict] = None,
-                    fault_spec: Optional[Dict] = None, fault_seed: int = 0,
-                    traffic: Optional[Dict] = None,
-                    version: Optional[str] = None,
-                    warmup: Optional[str] = None) -> str:
-    """Content hash identifying one grid point's simulation outcome.
+def point_provenance(benchmark: str, n_cores: int, interconnect: str,
+                     mode: str, app_params: Optional[Dict] = None,
+                     fault_spec: Optional[Dict] = None, fault_seed: int = 0,
+                     traffic: Optional[Dict] = None,
+                     version: Optional[str] = None,
+                     warmup: Optional[str] = None) -> Dict:
+    """The key material of one grid point, as its entry stores it.
 
     ``traffic`` (the resolved synthetic-traffic spec dict) joins the key
     material only when present, so every pre-existing classic-benchmark
@@ -108,7 +110,13 @@ def point_cache_key(benchmark: str, n_cores: int, interconnect: str,
         provenance["traffic"] = traffic
     if warmup is not None:
         provenance["warmup"] = warmup
-    return _content_hash(provenance)
+    return provenance
+
+
+def point_cache_key(*args, **kwargs) -> str:
+    """Content hash identifying one grid point's simulation outcome: the
+    :func:`content_hash` of its :func:`point_provenance`."""
+    return content_hash(point_provenance(*args, **kwargs))
 
 
 def warmup_digest(material: Dict) -> str:
@@ -120,10 +128,10 @@ def warmup_digest(material: Dict) -> str:
     package version joins automatically, so a simulator upgrade
     invalidates every stored warm-up snapshot the same way it
     invalidates results.  The digest names the ``.snap`` entry in the
-    cache directory, joins :func:`point_cache_key` and is recorded as
+    cache directory, joins :func:`point_provenance` and is recorded as
     ``warmup=<digest>`` provenance in the sweep journal.
     """
-    return _content_hash(dict(material, version=repro_version()))
+    return content_hash(dict(material, version=repro_version()))
 
 
 def default_cache_dir() -> Path:
@@ -176,7 +184,7 @@ def _audit(path: Path) -> Tuple[Optional[Dict], Optional[CacheIssue]]:
         return issue("corrupt", "result fails its checksum")
     provenance = entry.get("provenance")
     if isinstance(provenance, dict) and \
-            _content_hash(provenance) != path.stem:
+            content_hash(provenance) != path.stem:
         return issue("corrupt", "provenance does not hash to the entry key")
     version = entry.get("version")
     if version != repro_version():

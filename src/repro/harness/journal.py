@@ -27,7 +27,7 @@ index from :func:`~repro.harness.parallel.expand_grid`):
 ``header``      spec dict, total point count, package version
 ``started``     a worker picked the point up (``attempt`` counts from 0)
 ``ok``          terminal success: the picklable result ``summary`` + wall
-                (+ the ``warmup`` snapshot digest on fast-forwarded
+                (+ the ``warmup`` class digest on fast-forwarded
                 points)
 ``failed``      one failed attempt: failure ``kind``/``message``/
                 ``traceback``; ``final`` marks a terminal failure
@@ -264,10 +264,11 @@ class SweepJournal:
                   source: str = "simulated",
                   warmup: Optional[str] = None) -> None:
         """``warmup`` is the :func:`~repro.harness.cache.warmup_digest`
-        of the snapshot a fast-forwarded point restored from; the key is
-        present only on warm-restored records, so journals written
-        without warm-up are byte-identical to earlier versions (and
-        ``--resume`` replays the provenance exactly)."""
+        naming a fast-forwarded point's warm-up class, whether the point
+        restored the class's shared snapshot or ran its own warm-up; the
+        key is present only on records of fast-forwarded points, so
+        journals written without warm-up are byte-identical to earlier
+        versions."""
         record = {"type": "ok", "index": index, "attempt": attempt,
                   "summary": summary, "wall": wall, "source": source}
         if warmup is not None:

@@ -54,13 +54,14 @@ import time
 import traceback as traceback_module
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.artifacts.errors import ArtifactError, SnapshotRecipeMismatch
 from repro.core.modes import ReplayMode
 from repro.harness.cache import (
     ResultCache,
-    point_cache_key,
+    content_hash,
+    point_provenance,
     repro_version,
     warmup_digest,
 )
@@ -82,8 +83,8 @@ from repro.harness.sweep import (
     resolve_traffic,
 )
 
-__all__ = ["PointResult", "SweepPoint", "expand_grid",
-           "run_sweep_parallel"]
+__all__ = ["PointResult", "SOURCES", "SweepPoint", "SweepTally",
+           "expand_grid", "run_sweep_parallel"]
 
 #: Test-only knob: every worker sleeps this many seconds before
 #: simulating (set the env var in tests to exercise the timeout path).
@@ -144,29 +145,15 @@ class SweepPoint:
 
     def provenance(self, version: Optional[str] = None) -> Dict:
         """The pre-hash cache-key material (human-readable)."""
-        provenance = {
-            "benchmark": self.benchmark,
-            "n_cores": self.n_cores,
-            "interconnect": self.interconnect,
-            "mode": self.mode,
-            "app_params": self.app_params,
-            "fault_spec": self.fault_spec,
-            "fault_seed": self.fault_seed,
-            "version": version if version is not None else repro_version(),
-        }
-        if self.traffic is not None:
-            provenance["traffic"] = self.traffic
-        warmup = self.warmup_key()
-        if warmup is not None:
-            provenance["warmup"] = warmup
-        return provenance
-
-    def cache_key(self, version: Optional[str] = None) -> str:
-        return point_cache_key(
+        return point_provenance(
             self.benchmark, self.n_cores, self.interconnect, self.mode,
             self.app_params, self.fault_spec, self.fault_seed,
             traffic=self.traffic, version=version,
             warmup=self.warmup_key())
+
+    def cache_key(self, version: Optional[str] = None) -> str:
+        """The hash of :meth:`provenance`, which the entry stores."""
+        return content_hash(self.provenance(version))
 
     def payload(self) -> Dict:
         """The dict shipped to a worker process (deep-copied params)."""
@@ -227,6 +214,16 @@ def expand_grid(spec: SweepSpec) -> List[SweepPoint]:
     return points
 
 
+#: Where a row's numbers came from (:attr:`PointResult.source`): this
+#: run, this run from its warm-up class's shared snapshot, the result
+#: cache, or the journal of an earlier run.
+SOURCES = ("simulated", "warmup-restored", "cache", "journal")
+
+#: Key a worker's summary carries when the point restored its class's
+#: shared warm-up snapshot; the driver pops it before storing the summary.
+_RESTORED = "warmup_restored"
+
+
 class PointResult(RunResult):
     """Picklable outcome of one grid point.
 
@@ -235,9 +232,11 @@ class PointResult(RunResult):
     ``offered_load`` marks the row synthetic for renderers) and the
     execution metadata resilient sweeps need: how many ``attempts`` the
     point consumed, whether it was ``quarantined`` after exhausting
-    retries, and whether the row was served from the ``cached`` results
-    or the ``journaled`` record of an earlier run.  ``traceback``
-    mirrors ``failure`` for rendering.
+    retries, and the ``source`` of its numbers (one of :data:`SOURCES`,
+    set where the row is settled).  A classic-benchmark or unshared
+    warm-up, or a member's own warm-up after its class's snapshot failed
+    to restore, is ``simulated``.  ``traceback`` mirrors ``failure`` for
+    rendering.
     """
 
     #: Summary keys a successful row copies.
@@ -264,14 +263,13 @@ class PointResult(RunResult):
         self.traceback: Optional[str] = None
         self.attempts = 1
         self.quarantined = False
-        self.cached = False
-        self.journaled = False
-        #: this row was simulated *in this run* by restoring a warm-up
-        #: snapshot (cache/journal-served rows keep it False — their
-        #: provenance is the cache or journal, however they were first
-        #: computed)
-        self.warm_restored = False
+        self.source = "simulated"
         self.cache_key = cache_key
+
+    # read-only views of ``source``
+    cached = property(lambda self: self.source == "cache")
+    journaled = property(lambda self: self.source == "journal")
+    warm_restored = property(lambda self: self.source == "warmup-restored")
 
     @classmethod
     def failed(cls, point: SweepPoint, failure: SweepPointFailure,
@@ -288,7 +286,7 @@ class PointResult(RunResult):
 
     @classmethod
     def from_summary(cls, point: SweepPoint, summary: Dict,
-                     cached: bool = False,
+                     source: str = "simulated",
                      cache_key: Optional[str] = None) -> "PointResult":
         status = summary.get("status")
         if status == "ok":
@@ -309,16 +307,45 @@ class PointResult(RunResult):
                 f"result summary carries an invalid status {status!r} "
                 f"(stale cache entry from an older schema?); treating "
                 f"the point as failed"), cache_key)
-        result.cached = cached
+        result.source = source
         return result
 
     def __repr__(self) -> str:
-        flags = " cached" if self.cached else ""
-        flags += " journaled" if self.journaled else ""
         status = self.status if self.failure is None \
             else f"{self.status}:{self.failure.kind}"
         return (f"<PointResult {self.benchmark} {self.n_cores}P "
-                f"{self.interconnect} {status}{flags}>")
+                f"{self.interconnect} {status} {self.source}>")
+
+
+class SweepTally:
+    """The one count of a sweep's rows: ``rows[source]`` counts every
+    row from each of the :data:`SOURCES` and ``ok[source]`` the ok ones.
+    The progress line, ``repro-sweep``'s summary line and its
+    diagnostics ``provenance`` all read these counts."""
+
+    def __init__(self, results: Iterable[PointResult] = ()):
+        self.rows = dict.fromkeys(SOURCES, 0)
+        self.ok = dict.fromkeys(SOURCES, 0)
+        for result in results:
+            self.add(result)
+
+    def add(self, result: PointResult) -> None:
+        self.rows[result.source] += 1
+        if result.status == "ok":
+            self.ok[result.source] += 1
+
+    @property
+    def done(self) -> int:
+        return sum(self.rows.values())
+
+    @property
+    def failed(self) -> int:
+        return self.done - sum(self.ok.values())
+
+    @property
+    def simulated(self) -> int:
+        """Ok rows simulated in this run, from a shared warm-up or not."""
+        return self.ok["simulated"] + self.ok["warmup-restored"]
 
 
 #: Traffic classes whose :class:`~repro.apps.synthetic.ProgramSet` one
@@ -353,14 +380,16 @@ def _execute_point(payload: Dict, class_programs: Dict) -> Dict:
 
     Runs in a pool worker (or in-process for ``jobs=1``).  A point that
     restores a shared warm-up takes its programs from
-    ``class_programs`` (see :func:`_class_programs`).  All failures
-    are folded into a ``{"status": "failed"}`` summary so an exploding
-    grid point cannot take the pool down with it.
+    ``class_programs`` (see :func:`_class_programs`), and its summary
+    says it did (:data:`_RESTORED`).  All failures are folded into a
+    ``{"status": "failed"}`` summary so an exploding grid point cannot
+    take the pool down with it.
     """
     sleep_s = float(os.environ.get(_TEST_SLEEP_ENV, "0") or 0.0)
     if sleep_s > 0:
         time.sleep(sleep_s)
     try:
+        restored = False
         warmup = payload.get("warmup") or {}
         options = RunOptions(fault_spec=payload.get("fault_spec"),
                              fault_seed=payload.get("fault_seed", 0),
@@ -387,6 +416,7 @@ def _execute_point(payload: Dict, class_programs: Dict) -> Dict:
                                         options=options,
                                         warmup_payload=warmup_payload,
                                         program_set=program_set)
+                restored = warmup_payload is not None
             except SnapshotRecipeMismatch:
                 # a snapshot filed under another class's digest (the
                 # .snap does not carry the class material) is a miss too
@@ -403,6 +433,8 @@ def _execute_point(payload: Dict, class_programs: Dict) -> Dict:
                              options=options)
         summary = result.summary()
         summary["status"] = "ok"
+        if restored:
+            summary[_RESTORED] = True
         return summary
     except Exception:
         return {"status": "failed",
@@ -688,8 +720,7 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
     points = expand_grid(spec)
     total = len(points)
     results: List[Optional[PointResult]] = [None] * total
-    counters = {"done": 0, "cached": 0, "journaled": 0, "failed": 0,
-                "warm": 0}
+    tally = SweepTally()
     walls: List[float] = []
     if jobs is None:
         jobs = getattr(spec, "jobs", None)
@@ -704,50 +735,48 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
         # bit-identity-trustworthy; re-run everything unfinished
         journal_state = None
 
+    def settle(index: int, result: PointResult) -> None:
+        results[index] = result
+        tally.add(result)
+
     def emit() -> None:
         if progress is None:
             return
-        remaining = total - counters["done"]
+        remaining = total - tally.done
         if remaining and walls:
             lanes = max(1, min(jobs, remaining))
             eta = f"{sum(walls) / len(walls) * remaining / lanes:.1f}s"
         else:
             eta = "0s" if not remaining else "?"
-        segments = [f"{counters['cached']} cached",
-                    f"{counters['failed']} failed"]
-        if counters["warm"]:
-            segments.append(f"{counters['warm']} warm-restored")
-        progress(f"[sweep] {counters['done']}/{total} done "
+        segments = [f"{tally.rows['cache']} cached",
+                    f"{tally.failed} failed"]
+        if tally.ok["warmup-restored"]:
+            segments.append(f"{tally.ok['warmup-restored']} warm-restored")
+        progress(f"[sweep] {tally.done}/{total} done "
                  f"({', '.join(segments)}), ETA {eta}")
 
     def finish_ok(task: _Task, summary: Dict,
                   wall: Optional[float] = None) -> None:
         point = task.point
-        result = PointResult.from_summary(point, summary, cached=False,
-                                          cache_key=task.key)
+        source = "warmup-restored" if summary.pop(_RESTORED, False) \
+            else "simulated"
+        result = PointResult.from_summary(point, summary, source, task.key)
         result.attempts = task.attempt + 1
         if result.status == "ok":
-            warmup = point.warmup_key()
-            if warmup is not None:
-                result.warm_restored = True
-                counters["warm"] += 1
             if wall is not None:
                 walls.append(wall)
             if journal is not None:
                 journal.record_ok(point.index, task.attempt, summary,
-                                  wall=wall, warmup=warmup)
+                                  wall=wall, warmup=point.warmup_key())
             if cache is not None and task.key is not None:
                 cache.put(task.key, summary,
                           provenance=point.provenance())
-        else:                      # a "failed" summary from the worker
-            if journal is not None:
-                journal.record_failed(
-                    point.index, task.attempt, SIMULATION_ERROR,
-                    result.failure.message,
-                    traceback=result.failure.traceback, final=True)
-            counters["failed"] += 1
-        results[point.index] = result
-        counters["done"] += 1
+        elif journal is not None:  # a "failed" summary from the worker
+            journal.record_failed(
+                point.index, task.attempt, SIMULATION_ERROR,
+                result.failure.message,
+                traceback=result.failure.traceback, final=True)
+        settle(point.index, result)
         emit()
 
     def finish_failed(task: _Task, failure: SweepPointFailure,
@@ -759,10 +788,8 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
                                   traceback=failure.traceback, final=True)
             if quarantined:
                 journal.record_quarantined(point.index, failure.attempts)
-        results[point.index] = PointResult.failed(
-            point, failure, task.key, quarantined=quarantined)
-        counters["failed"] += 1
-        counters["done"] += 1
+        settle(point.index, PointResult.failed(
+            point, failure, task.key, quarantined=quarantined))
         emit()
 
     def serve_journal(point: SweepPoint, key: Optional[str]) -> bool:
@@ -772,12 +799,9 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
         if point.index in journal_state.ok:
             record = journal_state.ok[point.index]
             result = PointResult.from_summary(point, record["summary"],
-                                              cached=False, cache_key=key)
-            result.journaled = True
+                                              "journal", key)
             result.attempts = record.get("attempt", 0) + 1
-            results[point.index] = result
-            counters["done"] += 1
-            counters["journaled"] += 1
+            settle(point.index, result)
             return True
         if requeue_failed:
             return False
@@ -791,11 +815,8 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
                     traceback=record.get("traceback"),
                     attempts=record.get("attempt", 0) + 1),
                 key, quarantined=point.index in journal_state.quarantined)
-            result.journaled = True
-            results[point.index] = result
-            counters["done"] += 1
-            counters["journaled"] += 1
-            counters["failed"] += 1
+            result.source = "journal"
+            settle(point.index, result)
             return True
         return False
 
@@ -820,10 +841,8 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
             continue
         summary = cache.get(key) if cache is not None else None
         if summary is not None:
-            results[point.index] = PointResult.from_summary(
-                point, summary, cached=True, cache_key=key)
-            counters["done"] += 1
-            counters["cached"] += 1
+            settle(point.index,
+                   PointResult.from_summary(point, summary, "cache", key))
             # guard on the live journal state (not the version-nulled
             # journal_state) so a resume under a new repro version does
             # not re-append a duplicate cache record every run
@@ -847,7 +866,7 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
             _run_in_process(warmups, journal, cancel, finish_ok, interrupt)
         else:
             _run_pool(warmups, jobs=min(jobs, len(pending)),
-                      unfinished=lambda: total - counters["done"],
+                      unfinished=lambda: total - tally.done,
                       journal=journal, cancel=cancel,
                       point_timeout_s=point_timeout_s,
                       heartbeat_timeout_s=heartbeat_timeout_s,

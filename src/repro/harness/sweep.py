@@ -49,6 +49,8 @@ def _resolve_app(name: str):
 
 def _validated_cores(cores: List[int]) -> List[int]:
     """Core counts must be ints >= 1; duplicates collapse, order kept."""
+    if not isinstance(cores, (list, tuple)):
+        raise ValueError(f"cores must be a list, got {cores!r}")
     if not cores:
         raise ValueError("sweep needs at least one core count")
     validated: List[int] = []
@@ -63,8 +65,12 @@ def _validated_cores(cores: List[int]) -> List[int]:
     return validated
 
 
-def _deduped(values: List) -> List:
-    """Drop duplicate axis values, preserving first-seen order."""
+def _deduped(name: str, values) -> List:
+    """The axis ``name`` as a list, duplicate values dropped in
+    first-seen order; anything but a list is refused (a string would
+    split into one bogus value per character)."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {values!r}")
     unique = []
     for value in values:
         if value not in unique:
@@ -75,10 +81,12 @@ def _deduped(values: List) -> List:
 class SweepSpec:
     """A validated sweep description.
 
-    Every axis is validated on construction: the benchmark must be one of
-    the four paper apps (or ``"synthetic"``), core counts must be
-    positive integers, and duplicate axis values (which would
-    double-simulate grid points) are collapsed while preserving order.
+    Every axis is validated on construction: each axis must be a list,
+    the benchmark must be one of the four paper apps (or
+    ``"synthetic"``), core counts must be positive integers, each
+    interconnect one of :attr:`WARMUP_FABRICS`, and duplicate axis
+    values (which would double-simulate grid points) are collapsed while
+    preserving order.
     An optional fault specification applies to the TG run of *every*
     grid point (degraded-platform sweeps); it participates in result
     cache keys.
@@ -95,7 +103,7 @@ class SweepSpec:
     the ``--jobs`` flag overrides).
     """
 
-    #: Fabrics a warm-up prefix may run on (the platform's full set).
+    #: The platform's fabrics: every interconnect and warm-up fabric.
     WARMUP_FABRICS = ("ahb", "stbus", "tlm", "xpipes")
 
     def __init__(self, benchmark: str, cores: List[int],
@@ -134,12 +142,23 @@ class SweepSpec:
             _resolve_app(benchmark)
         self.benchmark = benchmark
         self.cores = _validated_cores(cores)
-        self.interconnects = _deduped(list(interconnects or ["ahb"]))
-        self.modes = _deduped([ReplayMode.from_name(mode)
-                               for mode in (modes or ["reactive"])])
+        self.interconnects = _deduped("interconnects",
+                                      interconnects or ["ahb"])
+        for fabric in self.interconnects:
+            if fabric not in self.WARMUP_FABRICS:
+                raise ValueError(f"unknown interconnect {fabric!r}; "
+                                 f"choose from {self.WARMUP_FABRICS}")
+        self.modes = [ReplayMode.from_name(mode)
+                      for mode in _deduped("modes", modes or ["reactive"])]
+        if not isinstance(app_params, (dict, type(None))):
+            raise ValueError(f"app_params must be a dict of benchmark "
+                             f"parameters, got {app_params!r}")
         self.app_params = copy.deepcopy(dict(app_params or {}))
         if isinstance(fault_spec, dict):
             fault_spec = FaultSpec.from_dict(fault_spec)
+        elif not isinstance(fault_spec, (FaultSpec, type(None))):
+            raise ValueError(f"fault_spec must be a dict, got "
+                             f"{fault_spec!r}")
         self.fault_spec: Optional[Dict] = (
             fault_spec.to_dict() if isinstance(fault_spec, FaultSpec)
             else None)
@@ -165,7 +184,7 @@ class SweepSpec:
             raise ValueError(
                 "benchmark 'synthetic' needs a 'traffic' template dict "
                 "(see docs/TRAFFIC.md)")
-        loads = _deduped(list(loads)) if loads else None
+        loads = _deduped("loads", loads) if loads else None
         if loads is not None:
             for load in loads:
                 if isinstance(load, bool) \
@@ -173,7 +192,7 @@ class SweepSpec:
                         or not 0.0 < float(load) <= 1.0:
                     raise ValueError(
                         f"loads must be fractions in (0, 1], got {load!r}")
-        patterns = _deduped(list(patterns)) if patterns else None
+        patterns = _deduped("patterns", patterns) if patterns else None
         if patterns is not None:
             for pattern in patterns:
                 if pattern not in PATTERNS:
@@ -218,6 +237,9 @@ class SweepSpec:
 
     @staticmethod
     def from_dict(data: Dict) -> "SweepSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"a sweep spec must be a JSON object, "
+                             f"got {data!r}")
         known = {"benchmark", "cores", "interconnects", "modes",
                  "app_params", "fault_spec", "fault_seed",
                  "traffic", "loads", "patterns",
@@ -225,6 +247,9 @@ class SweepSpec:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown sweep keys: {sorted(unknown)}")
+        for key in ("benchmark", "cores"):
+            if key not in data:
+                raise ValueError(f"sweep spec needs a {key!r} key")
         return SweepSpec(
             benchmark=data["benchmark"],
             cores=data["cores"],

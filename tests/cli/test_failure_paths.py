@@ -296,6 +296,77 @@ class TestSweepCacheVerify:
         assert " done " not in line
 
 
+#: A valid one-point sweep spec; the failure cases below edit it.
+SWEEP_SPEC = {"benchmark": "cacheloop", "cores": [1],
+              "interconnects": ["ahb"], "app_params": {"iters": 10}}
+
+#: name -> (malformed spec, text the error line must contain)
+MALFORMED_SWEEP_SPECS = {
+    "no-benchmark": ({"cores": [1]}, "'benchmark'"),
+    "no-cores": ({"benchmark": "cacheloop"}, "'cores'"),
+    "scalar-cores": (dict(SWEEP_SPEC, cores=3), "cores"),
+    "list-app-params": (dict(SWEEP_SPEC, app_params=[1]), "app_params"),
+    "string-interconnects": (dict(SWEEP_SPEC, interconnects="tlm"),
+                             "interconnects"),
+    "unknown-interconnect": (dict(SWEEP_SPEC, interconnects=["nope"]),
+                             "'nope'"),
+    "string-fault-spec": (dict(SWEEP_SPEC, fault_spec="faults.json"),
+                          "fault_spec"),
+    "scalar-loads": ({"benchmark": "synthetic", "cores": [2],
+                      "traffic": {}, "loads": 0.5}, "loads"),
+    "not-an-object": ([SWEEP_SPEC], "JSON object"),
+}
+
+
+class TestSweepFailureReports:
+    """Every repro-sweep failure is one ``repro-sweep: error:`` line and
+    a ``--diagnostics-json`` report with ``ok: false`` and its exit
+    code, like the other tools."""
+
+    @staticmethod
+    def sweep(tmp_path, spec, *argv):
+        """Run repro-sweep on ``spec`` (a path, or data to write to one);
+        returns the exit code and the diagnostics report."""
+        if not isinstance(spec, str):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            spec = str(path)
+        report = tmp_path / "diag.json"
+        code = sweep_main([spec, "-j", "1", "--no-cache", *argv,
+                           "--diagnostics-json", str(report)])
+        payload = json.loads(report.read_text())
+        assert payload["tool"] == "repro-sweep"
+        assert payload["ok"] is False
+        assert payload["error"]["exit_code"] == code
+        return code, payload
+
+    def test_missing_spec_exit_3(self, tmp_path, capsys):
+        code, _ = self.sweep(tmp_path, str(tmp_path / "nope.json"))
+        assert code == EXIT_MISSING_FILE
+        _assert_one_line_error(capsys, "repro-sweep")
+
+    def test_invalid_spec_exit_4(self, tmp_path, capsys):
+        code, payload = self.sweep(tmp_path,
+                                   dict(SWEEP_SPEC, benchmark="nope"))
+        assert code == EXIT_PARSE
+        assert "unknown benchmark" in payload["error"]["message"]
+        _assert_one_line_error(capsys, "repro-sweep")
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SWEEP_SPECS))
+    def test_malformed_spec_exit_4(self, name, tmp_path, capsys):
+        spec, named = MALFORMED_SWEEP_SPECS[name]
+        code, _ = self.sweep(tmp_path, spec)
+        assert code == EXIT_PARSE
+        assert named in _assert_one_line_error(capsys, "repro-sweep")
+
+    def test_unwritable_csv_exit_3(self, tmp_path, capsys):
+        csv = tmp_path / "missing" / "out.csv"
+        code, _ = self.sweep(tmp_path, SWEEP_SPEC, "--csv", str(csv))
+        assert code == EXIT_MISSING_FILE
+        line = _assert_one_line_error(capsys, "repro-sweep")
+        assert line.startswith(f"repro-sweep: error: --csv {csv}: ")
+
+
 class TestRunFlagUsageErrors:
     """Bad numbers on the run CLIs are usage errors: exit 2 and one
     ``error:`` line, never a traceback or an unrelated exit code."""

@@ -182,7 +182,7 @@ class TestSummaryValidation:
         from repro.harness import PointResult
         # e.g. a stale cache entry written by an older result schema
         stale = {"ref_cycles": 100, "tg_cycles": 100}
-        result = PointResult.from_summary(self.point(), stale, cached=True)
+        result = PointResult.from_summary(self.point(), stale, "cache")
         assert result.status == "failed"
         assert result.failure is not None
         assert "invalid status" in result.failure.message

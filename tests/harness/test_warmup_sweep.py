@@ -188,6 +188,8 @@ class TestEngine:
         assert comparable(shared) == comparable(cold)
         assert all(r.status == "ok" for r in shared)
         assert all(r.warm_restored for r in shared)
+        # each worker ran its own warm-up: nothing was restored
+        assert [r.source for r in cold] == ["simulated"] * len(cold)
         # sharing off: no class warm-up ran as a task of its own
         assert report["classes"] == []
         assert report["simulated"] == 0
@@ -218,8 +220,8 @@ class TestEngine:
     def test_foreign_cached_warmup_is_a_miss(self, tmp_path):
         """A cached warm-up under another class's digest loads and
         verifies (the ``.snap`` does not carry the class material), but
-        its recipe does not match: each member runs its own warm-up and
-        the sweep's results do not change."""
+        its recipe does not match: each member runs its own warm-up, so
+        it is ``simulated``, and the sweep's results do not change."""
         spec = warm_spec(loads=[0.2, 0.4])
         cache = ResultCache(tmp_path)
         first = run_sweep_parallel(spec, jobs=self.jobs, cache=cache)
@@ -232,6 +234,8 @@ class TestEngine:
         again = run_sweep_parallel(spec, jobs=self.jobs, cache=cache)
         assert [r.status for r in again] == ["ok"] * 4
         assert masked_csv(again) == masked_csv(first)
+        assert all(r.warm_restored for r in first)
+        assert not any(r.warm_restored for r in again)
 
     def test_class_failure_fails_every_member(self, monkeypatch):
         def explode(*args):
