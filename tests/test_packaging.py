@@ -35,7 +35,7 @@ class TestPyproject:
 
     def test_test_extras_present(self, pyproject):
         extras = pyproject["project"]["optional-dependencies"]["test"]
-        assert {"pytest", "pytest-benchmark", "hypothesis"} <= set(extras)
+        assert {"pytest", "hypothesis"} <= set(extras)
 
     def test_readme_and_docs_exist(self):
         for path in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
