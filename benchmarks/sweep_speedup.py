@@ -7,8 +7,8 @@ to four workers.  Every pair must render the same CSV with the
 wall-time columns masked, and the median of the per-pair speedups must
 beat the floor for the CPUs available: 1.5x on four or more, 1.0x on
 two or three.  One CPU makes no speed claim.  A single pair on a shared
-2-vCPU host can read anywhere from 1.0x to 1.7x, which is why the claim
-is a median::
+2-vCPU host read anywhere from 0.96x to 3.27x over fifteen pairs, which
+is why the claim is a median::
 
     python benchmarks/sweep_speedup.py
 """

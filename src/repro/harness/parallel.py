@@ -220,7 +220,7 @@ def expand_grid(spec: SweepSpec) -> List[SweepPoint]:
 SOURCES = ("simulated", "warmup-restored", "cache", "journal")
 
 #: Key a worker's summary carries when the point restored its class's
-#: shared warm-up snapshot; the driver pops it before storing the summary.
+#: shared warm-up snapshot; the engine pops it before storing the summary.
 _RESTORED = "warmup_restored"
 
 
