@@ -135,8 +135,8 @@ class _UniformSize:
 class _CdfSize:
     """Sizes drawn from an empirical CDF of transaction sizes in bytes.
 
-    ``points`` is the validated ``[(size_bytes, cumulative_percent)]``
-    list from :func:`parse_cdf`; sampling is inverse-transform with
+    ``points`` is the checked ``[(size_bytes, cumulative_percent)]``
+    list from :func:`_cdf_points`; sampling is inverse-transform with
     linear interpolation between points, and the byte size is converted
     to words (ceil, clamped to the ISA's burst range).  The points are
     embedded in :meth:`to_dict`, so a spec that named a CDF *file*
@@ -151,8 +151,6 @@ class _CdfSize:
         self.points = [(float(size), float(percent))
                        for size, percent in points]
         self.file = file
-        if not self.points:
-            raise TrafficSpecError("CDF has no points", path=file)
 
     def sample(self, rng: random.Random) -> int:
         u = rng.uniform(0.0, 100.0)
@@ -171,9 +169,8 @@ class _CdfSize:
         # draw landing there — or before a zero-probability leading point —
         # would produce a size *below the distribution's minimum*, a value
         # the empirical data says never occurs.  Clamp to the first
-        # recorded size (inline point lists may also carry duplicate
-        # sizes, which the equal-percent guard above already handles
-        # without dividing by zero).
+        # recorded size (the equal-percent guard above keeps a flat
+        # stretch of the CDF from dividing by zero).
         min_size = self.points[0][0]
         if size < min_size:
             size = min_size
@@ -188,60 +185,67 @@ class _CdfSize:
         return data
 
 
-def parse_cdf(text: str, path: Optional[str] = None
-              ) -> List[Tuple[float, float]]:
-    """Parse Yokumii ``traffic_gen``-style CDF text.
+def _cdf_points(rows, path: Optional[str] = None
+                ) -> List[Tuple[float, float]]:
+    """Check a CDF's ``(size_bytes, cumulative_percent)`` pairs.
 
-    Each non-blank, non-``#`` line is ``<size_bytes> <cumulative_percent>``.
-    Sizes must be positive and strictly increasing, percents in
-    ``[0, 100]`` and non-decreasing, and the final percent must be 100
-    (a normalised distribution).  Violations raise a located
-    :class:`TrafficSpecError` (CLI exit code 4).
+    ``rows`` yields ``(where, text, pair)``: ``where`` is a file's line
+    number, or an inline point's name (``size.points[i]``).  Sizes must
+    be positive, finite and strictly increasing, percents in ``[0, 100]``,
+    non-decreasing and ending at 100 (a normalised distribution).
+    Violations raise a :class:`TrafficSpecError` (CLI exit code 4)
+    located by line or point.
     """
+    def fail(where, text, message, hint=None):
+        if isinstance(where, str):
+            message, where = f"{where}: {message}", None
+        raise TrafficSpecError(message, path=path, line=where, text=text,
+                               hint=hint)
+
     points: List[Tuple[float, float]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise TrafficSpecError(
-                "expected '<size_bytes> <cumulative_percent>'",
-                path=path, line=line_no, text=raw.strip(),
-                hint="one size/percent pair per line")
+    for where, text, pair in rows:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            fail(where, text, "expected '<size_bytes> <cumulative_percent>'",
+                 "one size/percent pair per line or point")
         try:
-            size, percent = float(fields[0]), float(fields[1])
-        except ValueError:
-            raise TrafficSpecError(
-                "size and percent must be numbers",
-                path=path, line=line_no, text=raw.strip()) from None
-        if size <= 0:
-            raise TrafficSpecError(
-                f"size must be positive, got {size:g}",
-                path=path, line=line_no, text=raw.strip())
-        if not 0.0 <= percent <= 100.0:
-            raise TrafficSpecError(
-                f"cumulative percent must be in [0, 100], got {percent:g}",
-                path=path, line=line_no, text=raw.strip())
-        if points:
-            prev_size, prev_pct = points[-1]
-            if size <= prev_size or percent < prev_pct:
-                raise TrafficSpecError(
-                    "CDF points must be sorted (sizes strictly "
-                    "increasing, percents non-decreasing)",
-                    path=path, line=line_no, text=raw.strip(),
-                    hint="sort the file by size")
+            size, percent = float(pair[0]), float(pair[1])
+        except (TypeError, ValueError):
+            fail(where, text, "size and percent must be numbers")
+        if not 0.0 < size < math.inf:
+            fail(where, text, f"size must be positive and finite, "
+                              f"got {size:g}")
+        if not 0.0 <= percent <= 100.0:         # also refuses nan
+            fail(where, text, f"cumulative percent must be in [0, 100], "
+                              f"got {percent:g}")
+        if points and (size <= points[-1][0] or percent < points[-1][1]):
+            fail(where, text, "CDF points must be sorted (sizes strictly "
+                              "increasing, percents non-decreasing)",
+                 "sort the points by size")
         points.append((size, percent))
     if not points:
-        raise TrafficSpecError("empty CDF file (no data points)",
-                               path=path,
+        raise TrafficSpecError("CDF has no data points", path=path,
                                hint="one '<size_bytes> <percent>' per line")
     if abs(points[-1][1] - 100.0) > 1e-9:
         raise TrafficSpecError(
             f"CDF is not normalised: last cumulative percent is "
             f"{points[-1][1]:g}, expected 100", path=path,
-            hint="the final line must reach 100")
+            hint="the final point must reach 100")
     return points
+
+
+def parse_cdf(text: str, path: Optional[str] = None
+              ) -> List[Tuple[float, float]]:
+    """Parse Yokumii ``traffic_gen``-style CDF text.
+
+    Each non-blank, non-``#`` line is ``<size_bytes> <cumulative_percent>``,
+    checked by :func:`_cdf_points`.
+    """
+    rows = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#")[0].strip()
+        if line:
+            rows.append((line_no, raw.strip(), line.split()))
+    return _cdf_points(rows, path=path)
 
 
 def load_cdf(path: str) -> List[Tuple[float, float]]:
@@ -268,7 +272,14 @@ def _size_from_dict(data: Dict) -> object:
                 raise TrafficSpecError(
                     "cdf size needs a 'file' path or inline 'points'")
             return _CdfSize(load_cdf(file), file=file)
-        return _CdfSize([tuple(p) for p in points], file=data.get("file"))
+        if not isinstance(points, list):
+            raise TrafficSpecError(f"cdf 'points' must be a list of "
+                                   f"[size_bytes, percent] pairs, "
+                                   f"got {points!r}")
+        return _CdfSize(_cdf_points((f"size.points[{index}]", repr(point),
+                                     point)
+                                    for index, point in enumerate(points)),
+                        file=data.get("file"))
     raise TrafficSpecError(
         f"unknown size kind {kind!r}; choose fixed | uniform | cdf")
 
@@ -354,9 +365,10 @@ class TrafficSpec:
         self.burst = self._validated_burst(burst)
         self.hot_target = self._validated_hot_target(hot_target)
         if not isinstance(hot_weight, (int, float)) \
-                or isinstance(hot_weight, bool) or hot_weight < 1.0:
-            raise TrafficSpecError(
-                f"hot_weight must be a number >= 1, got {hot_weight!r}")
+                or isinstance(hot_weight, bool) \
+                or not 1.0 <= hot_weight < math.inf:
+            raise TrafficSpecError(f"hot_weight must be a finite number "
+                                   f">= 1, got {hot_weight!r}")
         self.hot_weight = float(hot_weight)
         self.seed = seed
         try:

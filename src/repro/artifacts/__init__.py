@@ -51,7 +51,6 @@ from repro.artifacts.io import (
     dump_bin,
     dump_tgp,
     dump_trc,
-    file_crc32,
     load_artifact_bytes,
     load_bin,
     load_bin_bytes,
@@ -96,7 +95,6 @@ __all__ = [
     "dump_snap",
     "dump_tgp",
     "dump_trc",
-    "file_crc32",
     "load_artifact_bytes",
     "load_bin",
     "load_bin_bytes",

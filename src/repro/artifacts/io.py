@@ -25,7 +25,6 @@ import contextlib
 import os
 import re
 import warnings
-import zlib
 from typing import Optional
 
 from repro.artifacts.errors import (
@@ -151,15 +150,6 @@ def _save_text(path, text: str) -> str:
     with open(path, "w") as handle:
         handle.write(text)
     return crc32_hex(text.partition("\n")[2].encode("utf-8"))
-
-
-def file_crc32(path) -> str:
-    """CRC32 (hex) of a file's raw bytes, for cache/manifest audits."""
-    crc = 0
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 16), b""):
-            crc = zlib.crc32(chunk, crc)
-    return f"{crc & 0xFFFFFFFF:08x}"
 
 
 # ------------------------------------------------------------------- trc
@@ -320,7 +310,6 @@ __all__ = [
     "dump_bin",
     "dump_tgp",
     "dump_trc",
-    "file_crc32",
     "load_artifact_bytes",
     "load_bin",
     "load_bin_bytes",

@@ -145,7 +145,7 @@ def _run_options(parser: argparse.ArgumentParser, args, **extra):
         parser.error(message)
 
 
-def _restore(tool: str, args, options) -> int:
+def _restore(args, options):
     """``--restore SNAP``: continue a checkpointed run to completion."""
     from repro.harness import load_snapshot, restore_platform
     snapshot = load_snapshot(args.restore)
@@ -155,9 +155,7 @@ def _restore(tool: str, args, options) -> int:
                       "restore_cycle": snapshot["cycle"],
                       "tg_summary": platform.stats_summary()},
                      indent=2, sort_keys=True))
-    _write_diagnostics(args.diagnostics_json,
-                       _diagnostics_payload(tool, True))
-    return 0
+    return 0, {}
 
 
 # ------------------------------------------------------ failure plumbing
@@ -174,8 +172,7 @@ def _write_diagnostics(path: Optional[str], payload: dict) -> None:
 
 
 def _diagnostics_payload(tool: str, ok: bool,
-                         error: Optional[Exception] = None,
-                         report: Optional[DiagnosticReport] = None) -> dict:
+                         error: Optional[Exception] = None) -> dict:
     payload = {"tool": tool, "ok": ok}
     if isinstance(error, ArtifactError):
         payload["error"] = error.as_dict()
@@ -183,26 +180,49 @@ def _diagnostics_payload(tool: str, ok: bool,
         payload["error"] = {"type": type(error).__name__,
                             "message": str(error),
                             "exit_code": EXIT_MISSING_FILE}
-    if report is not None:
-        payload["skipped"] = len(report)
-        payload["diagnostics"] = report.as_dict()["diagnostics"]
     return payload
 
 
-def _guarded(tool: str, body, diagnostics: Optional[str] = None) -> int:
-    """Run ``body()``; map artifact/file failures to exit codes + 1 line."""
+def _report_fields(report: DiagnosticReport) -> dict:
+    """The report fields listing a load's skipped records."""
+    return {"skipped": len(report),
+            "diagnostics": report.as_dict()["diagnostics"]}
+
+
+@contextlib.contextmanager
+def _naming(flag: str, path):
+    """Re-raise an OSError as one naming ``flag`` and its ``path``."""
     try:
-        return body()
-    except ArtifactError as error:
-        print(f"{tool}: error: {error}", file=sys.stderr)
-        _write_diagnostics(diagnostics,
-                           _diagnostics_payload(tool, False, error=error))
-        return error.exit_code
+        yield
+    except OSError as error:
+        raise type(error)(f"{flag} {path}: {error.strerror or error}") \
+            from None
+
+
+def _guarded(tool: str, body, diagnostics: Optional[str] = None) -> int:
+    """Run ``body()``, which returns its exit code and its report fields;
+    map artifact/file failures to exit codes + 1 line.
+
+    The ``--diagnostics-json`` report of a success or a failure is the
+    last thing the tool writes; a report path that cannot be written
+    fails the tool before ``body`` runs.
+    """
+    try:
+        if diagnostics and diagnostics != "-":
+            with _naming("--diagnostics-json", diagnostics):
+                open(diagnostics, "a").close()
     except OSError as error:
         print(f"{tool}: error: {error}", file=sys.stderr)
-        _write_diagnostics(diagnostics,
-                           _diagnostics_payload(tool, False, error=error))
         return EXIT_MISSING_FILE
+    try:
+        code, fields = body()
+        payload = dict(_diagnostics_payload(tool, code == 0), **fields)
+    except (ArtifactError, OSError) as error:
+        print(f"{tool}: error: {error}", file=sys.stderr)
+        code = getattr(error, "exit_code", EXIT_MISSING_FILE)
+        payload = _diagnostics_payload(tool, False, error=error)
+    _write_diagnostics(diagnostics, payload)
+    return code
 
 
 # --------------------------------------------------------------- trc2tgp
@@ -262,12 +282,10 @@ def trc2tgp_main(argv: Optional[List[str]] = None) -> int:
                   f"gap(s) totalling {stats.clamped_cycles} cycle(s); "
                   f"{stats.borrowed_cycles} borrowed, "
                   f"{stats.residual_debt} residual", file=sys.stderr)
-        payload = _diagnostics_payload("repro-trc2tgp", True,
-                                       report=artifact.report)
+        fields = _report_fields(artifact.report)
         if stats is not None:
-            payload["translation_stats"] = stats.as_dict()
-        _write_diagnostics(args.diagnostics_json, payload)
-        return 0
+            fields["translation_stats"] = stats.as_dict()
+        return 0, fields
 
     return _guarded("repro-trc2tgp", body,
                     diagnostics=args.diagnostics_json)
@@ -295,9 +313,7 @@ def tgasm_main(argv: Optional[List[str]] = None) -> int:
               f"{len(program.pool)} pool words -> "
               f"{os.path.getsize(args.output)} bytes",
               file=sys.stderr)
-        _write_diagnostics(args.diagnostics_json,
-                           _diagnostics_payload("repro-tgasm", True))
-        return 0
+        return 0, {}
 
     return _guarded("repro-tgasm", body, diagnostics=args.diagnostics_json)
 
@@ -321,14 +337,11 @@ def tgdump_main(argv: Optional[List[str]] = None) -> int:
         program = load_bin(args.image).value
         if args.stats:
             print(json.dumps(program.stats(), indent=2, sort_keys=True))
-            return 0
-        if args.output:
+        elif args.output:
             save_tgp(args.output, program)
         else:
             sys.stdout.write(program.to_tgp())
-        _write_diagnostics(args.diagnostics_json,
-                           _diagnostics_payload("repro-tgdump", True))
-        return 0
+        return 0, {}
 
     return _guarded("repro-tgdump", body, diagnostics=args.diagnostics_json)
 
@@ -362,19 +375,18 @@ def trace_stats_main(argv: Optional[List[str]] = None) -> int:
         if artifact.report:
             print(f"repro-trace-stats: {artifact.report.summary()}",
                   file=sys.stderr)
-        _write_diagnostics(args.diagnostics_json, _diagnostics_payload(
-            "repro-trace-stats", True, report=artifact.report))
+        fields = _report_fields(artifact.report)
         if args.vcd:
             from repro.stats import export_vcd
             export_vcd({f"M{master_id}": group_events(events)},
                        path=args.vcd)
             print(f"wrote {args.vcd}", file=sys.stderr)
-            return 0
+            return 0, fields
         if args.timeline:
             from repro.stats import render_timeline
             print(render_timeline({f"M{master_id}": group_events(events)},
                                   width=args.width))
-            return 0
+            return 0, fields
         summary = trace_summary(group_events(events))
         summary["master"] = master_id
         if args.json:
@@ -388,7 +400,7 @@ def trace_stats_main(argv: Optional[List[str]] = None) -> int:
             print(f"  read latency:  {summary['read_latency']}")
             print(f"  write latency: {summary['write_latency']}")
             print(f"  idle gaps:     {summary['idle_gaps']}")
-        return 0
+        return 0, fields
 
     return _guarded("repro-trace-stats", body,
                     diagnostics=args.diagnostics_json)
@@ -398,7 +410,7 @@ def trace_stats_main(argv: Optional[List[str]] = None) -> int:
 
 def _sweep_diagnostics(results, tally, interrupted: bool, journal_dir,
                        exit_code: int, warmup=None) -> dict:
-    """Machine-readable sweep report (per-point failure taxonomy)."""
+    """The sweep's report fields (per-point failure taxonomy)."""
     points = []
     for result in results:
         point = {name: getattr(result, name) for name in (
@@ -408,24 +420,12 @@ def _sweep_diagnostics(results, tally, interrupted: bool, journal_dir,
         point.update(mode=result.mode.value, provenance=result.source,
                      failure=failure.as_dict() if failure else None)
         points.append(point)
-    return {"tool": "repro-sweep",
-            "ok": exit_code == 0,
-            "interrupted": interrupted,
+    return {"interrupted": interrupted,
             "journal": journal_dir,
             "exit_code": exit_code,
             "provenance": dict(tally.ok),
             "warmup": warmup,
             "points": points}
-
-
-@contextlib.contextmanager
-def _naming(flag: str, path):
-    """Re-raise an OSError as one naming ``flag`` and its ``path``."""
-    try:
-        yield
-    except OSError as error:
-        raise type(error)(f"{flag} {path}: {error.strerror or error}") \
-            from None
 
 
 def sweep_main(argv: Optional[List[str]] = None) -> int:
@@ -547,7 +547,7 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
                   f"{len(cache.files()) - len(issues)} ok, "
                   f"{kinds.count('corrupt')} corrupt, "
                   f"{kinds.count('stale')} stale", file=sys.stderr)
-            return 1 if issues else 0
+            return (1 if issues else 0), {}
         if args.resume and args.journal:
             parser.error("--resume and --journal are mutually exclusive "
                          "(--resume reopens the existing journal)")
@@ -692,9 +692,6 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
 
         exit_code = EXIT_INTERRUPTED if interrupted \
             else (1 if tally.failed else 0)
-        _write_diagnostics(args.diagnostics_json, _sweep_diagnostics(
-            results, tally, interrupted, journal_dir, exit_code,
-            warmup=warmup_report or None))
         if interrupted:
             if journal is not None:
                 print(f"[sweep] interrupted — resume with: "
@@ -702,7 +699,9 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
             else:
                 print("[sweep] interrupted — re-run with --journal DIR to "
                       "make sweeps resumable", file=sys.stderr)
-        return exit_code
+        return exit_code, _sweep_diagnostics(
+            results, tally, interrupted, journal_dir, exit_code,
+            warmup=warmup_report or None)
 
     return _guarded("repro-sweep", body, diagnostics=args.diagnostics_json)
 
@@ -735,13 +734,13 @@ def traceset_main(argv: Optional[List[str]] = None) -> int:
             print(f"masters:       {manifest['n_masters']}")
             for master_id, events in sorted(traces.items()):
                 print(f"  core {master_id}: {len(events)} events")
-            return 0
+            return 0, {}
         programs = translate_trace_set(args.directory,
                                        mode=ReplayMode.from_name(args.mode))
         for master_id, program in sorted(programs.items()):
             print(f"core {master_id}: {len(program)} TG instructions -> "
                   f"core{master_id}.tgp / .bin")
-        return 0
+        return 0, {}
 
     return _guarded("repro-traceset", body)
 
@@ -851,7 +850,7 @@ def experiment_main(argv: Optional[List[str]] = None) -> int:
 
     def body() -> int:
         if args.restore:
-            return _restore("repro-experiment", args, options)
+            return _restore(args, options)
         run_options = options
         if args.fault_spec:
             import dataclasses
@@ -909,9 +908,7 @@ def experiment_main(argv: Optional[List[str]] = None) -> int:
             if resilience is not None:
                 from repro.stats import resilience_report
                 print(resilience_report(resilience))
-        _write_diagnostics(args.diagnostics_json,
-                           _diagnostics_payload("repro-experiment", True))
-        return 0
+        return 0, {}
 
     return _guarded("repro-experiment", body,
                     diagnostics=args.diagnostics_json)
@@ -1001,7 +998,7 @@ def traffic_main(argv: Optional[List[str]] = None) -> int:
         import os
 
         if args.restore:
-            return _restore("repro-traffic", args, options)
+            return _restore(args, options)
 
         from repro.apps.synthetic import (
             TrafficSpec,
@@ -1058,9 +1055,7 @@ def traffic_main(argv: Optional[List[str]] = None) -> int:
             raise TrafficSpecError(str(error), path=args.spec)
 
         programs, report = generate(spec)
-        payload = _diagnostics_payload("repro-traffic", True)
-        payload["spec"] = spec.to_dict()
-        payload["cores"] = report
+        fields = {"spec": spec.to_dict(), "cores": report}
 
         if args.output:
             os.makedirs(args.output, exist_ok=True)
@@ -1081,7 +1076,7 @@ def traffic_main(argv: Optional[List[str]] = None) -> int:
                 summary = dict(summary)
                 summary["tg_summary"] = \
                     result.tg_platform.stats_summary()
-            payload["simulation"] = summary
+            fields["simulation"] = summary
             if args.json:
                 print(json.dumps(summary, indent=2, sort_keys=True))
             else:
@@ -1094,15 +1089,14 @@ def traffic_main(argv: Optional[List[str]] = None) -> int:
                       f"max={result.latency_max}, "
                       f"{result.throughput_wpkc:.1f} words/kcycle")
         elif args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(json.dumps(dict(_diagnostics_payload("repro-traffic", True),
+                                  **fields), indent=2, sort_keys=True))
         elif not args.output:
             # no sink requested: dump the .tgp text like the other tools
             for core_id in sorted(programs):
                 sys.stdout.write(f"# --- core {core_id} ---\n")
                 sys.stdout.write(programs[core_id].to_tgp())
-
-        _write_diagnostics(args.diagnostics_json, payload)
-        return 0
+        return 0, fields
 
     return _guarded("repro-traffic", body,
                     diagnostics=args.diagnostics_json)

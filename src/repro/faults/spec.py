@@ -19,6 +19,8 @@ Three fault families, matching where a NoC platform actually degrades:
 import json
 from typing import Dict, List, Optional, Sequence
 
+from repro.artifacts.errors import ParseDiagnostic
+
 __all__ = [
     "FaultSpecError",
     "SlaveErrorRule",
@@ -28,8 +30,8 @@ __all__ = [
 ]
 
 
-class FaultSpecError(ValueError):
-    """A fault specification is malformed."""
+class FaultSpecError(ParseDiagnostic, ValueError):
+    """A fault specification is malformed (CLI exit code 4)."""
 
 
 def _check_probability(value, field: str) -> float:
@@ -257,7 +259,12 @@ class FaultSpec:
     @classmethod
     def load(cls, path: str) -> "FaultSpec":
         with open(path) as handle:
-            return cls.from_json(handle.read())
+            text = handle.read()
+        try:
+            return cls.from_json(text)
+        except FaultSpecError as error:
+            error.path = str(path)
+            raise
 
     def to_dict(self) -> Dict:
         return {

@@ -54,7 +54,7 @@ import time
 import traceback as traceback_module
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.artifacts.errors import ArtifactError, SnapshotRecipeMismatch
 from repro.core.modes import ReplayMode
@@ -96,7 +96,8 @@ DEFAULT_HEARTBEAT_TIMEOUT_S = 30.0
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One grid point, as plain picklable data (no app modules)."""
+    """One grid point, as plain picklable data (no app modules): what
+    a pool task ships to the worker."""
 
     index: int
     benchmark: str
@@ -155,62 +156,32 @@ class SweepPoint:
         """The hash of :meth:`provenance`, which the entry stores."""
         return content_hash(self.provenance(version))
 
-    def payload(self) -> Dict:
-        """The dict shipped to a worker process (deep-copied params)."""
-        payload = {
-            "benchmark": self.benchmark,
-            "n_cores": self.n_cores,
-            "interconnect": self.interconnect,
-            "mode": self.mode,
-            "app_params": copy.deepcopy(self.app_params),
-            "fault_spec": copy.deepcopy(self.fault_spec),
-            "fault_seed": self.fault_seed,
-            "traffic": copy.deepcopy(self.traffic),
-        }
-        if self.warmup_cycles is not None:
-            payload["warmup"] = {"cycles": self.warmup_cycles,
-                                 "fabric": self.warmup_fabric,
-                                 "digest": self.warmup_key()}
-        return payload
-
 
 def expand_grid(spec: SweepSpec) -> List[SweepPoint]:
-    """Grid points in canonical sweep order (fabric → mode → cores).
+    """Grid points in canonical sweep order: fabric, then
+    :meth:`SweepSpec.fabric_grid` (mode → cores → pattern → load).
 
     Results come back in this order whatever the worker count, so
     ``jobs=1`` and pooled sweeps render identical tables.  Every point
     gets its own deep copy of the app params.
     """
+    synthetic = spec.benchmark == SYNTHETIC
     points: List[SweepPoint] = []
     for interconnect in spec.interconnects:
-        for mode in spec.modes:
-            for n_cores in spec.cores:
-                if spec.benchmark == SYNTHETIC:
-                    for pattern in (spec.patterns or [None]):
-                        for load in (spec.loads or [None]):
-                            points.append(SweepPoint(
-                                index=len(points),
-                                benchmark=spec.benchmark,
-                                n_cores=n_cores,
-                                interconnect=interconnect,
-                                mode=mode.value,
-                                fault_spec=copy.deepcopy(spec.fault_spec),
-                                fault_seed=spec.fault_seed,
-                                traffic=resolve_traffic(
-                                    spec.traffic, n_cores, mode.value,
-                                    pattern=pattern, load=load),
-                                warmup_cycles=spec.warmup_cycles,
-                                warmup_fabric=spec.warmup_fabric))
-                    continue
-                points.append(SweepPoint(
-                    index=len(points), benchmark=spec.benchmark,
-                    n_cores=n_cores, interconnect=interconnect,
-                    mode=mode.value,
-                    app_params=copy.deepcopy(spec.app_params),
-                    fault_spec=copy.deepcopy(spec.fault_spec),
-                    fault_seed=spec.fault_seed,
-                    warmup_cycles=spec.warmup_cycles,
-                    warmup_fabric=spec.warmup_fabric))
+        for mode, n_cores, pattern, load in spec.fabric_grid():
+            points.append(SweepPoint(
+                index=len(points), benchmark=spec.benchmark,
+                n_cores=n_cores, interconnect=interconnect,
+                mode=mode.value,
+                app_params={} if synthetic
+                else copy.deepcopy(spec.app_params),
+                fault_spec=copy.deepcopy(spec.fault_spec),
+                fault_seed=spec.fault_seed,
+                traffic=resolve_traffic(spec.traffic, n_cores, mode.value,
+                                        pattern, load)
+                if synthetic else None,
+                warmup_cycles=spec.warmup_cycles,
+                warmup_fabric=spec.warmup_fabric))
     return points
 
 
@@ -375,44 +346,44 @@ def _class_programs(class_programs: Dict, digest: str, spec):
     return programs
 
 
-def _execute_point(payload: Dict, class_programs: Dict) -> Dict:
+def _execute_point(point: SweepPoint, snap_path: Optional[str],
+                   class_programs: Dict) -> Dict:
     """Worker body: run one grid point, return a picklable summary.
 
-    Runs in a pool worker (or in-process for ``jobs=1``).  A point that
-    restores a shared warm-up takes its programs from
-    ``class_programs`` (see :func:`_class_programs`), and its summary
-    says it did (:data:`_RESTORED`).  All failures are folded into a
-    ``{"status": "failed"}`` summary so an exploding grid point cannot
-    take the pool down with it.
+    Runs in a pool worker (or in-process for ``jobs=1``).  A point given
+    its class's shared warm-up ``snap_path`` restores it and takes its
+    programs from ``class_programs`` (see :func:`_class_programs`), and
+    its summary says it did (:data:`_RESTORED`).  All failures are
+    folded into a ``{"status": "failed"}`` summary so an exploding grid
+    point cannot take the pool down with it.
     """
     sleep_s = float(os.environ.get(_TEST_SLEEP_ENV, "0") or 0.0)
     if sleep_s > 0:
         time.sleep(sleep_s)
     try:
         restored = False
-        warmup = payload.get("warmup") or {}
-        options = RunOptions(fault_spec=payload.get("fault_spec"),
-                             fault_seed=payload.get("fault_seed", 0),
-                             warmup_cycles=warmup.get("cycles"),
-                             warmup_fabric=warmup.get("fabric", "tlm"))
-        if payload["benchmark"] == SYNTHETIC:
+        options = RunOptions(fault_spec=point.fault_spec,
+                             fault_seed=point.fault_seed,
+                             warmup_cycles=point.warmup_cycles,
+                             warmup_fabric=point.warmup_fabric)
+        if point.benchmark == SYNTHETIC:
             from repro.apps.synthetic import TrafficSpec, synthetic_flow
-            spec = TrafficSpec.from_dict(payload["traffic"])
+            spec = TrafficSpec.from_dict(point.traffic)
             warmup_payload = program_set = None
-            if warmup.get("snap_path"):
+            if snap_path:
                 # a damaged or vanished shared snapshot is a cache-style
                 # miss, not a failure: the worker re-derives the same
                 # warm-up itself (deterministic, so same result)
                 from repro.harness.checkpoint import load_snapshot
                 try:
-                    warmup_payload = load_snapshot(warmup["snap_path"])
+                    warmup_payload = load_snapshot(snap_path)
                 except (OSError, ArtifactError):
                     warmup_payload = None
                 else:
                     program_set = _class_programs(
-                        class_programs, warmup["digest"], spec)
+                        class_programs, point.warmup_key(), spec)
             try:
-                result = synthetic_flow(spec, payload["interconnect"],
+                result = synthetic_flow(spec, point.interconnect,
                                         options=options,
                                         warmup_payload=warmup_payload,
                                         program_set=program_set)
@@ -422,14 +393,14 @@ def _execute_point(payload: Dict, class_programs: Dict) -> Dict:
                 # .snap does not carry the class material) is a miss too
                 if warmup_payload is None:
                     raise
-                result = synthetic_flow(spec, payload["interconnect"],
+                result = synthetic_flow(spec, point.interconnect,
                                         options=options)
         else:
-            result = tg_flow(_resolve_app(payload["benchmark"]),
-                             payload["n_cores"],
-                             interconnect=payload["interconnect"],
-                             mode=ReplayMode.from_name(payload["mode"]),
-                             app_params=payload["app_params"] or None,
+            result = tg_flow(_resolve_app(point.benchmark), point.n_cores,
+                             interconnect=point.interconnect,
+                             mode=ReplayMode.from_name(point.mode),
+                             app_params=copy.deepcopy(point.app_params)
+                             or None,
                              options=options)
         summary = result.summary()
         summary["status"] = "ok"
@@ -441,16 +412,16 @@ def _execute_point(payload: Dict, class_programs: Dict) -> Dict:
                 "traceback": traceback_module.format_exc()}
 
 
-def _shared_warmup_payload(task: Dict, class_programs: Dict) -> Dict:
-    """Simulate one equivalence class's warm-up prefix.
+def _shared_warmup_payload(point: SweepPoint, class_programs: Dict) -> Dict:
+    """Simulate the warm-up prefix of ``point``'s equivalence class.
 
-    Runs as a pool task (in-process at ``jobs=1``).  The programs are
-    the class's :class:`~repro.apps.synthetic.ProgramSet` from
-    ``class_programs``, built with
-    :func:`~repro.apps.synthetic.generate` exactly as every restoring
-    member builds them, and the class recipe takes the set's texts, so
-    the snapshot's embedded recipe byte-matches the recipe each member
-    derives (and
+    Runs as a pool task for the class's first point (in-process at
+    ``jobs=1``).  The programs are the class's
+    :class:`~repro.apps.synthetic.ProgramSet` from ``class_programs``,
+    built with :func:`~repro.apps.synthetic.generate` exactly as every
+    restoring member builds them, and the class recipe takes the set's
+    texts, so the snapshot's embedded recipe byte-matches the recipe
+    each member derives (and
     :func:`~repro.harness.checkpoint.ensure_recipe_compatible` accepts
     the restore), and members restored in this process reuse the set.
     The warm-up is healthy and fabric-agnostic by construction (see
@@ -458,27 +429,33 @@ def _shared_warmup_payload(task: Dict, class_programs: Dict) -> Dict:
     """
     from repro.apps.synthetic import TrafficSpec
     from repro.harness.checkpoint import platform_recipe, warmup_snapshot
-    programs = _class_programs(class_programs, task["digest"],
-                               TrafficSpec.from_dict(task["traffic"]))
-    recipe = platform_recipe(programs.programs, task["n_cores"],
-                             task["fabric"], texts=programs.texts)
-    return warmup_snapshot(recipe, task["cycles"], task["fabric"],
+    programs = _class_programs(class_programs, point.warmup_key(),
+                               TrafficSpec.from_dict(point.traffic))
+    recipe = platform_recipe(programs.programs, point.n_cores,
+                             point.warmup_fabric, texts=programs.texts)
+    return warmup_snapshot(recipe, point.warmup_cycles, point.warmup_fabric,
                            programs.programs)
 
 
-def _execute_task(payload: Dict, class_programs: Dict) -> Dict:
+#: What the pool ships per task: the grid point, its class's shared
+#: warm-up snapshot path (or None), and whether the task is the class's
+#: warm-up rather than the point itself.
+_PoolTask = Tuple[SweepPoint, Optional[str], bool]
+
+
+def _execute_task(task: _PoolTask, class_programs: Dict) -> Dict:
     """Run one pool task: a class warm-up or a grid point.
 
     ``class_programs`` is the calling loop's dict of traffic classes.
     A warm-up task's summary carries the snapshot as ``.snap`` text for
     the driver to store.
     """
-    task = payload.get("warmup_task")
-    if task is None:
-        return _execute_point(payload, class_programs)
+    point, snap_path, is_warmup = task
+    if not is_warmup:
+        return _execute_point(point, snap_path, class_programs)
     from repro.artifacts.snap import dump_snap
     try:
-        snap = dump_snap(_shared_warmup_payload(task, class_programs))
+        snap = dump_snap(_shared_warmup_payload(point, class_programs))
     except Exception:
         return {"status": "failed",
                 "traceback": traceback_module.format_exc()}
@@ -493,49 +470,29 @@ def _retry_delay(attempt: int, backoff_s: float, index: int) -> float:
 
 @dataclass
 class _Task:
-    """Engine-side state of one not-yet-finished grid point."""
+    """Engine-side state of one pool task.
 
+    A grid point's task carries the point's ``index`` and cache ``key``.
+    With ``members`` set, the task is instead the warm-up of the class
+    those grid-point tasks belong to, run for its first member's point:
+    the journal, cache keys and results never see it, and its negative
+    ``index`` never collides with a grid index.
+    """
+
+    index: int
     point: SweepPoint
-    key: Optional[str]
+    key: Optional[str] = None
     attempt: int = 0
     eligible_at: float = 0.0       # monotonic time a retry may dispatch
     picked_up: Optional[float] = None
     #: shared warm-up snapshot the worker restores from (set when its
     #: class is ready; None = the worker warms up itself)
     snap_path: Optional[str] = None
+    members: Optional[List["_Task"]] = None
 
-    @property
-    def index(self) -> int:
-        return self.point.index
-
-    def payload(self) -> Dict:
-        payload = self.point.payload()
-        if self.snap_path is not None and payload.get("warmup"):
-            payload["warmup"]["snap_path"] = self.snap_path
-        return payload
-
-
-@dataclass
-class _WarmupTask:
-    """One warm-up equivalence class to simulate: a pool task whose
-    grid-point ``members`` wait for its snapshot.  Not a grid point —
-    the journal, cache keys and results never see it, and its negative
-    ``index`` never collides with a grid index."""
-
-    index: int
-    digest: str
-    members: List[_Task]
-    attempt: int = 0
-    eligible_at: float = 0.0
-    picked_up: Optional[float] = None
-
-    def payload(self) -> Dict:
-        point = self.members[0].point
-        return {"warmup_task": {"digest": self.digest,
-                                "traffic": copy.deepcopy(point.traffic),
-                                "n_cores": point.n_cores,
-                                "cycles": point.warmup_cycles,
-                                "fabric": point.warmup_fabric}}
+    def work(self) -> _PoolTask:
+        """The task as the pool ships it."""
+        return self.point, self.snap_path, self.members is not None
 
 
 class _WarmupClasses:
@@ -543,15 +500,16 @@ class _WarmupClasses:
 
     Groups the pending synthetic points into warm-up equivalence
     classes.  A class the cache already holds a snapshot for releases
-    its members at once; every other class becomes a
-    :class:`_WarmupTask` and holds its members until :meth:`finish`
+    its members at once; every other class becomes a warm-up
+    :class:`_Task` and holds its members until :meth:`finish`
     stores the snapshot the task returned — in the result cache, or
     with ``--no-cache`` in a throwaway cache over a temporary directory
     (the driver is its only writer).  Classic-benchmark points, and
     everything when ``share`` is False, belong to no class and warm up
     in-worker.  Once the last class is settled the warm-up line is
     printed and ``report`` gets its ``classes``/``simulated``/``cached``
-    provenance.
+    provenance, counted from the ``source`` each class records in
+    ``info``.
 
     ``groups`` lists every class as ``(warm-up task or None, members)``
     in digest order, then ``(None, classless points)``.  Both engines
@@ -570,9 +528,8 @@ class _WarmupClasses:
         self.finish_failed = finish_failed
         self.temp_dir: Optional[str] = None
         self.info: Dict[str, Dict] = {}
-        self.tasks: List[_WarmupTask] = []
-        self.groups: List[Tuple[Optional[_WarmupTask], List[_Task]]] = []
-        self.simulated = self.cached = 0
+        self.tasks: List[_Task] = []
+        self.groups: List[Tuple[Optional[_Task], List[_Task]]] = []
         classes: Dict[str, List[_Task]] = {}
         classless: List[_Task] = []
         for task in pending:
@@ -588,11 +545,11 @@ class _WarmupClasses:
             source = None                 # set when the task settles
             if cache is not None and cache.get_snap(digest) is not None:
                 source = "cache"
-                self.cached += 1
                 for task in members:
                     task.snap_path = str(cache.snap_path_for(digest))
             else:
-                warmup = _WarmupTask(-1 - len(self.tasks), digest, members)
+                warmup = _Task(-1 - len(self.tasks), members[0].point,
+                               members=members)
                 self.tasks.append(warmup)
             self.groups.append((warmup, members))
             self.info[digest] = {"digest": digest, "points": len(members),
@@ -603,7 +560,7 @@ class _WarmupClasses:
         if not self.unsettled:
             self._settled()
 
-    def finish(self, task: _WarmupTask, summary: Dict) -> List[_Task]:
+    def finish(self, task: _Task, summary: Dict) -> List[_Task]:
         """Settle a class from its task's summary; returns the members
         now runnable (none when the warm-up simulation failed)."""
         if summary.get("status") != "ok":
@@ -614,14 +571,14 @@ class _WarmupClasses:
         if self.cache is None:          # --no-cache: a throwaway cache
             self.temp_dir = tempfile.mkdtemp(prefix="repro-warmup-")
             self.cache = ResultCache(self.temp_dir)
-        path = str(self.cache.put_snap(task.digest, summary["snap"]))
+        path = str(self.cache.put_snap(task.point.warmup_key(),
+                                       summary["snap"]))
         for member in task.members:
             member.snap_path = path
-        self.simulated += 1
         self._settle(task, "simulated")
         return task.members
 
-    def fail(self, task: _WarmupTask, kind: str, message: str,
+    def fail(self, task: _Task, kind: str, message: str,
              traceback: Optional[str] = None,
              quarantined: bool = False) -> None:
         """Fail every member of a class whose warm-up cannot land."""
@@ -631,21 +588,23 @@ class _WarmupClasses:
                 kind, message, traceback=traceback,
                 attempts=member.attempt + 1), quarantined=quarantined)
 
-    def _settle(self, task: _WarmupTask, source: str) -> None:
-        self.info[task.digest]["source"] = source
+    def _settle(self, task: _Task, source: str) -> None:
+        self.info[task.point.warmup_key()]["source"] = source
         self.unsettled -= 1
         if not self.unsettled:
             self._settled()
 
     def _settled(self) -> None:
+        sources = [entry["source"] for entry in self.info.values()]
+        simulated, cached = sources.count("simulated"), sources.count("cache")
         if self.info and self.progress is not None:
             self.progress(f"[sweep] warm-up: {len(self.info)} equivalence "
-                          f"class(es) — {self.simulated} simulated, "
-                          f"{self.cached} cached")
+                          f"class(es) — {simulated} simulated, "
+                          f"{cached} cached")
         if self.report is not None:
             self.report["classes"] = list(self.info.values())
-            self.report["simulated"] = self.simulated
-            self.report["cached"] = self.cached
+            self.report["simulated"] = simulated
+            self.report["cached"] = cached
 
     def cleanup(self) -> None:
         if self.temp_dir is not None:
@@ -853,7 +812,8 @@ def run_sweep_parallel(spec: SweepSpec, jobs: Optional[int] = None,
         # budget; a resume must not hand every point a fresh one
         prior_attempts = journal_state.attempts.get(point.index, 0) \
             if journal_state is not None else 0
-        pending.append(_Task(point, key, attempt=prior_attempts))
+        pending.append(_Task(point.index, point, key,
+                             attempt=prior_attempts))
     emit()
 
     if not pending:
@@ -889,7 +849,7 @@ def _run_in_process(warmups: _WarmupClasses,
             if cancel.is_set():
                 interrupt()
             try:
-                summary = _execute_task(warmup.payload(), class_programs)
+                summary = _execute_task(warmup.work(), class_programs)
             except KeyboardInterrupt:
                 interrupt()
             members = warmups.finish(warmup, summary)
@@ -901,7 +861,7 @@ def _run_in_process(warmups: _WarmupClasses,
                                        key=task.key)
             start = time.perf_counter()
             try:
-                summary = _execute_task(task.payload(), class_programs)
+                summary = _execute_task(task.work(), class_programs)
             except KeyboardInterrupt:
                 if journal is not None:
                     journal.record_interrupted(task.index, task.attempt)
@@ -926,7 +886,7 @@ def _run_pool(warmups: _WarmupClasses, jobs: int,
     yet, held members included: the pool is sized for them, never for
     the warm-up tasks alone.
     """
-    tasks: Dict[int, Union[_Task, _WarmupTask]] = {}
+    tasks: Dict[int, _Task] = {}
     ready: deque = deque()
     for warmup in warmups.tasks:
         tasks[warmup.index] = warmup
@@ -937,7 +897,7 @@ def _run_pool(warmups: _WarmupClasses, jobs: int,
             if warmup is None:
                 ready.append(task.index)
     deferred: List[int] = []       # waiting out a retry backoff
-    in_flight: Dict[int, Union[_Task, _WarmupTask]] = {}
+    in_flight: Dict[int, _Task] = {}
     supervisor = WorkerSupervisor(
         min(jobs, unfinished()), heartbeat_timeout_s=heartbeat_timeout_s)
     interrupted = False
@@ -960,14 +920,14 @@ def _run_pool(warmups: _WarmupClasses, jobs: int,
                 task = tasks[index]
                 task.picked_up = None
                 in_flight[index] = task
-                supervisor.dispatch(index, task.payload())
+                supervisor.dispatch(index, task.work())
             events = supervisor.poll(timeout=0.05,
                                      point_timeout_s=point_timeout_s)
             for event in events:
                 task = in_flight.get(event.index)
                 if task is None:
                     continue
-                point = isinstance(task, _Task)   # else a class warm-up
+                point = task.members is None   # else a class warm-up
                 if event.kind == "started":
                     task.picked_up = time.monotonic()
                     if journal is not None and point:
@@ -1013,7 +973,7 @@ def _run_pool(warmups: _WarmupClasses, jobs: int,
     finally:
         if interrupted and journal is not None:
             for index, task in sorted(in_flight.items()):
-                if isinstance(task, _Task):   # warm-ups are not journalled
+                if task.members is None:   # warm-ups are not journalled
                     journal.record_interrupted(index, task.attempt)
         supervisor.shutdown(graceful=not interrupted)
     if interrupted:

@@ -192,7 +192,7 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
         if task is None:
             stop.set()
             return
-        index, payload = task
+        index, work = task
         result_queue.put(("started", worker_id, index, None))
         if crash_index is not None and int(crash_index) == index:
             _test_crash(result_queue)
@@ -204,7 +204,7 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
                 pass                # another worker already crashed
             else:
                 _test_crash(result_queue)
-        summary = _execute_task(payload, class_programs)
+        summary = _execute_task(work, class_programs)
         result_queue.put(("done", worker_id, index, summary))
 
 
@@ -337,8 +337,9 @@ class WorkerSupervisor:
 
     # --------------------------------------------------------- dispatch
 
-    def dispatch(self, index: int, payload: Dict) -> None:
-        """Hand one task to an idle worker (caller checks idle_count)."""
+    def dispatch(self, index: int, task: tuple) -> None:
+        """Hand one task, the tuple ``_execute_task`` takes, to an idle
+        worker (caller checks idle_count)."""
         for handle in list(self._workers.values()):
             if handle.busy:
                 continue
@@ -353,7 +354,7 @@ class WorkerSupervisor:
             handle.dispatched_at = time.monotonic()
             handle.started_at = None
             handle.last_heartbeat = time.monotonic()
-            handle.task_queue.put((index, payload))
+            handle.task_queue.put((index, task))
             return
         raise RuntimeError("dispatch() called with no idle worker")
 

@@ -165,16 +165,28 @@ class SweepSpec:
         if isinstance(fault_seed, bool) or not isinstance(fault_seed, int):
             raise ValueError(f"fault_seed must be an int, got {fault_seed!r}")
         self.fault_seed = fault_seed
-        self.traffic, self.loads, self.patterns = \
-            self._validated_traffic(traffic, loads, patterns)
+        self.loads = self.patterns = None
+        self.traffic = self._validated_traffic(traffic, loads, patterns)
+
+    def fabric_grid(self):
+        """One fabric's grid, ``(mode, n_cores, pattern, load)`` per
+        point in canonical order (mode, then core count, then pattern,
+        then load); ``pattern`` and ``load`` are None outside synthetic
+        sweeps."""
+        for mode in self.modes:
+            for n_cores in self.cores:
+                for pattern in (self.patterns or [None]):
+                    for load in (self.loads or [None]):
+                        yield mode, n_cores, pattern, load
 
     def _validated_traffic(self, traffic, loads, patterns):
+        """The normalised traffic template; sets ``loads``/``patterns``."""
         if self.benchmark != SYNTHETIC:
             if traffic is not None or loads or patterns:
                 raise ValueError(
                     "traffic/loads/patterns only apply to "
                     "benchmark 'synthetic'")
-            return None, None, None
+            return None
         from repro.apps.synthetic import (
             PATTERNS,
             TrafficSpec,
@@ -199,29 +211,23 @@ class SweepSpec:
                     raise ValueError(
                         f"unknown pattern {pattern!r}; "
                         f"choose from {PATTERNS}")
+        self.loads, self.patterns = loads, patterns
         # validate the fully-resolved template for every grid combination
         # up front — a bad spec must fail at submission, not at point 37
         template = dict(traffic)
-        for n_cores in self.cores:
-            for mode in self.modes:
-                for pattern in (patterns or [None]):
-                    for load in (loads or [None]):
-                        spec = resolve_traffic(template, n_cores,
-                                               mode.value, pattern, load)
-                        try:
-                            TrafficSpec.from_dict(spec)
-                        except TrafficSpecError as error:
-                            raise ValueError(
-                                f"invalid traffic spec for "
-                                f"{n_cores} cores"
-                                + (f", pattern {pattern!r}"
-                                   if pattern else "")
-                                + (f", load {load:g}" if load else "")
-                                + f": {error.message}") from error
-        normalised = TrafficSpec.from_dict(resolve_traffic(
-            template, self.cores[0], self.modes[0].value,
-            patterns[0] if patterns else None,
-            loads[0] if loads else None)).to_dict()
+        first = None
+        for mode, n_cores, pattern, load in self.fabric_grid():
+            try:
+                spec = TrafficSpec.from_dict(resolve_traffic(
+                    template, n_cores, mode.value, pattern, load))
+            except TrafficSpecError as error:
+                raise ValueError(
+                    f"invalid traffic spec for {n_cores} cores"
+                    + (f", pattern {pattern!r}" if pattern else "")
+                    + (f", load {load:g}" if load else "")
+                    + f": {error.message}") from error
+            first = first or spec
+        normalised = first.to_dict()
         # keep the *template* fields the user wrote (minus the per-point
         # overrides) but in normalised, JSON-stable form
         for key in ("n_cores", "mode"):
@@ -233,7 +239,7 @@ class SweepSpec:
         for key in list(normalised):
             if key not in template and normalised[key] is None:
                 normalised.pop(key)
-        return normalised, loads, patterns
+        return normalised
 
     @staticmethod
     def from_dict(data: Dict) -> "SweepSpec":
@@ -295,11 +301,7 @@ class SweepSpec:
 
     @property
     def points(self) -> int:
-        count = len(self.cores) * len(self.interconnects) * len(self.modes)
-        if self.benchmark == SYNTHETIC:
-            count *= len(self.loads or [None]) \
-                * len(self.patterns or [None])
-        return count
+        return len(self.interconnects) * sum(1 for _ in self.fabric_grid())
 
 
 def resolve_traffic(template: Dict, n_cores: int, mode: str,

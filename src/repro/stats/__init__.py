@@ -1,13 +1,12 @@
 """Measurement and reporting utilities.
 
 * :mod:`repro.stats.counters` — latency/throughput aggregation used by the
-  analysis tooling (histograms, percentiles, bandwidth);
+  analysis tooling (percentiles, bandwidth);
 * :mod:`repro.stats.reporting` — fixed-width table rendering for the
   experiment harness (Table-2-style output) and trace summaries.
 """
 
 from repro.stats.counters import (
-    Histogram,
     LatencyStats,
     ResilienceCounters,
     trace_summary,
@@ -19,13 +18,12 @@ from repro.stats.compare import (
     drift_report,
 )
 from repro.stats.energy import EnergyCoefficients, estimate_energy
-from repro.stats.reporting import Table, format_table, resilience_report
+from repro.stats.reporting import Table, resilience_report
 from repro.stats.timeline import lanes_from_collectors, render_timeline
 from repro.stats.vcd import export_vcd
 
 __all__ = [
     "EnergyCoefficients",
-    "Histogram",
     "LatencyStats",
     "ResilienceCounters",
     "Table",
@@ -35,7 +33,6 @@ __all__ = [
     "drift_report",
     "estimate_energy",
     "export_vcd",
-    "format_table",
     "lanes_from_collectors",
     "resilience_report",
     "render_timeline",

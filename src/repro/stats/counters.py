@@ -119,34 +119,6 @@ class LatencyStats:
         }
 
 
-class Histogram:
-    """Fixed-width-bin histogram over non-negative integer samples."""
-
-    def __init__(self, bin_width: int = 1):
-        if bin_width < 1:
-            raise ValueError("bin width must be >= 1")
-        self.bin_width = bin_width
-        self.bins: Dict[int, int] = {}
-        self.count = 0
-
-    def add(self, value: int) -> None:
-        index = value // self.bin_width
-        self.bins[index] = self.bins.get(index, 0) + 1
-        self.count += 1
-
-    def items(self):
-        """Sorted ``(bin_start, count)`` pairs."""
-        return [(index * self.bin_width, count)
-                for index, count in sorted(self.bins.items())]
-
-    def mode_bin(self) -> Optional[int]:
-        """Start of the most populated bin, or None when empty."""
-        if not self.bins:
-            return None
-        index = max(self.bins, key=lambda i: (self.bins[i], -i))
-        return index * self.bin_width
-
-
 def trace_summary(transactions: List[Transaction],
                   cycle_ns: int = 5) -> Dict[str, object]:
     """Aggregate a master's trace: mix, latencies, idle time, bandwidth."""

@@ -47,15 +47,6 @@ class Table:
         return "\n".join(out)
 
 
-def format_table(headers: Sequence[str], rows: Sequence[Sequence],
-                 title: Optional[str] = None) -> str:
-    """One-shot convenience wrapper over :class:`Table`."""
-    table = Table(headers, title)
-    for row in rows:
-        table.add_row(*row)
-    return table.render()
-
-
 #: Display order and labels for :func:`resilience_report`.
 _RESILIENCE_ROWS = (
     ("faults_injected", "faults injected (total)"),

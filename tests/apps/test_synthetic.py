@@ -1,5 +1,7 @@
 """Synthetic-traffic generator: determinism, load accuracy, validation."""
 
+import math
+
 import pytest
 
 from repro.apps.synthetic import (
@@ -203,6 +205,38 @@ class TestCdf:
         rebuilt = TrafficSpec.from_dict(data)
         assert generate_programs(original)[0].to_tgp() \
             == generate_programs(rebuilt)[0].to_tgp()
+
+
+class TestCdfChecks:
+    """Inline points are checked as a CDF file's lines are, and every
+    number must be finite."""
+
+    @pytest.mark.parametrize("points", [
+        [[128, 50], [64, 100]], [[64, 10], [128, 20]], [[-64, 100]],
+        [[math.nan, 100]], [[math.inf, 100]], [[64, math.nan]], [[64]],
+        "64 100",
+    ], ids=["unsorted", "not-normalised", "negative-size", "nan-size",
+            "inf-size", "nan-percent", "no-percent", "not-a-list"])
+    def test_bad_inline_points_rejected(self, points):
+        with pytest.raises(TrafficSpecError):
+            spec(size={"kind": "cdf", "points": points})
+
+    def test_inline_error_names_the_point(self):
+        with pytest.raises(TrafficSpecError) as info:
+            spec(size={"kind": "cdf", "points": [[64, 50], [32, 100]]})
+        assert str(info.value).startswith("size.points[1]: ")
+
+    @pytest.mark.parametrize("text", ["nan 50\n64 100\n", "inf 100\n",
+                                      "64 nan\n"])
+    def test_non_finite_file_values_rejected(self, text):
+        with pytest.raises(TrafficSpecError) as info:
+            parse_cdf(text)
+        assert info.value.line == 1
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_hot_weight_must_be_finite(self, weight):
+        with pytest.raises(TrafficSpecError):
+            spec(pattern="hotspot", hot_weight=weight)
 
 
 class TestValidation:

@@ -16,7 +16,6 @@ from repro.artifacts import (
     dump_bin,
     dump_tgp,
     dump_trc,
-    file_crc32,
     load_artifact_bytes,
     load_bin,
     load_bin_bytes,
@@ -92,11 +91,6 @@ class TestRoundTrips:
         assert artifact.header["format_version"] == 1
         assert artifact.value == program
         assert reserialize(artifact) == artifact.payload
-
-    def test_file_crc32_covers_whole_file(self, tmp_path, events):
-        path = tmp_path / "a.trc"
-        save_trc(path, events)
-        assert len(file_crc32(path)) == 8
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -209,11 +209,54 @@ class TestDiagnosticsJson:
         assert trace_stats_main([str(trc), "--json",
                                  "--diagnostics-json", "-"]) == 0
         out = capsys.readouterr().out
-        # first JSON document is the diagnostics, second the stats
+        # the report is the last thing the tool writes: the stats come
+        # first, the diagnostics second
         decoder = json.JSONDecoder()
-        payload, _ = decoder.raw_decode(out)
+        stats, end = decoder.raw_decode(out)
+        assert stats["master"] == 0
+        payload, _ = decoder.raw_decode(out[end:].lstrip())
         assert payload == {"ok": True, "skipped": 0, "diagnostics": [],
                            "tool": "repro-trace-stats"}
+
+    @pytest.mark.parametrize("program", ["missing", "valid"])
+    def test_unwritable_report_path_exit_3(self, program, artifacts,
+                                           tmp_path, capsys):
+        _, tgp, _ = artifacts
+        source = str(tgp) if program == "valid" else "nope.tgp"
+        report = tmp_path / "missing" / "d.json"
+        assert tgasm_main([source, "-o", str(tmp_path / "x.bin"),
+                           "--diagnostics-json", str(report)]) \
+            == EXIT_MISSING_FILE
+        line = _assert_one_line_error(capsys, "repro-tgasm")
+        assert line.startswith(
+            f"repro-tgasm: error: --diagnostics-json {report}: ")
+        assert not (tmp_path / "x.bin").exists()    # checked before the run
+
+    def test_tgdump_stats_writes_its_report(self, artifacts, tmp_path,
+                                            capsys):
+        _, _, image = artifacts
+        report = tmp_path / "d.json"
+        assert tgdump_main([str(image), "--stats",
+                            "--diagnostics-json", str(report)]) == 0
+        assert json.loads(report.read_text()) == {"ok": True,
+                                                  "tool": "repro-tgdump"}
+
+    @pytest.mark.parametrize("text", ["{not json", '{"bogus": 1}'],
+                             ids=["invalid-json", "unknown-key"])
+    def test_bad_fault_spec_exit_4(self, text, tmp_path, capsys):
+        faults = tmp_path / "faults.json"
+        faults.write_text(text)
+        report = tmp_path / "d.json"
+        assert experiment_main(["cacheloop", "-n", "1", "--param",
+                                "iters=5", "--fault-spec", str(faults),
+                                "--diagnostics-json", str(report)]) \
+            == EXIT_PARSE
+        line = _assert_one_line_error(capsys, "repro-experiment")
+        assert line.startswith(f"repro-experiment: error: {faults}: ")
+        payload = json.loads(report.read_text())
+        assert payload["ok"] is False
+        assert payload["error"]["type"] == "FaultSpecError"
+        assert payload["error"]["exit_code"] == EXIT_PARSE
 
     def test_permissive_lists_skips(self, tmp_path, capsys):
         mixed = tmp_path / "mixed.trc"

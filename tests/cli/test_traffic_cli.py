@@ -107,6 +107,26 @@ class TestFailurePaths:
                              str(cdf)]) == EXIT_PARSE
         assert "sorted" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["nan 50\n64 100\n", "inf 100\n"])
+    def test_non_finite_cdf_file(self, text, tmp_path, capsys):
+        cdf = tmp_path / "sizes.cdf"
+        cdf.write_text(text)
+        assert traffic_main(["--cores", "4", "--size-cdf",
+                             str(cdf)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{cdf}:1: size must be positive and finite" in err
+
+    def test_nan_inline_point_in_spec_file(self, tmp_path, capsys):
+        # Python's json reads NaN and Infinity
+        path = tmp_path / "spec.json"
+        path.write_text('{"n_cores": 4, "size": {"kind": "cdf", '
+                        '"points": [[NaN, 100]]}}')
+        assert traffic_main([str(path)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "size.points[0]" in err
+
     def test_missing_cdf_file(self, capsys):
         assert traffic_main(["--cores", "4", "--size-cdf",
                              "/nonexistent.cdf"]) == EXIT_MISSING_FILE

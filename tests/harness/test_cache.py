@@ -102,12 +102,12 @@ def counting_executor(monkeypatch):
     """Stub the point executor with a cheap fake that counts calls."""
     calls = []
 
-    def fake(payload, *rest):
-        calls.append(payload)
-        return {"status": "ok", "benchmark": payload["benchmark"],
-                "n_cores": payload["n_cores"],
-                "interconnect": payload["interconnect"],
-                "mode": payload["mode"], "ref_cycles": 100,
+    def fake(point, *rest):
+        calls.append(point)
+        return {"status": "ok", "benchmark": point.benchmark,
+                "n_cores": point.n_cores,
+                "interconnect": point.interconnect,
+                "mode": point.mode, "ref_cycles": 100,
                 "tg_cycles": 100, "ref_wall": 0.5, "tg_wall": 0.1,
                 "ref_events": 1000, "tg_events": 100}
 

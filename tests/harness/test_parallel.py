@@ -56,9 +56,10 @@ class TestExpandGrid:
         assert spec.app_params["nest"]["deep"] == []
 
     def test_payload_is_plain_data(self):
+        # the pool ships the frozen point itself
         import pickle
         point = expand_grid(small_spec())[0]
-        assert pickle.loads(pickle.dumps(point.payload())) == point.payload()
+        assert pickle.loads(pickle.dumps(point)) == point
 
 
 class TestParallelMatchesSerial:
@@ -80,9 +81,9 @@ class TestParallelMatchesSerial:
         ran = []
         real = parallel_module._execute_point
 
-        def spy(payload, *rest):
-            ran.append(payload["n_cores"])
-            return real(payload, *rest)
+        def spy(point, *rest):
+            ran.append(point.n_cores)
+            return real(point, *rest)
 
         monkeypatch.setattr(parallel_module, "_execute_point", spy)
         results = run_sweep_parallel(

@@ -27,6 +27,13 @@ def small_spec():
                      app_params={"iters": 40})
 
 
+def one_point_task(iters):
+    """The pool task of a one-point cacheloop grid (no warm-up)."""
+    point = parallel_module.expand_grid(
+        SweepSpec("cacheloop", [1], app_params={"iters": iters}))[0]
+    return point, None, False
+
+
 class TestFailureTaxonomy:
     def test_kinds_and_transience(self):
         crash = SweepPointFailure("worker-crash", "died")
@@ -158,11 +165,11 @@ class TestJournalledResume:
         executed_first = []
         real = parallel_module._execute_point
 
-        def first_run(payload, *rest):
-            executed_first.append(payload["interconnect"])
+        def first_run(point, *rest):
+            executed_first.append(point.interconnect)
             if len(executed_first) == 2:
                 cancel.set()
-            return real(payload, *rest)
+            return real(point, *rest)
 
         monkeypatch.setattr(parallel_module, "_execute_point", first_run)
         with pytest.raises(SweepInterrupted):
@@ -175,9 +182,9 @@ class TestJournalledResume:
         # resume: only the two unfinished points may simulate
         executed_second = []
 
-        def second_run(payload, *rest):
-            executed_second.append(payload["interconnect"])
-            return real(payload, *rest)
+        def second_run(point, *rest):
+            executed_second.append(point.interconnect)
+            return real(point, *rest)
 
         monkeypatch.setattr(parallel_module, "_execute_point", second_run)
         resumed = SweepJournal.resume(tmp_path, spec.to_dict())
@@ -311,9 +318,9 @@ class TestJournalledResume:
         ran = []
         real = parallel_module._execute_point
 
-        def spy(payload, *rest):
-            ran.append(payload["n_cores"])
-            return real(payload, *rest)
+        def spy(point, *rest):
+            ran.append(point.n_cores)
+            return real(point, *rest)
 
         monkeypatch.setattr(parallel_module, "_execute_point", spy)
         resumed = SweepJournal.resume(tmp_path, spec.to_dict())
@@ -338,10 +345,7 @@ class TestSupervisorShutdown:
         from repro.harness.supervisor import WorkerSupervisor
         monkeypatch.setenv(parallel_module._TEST_SLEEP_ENV, "60.0")
         supervisor = WorkerSupervisor(2, heartbeat_timeout_s=None)
-        supervisor.dispatch(0, {"benchmark": "cacheloop", "n_cores": 1,
-                                "interconnect": "ahb", "mode": "reactive",
-                                "app_params": {"iters": 10},
-                                "fault_spec": None, "fault_seed": 0})
+        supervisor.dispatch(0, one_point_task(iters=10))
         time.sleep(0.3)
         pids = supervisor.pids
         assert pids
@@ -361,11 +365,7 @@ class TestSupervisorShutdown:
             # dispatch must not queue the point into it (the point
             # would be misclassified worker-crash without ever running)
             assert supervisor.idle_count == 1
-            supervisor.dispatch(0, {"benchmark": "cacheloop",
-                                    "n_cores": 1, "interconnect": "ahb",
-                                    "mode": "reactive",
-                                    "app_params": {"iters": 10},
-                                    "fault_spec": None, "fault_seed": 0})
+            supervisor.dispatch(0, one_point_task(iters=10))
             holders = [h for h in supervisor._workers.values()
                        if h.index == 0]
             assert holders and holders[0].process.is_alive()
@@ -385,11 +385,7 @@ class TestSupervisorShutdown:
         monkeypatch.setenv(parallel_module._TEST_SLEEP_ENV, "30.0")
         supervisor = WorkerSupervisor(2, heartbeat_timeout_s=None)
         try:
-            payload = {"benchmark": "cacheloop", "n_cores": 1,
-                       "interconnect": "ahb", "mode": "reactive",
-                       "app_params": {"iters": 40}, "fault_spec": None,
-                       "fault_seed": 0}
-            supervisor.dispatch(0, payload)
+            supervisor.dispatch(0, one_point_task(iters=40))
             deadline = time.monotonic() + 10.0
             victim = None
             while time.monotonic() < deadline and victim is None:

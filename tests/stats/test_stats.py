@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.ocp.types import OCPCommand
-from repro.stats import Histogram, LatencyStats, Table, format_table, trace_summary
+from repro.stats import LatencyStats, Table, trace_summary
 from repro.trace.events import Transaction
 
 
@@ -44,25 +44,6 @@ class TestLatencyStats:
         assert values == sorted(values)
         assert stats.percentile(0) == min(samples)
         assert stats.percentile(100) == max(samples)
-
-
-class TestHistogram:
-    def test_bin_width_validated(self):
-        with pytest.raises(ValueError):
-            Histogram(0)
-
-    def test_binning(self):
-        hist = Histogram(10)
-        for value in (0, 5, 9, 10, 25):
-            hist.add(value)
-        assert dict(hist.items()) == {0: 3, 10: 1, 20: 1}
-
-    def test_mode_bin(self):
-        hist = Histogram(10)
-        for value in (1, 2, 3, 15):
-            hist.add(value)
-        assert hist.mode_bin() == 0
-        assert Histogram().mode_bin() is None
 
 
 class TestTraceSummary:
@@ -120,7 +101,3 @@ class TestTable:
         table.add_row("1P", "2.15x")
         text = table.render()
         assert "SP matrix:" in text
-
-    def test_format_table_shortcut(self):
-        text = format_table(["a"], [["1"], ["2"]])
-        assert "1" in text and "2" in text
